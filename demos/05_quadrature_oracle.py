@@ -29,7 +29,7 @@ print(f"  largest off-diagonal inner product of P_0..P_8: {off:.2e}")
 # The diagonal reproduces the stored squared norms up to one global
 # constant (the package keeps norms in a convention that drops a fixed
 # power of two):
-d = norm_sequence(params, 8).values
+d = norm_sequence(params, 8)
 ratio = np.diag(gram) / d[:9]
 print(f"  integral norm / stored norm, k = 0..8: {ratio[0]:.6f} "
       f"(spread {np.max(np.abs(ratio / ratio[0] - 1)):.2e})")

@@ -42,7 +42,6 @@ from .eigensolver import (
 from .exceptions import AccuracyWindowError, ConvergenceError
 from .jacobi import (
     JacobiWeightParams,
-    NormSequence,
     gauss_jacobi_quadrature,
     log_norm_sequence,
     monic_eval,
@@ -55,10 +54,7 @@ from .jacobi import (
 from .pencil import (
     BandedPencil,
     ScaledPencil,
-    UpperBidiagonal,
     apply_operator,
-    build_c1,
-    build_c2,
     build_pencil,
     scaled_pencil,
     symmetrized_bands,

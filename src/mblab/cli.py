@@ -2,13 +2,15 @@
 
 Subcommands: constant, sweep, extremal, profile, asymptotics, verify.
 Exit codes: 0 ok, 1 invalid arguments, 2 solver failure, 3 verification
-failure.  The env var MB_LAB_TOL overrides the default tolerance; the
---tol flag wins over the env var.
+failure.  The env var MB_LAB_TOL overrides the default tolerance (a
+value that does not parse is an invalid argument); the --tol flag wins
+over the env var.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,8 +53,15 @@ def _report_row(report):
     ]
 
 
+def _json_number(x):
+    # A failed sweep row carries NaN, which JSON cannot represent.
+    if isinstance(x, float) and math.isnan(x):
+        return "null"
+    return _fmt(x)
+
+
 def _report_json(report_values):
-    parts = [f'"{k}": {_fmt(v)}' for k, v in zip(_REPORT_FIELDS, report_values)]
+    parts = [f'"{k}": {_json_number(v)}' for k, v in zip(_REPORT_FIELDS, report_values)]
     return "{" + ", ".join(parts) + "}"
 
 
@@ -117,14 +126,17 @@ def _n_range(text):
     return list(range(start, stop + 1, step))
 
 
-def _default_tol():
+def _resolve_tol(flag):
+    """--tol if given, else MB_LAB_TOL if set, else 1e-12."""
+    if flag is not None:
+        return flag
     env = os.environ.get("MB_LAB_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return 1e-12
+    if not env:
+        return 1e-12
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(f"MB_LAB_TOL must be a number, got {env!r}") from None
 
 
 def _add_common(sub, needs_n=True):
@@ -184,12 +196,12 @@ def build_parser():
 
 def _cmd_constant(args):
     params = JacobiWeightParams(args.alpha, args.beta)
-    tol = args.tol if args.tol is not None else _default_tol()
-    report = sharp_constant(params, args.n, tol)
-    if args.dump_pencil:
-        with open(args.dump_pencil, "w", encoding="utf-8") as fh:
-            dump_banded(build_pencil(params, args.n), fh)
+    report = sharp_constant(params, args.n, args.tol)
     _emit(_reports_text([_report_row(report)], args.format), args.output)
+    if args.dump_pencil:
+        pen = build_pencil(params, args.n)  # raises past the raw norms' range
+        with open(args.dump_pencil, "w", encoding="utf-8") as fh:
+            dump_banded(pen, fh)
     return 0
 
 
@@ -200,9 +212,8 @@ def _sweep_task(task):
 
 
 def _cmd_sweep(args):
-    tol = args.tol if args.tol is not None else _default_tol()
     ns = sorted(set(args.n) | set(args.n_range))
-    tasks = [(a, b, n, tol) for a in sorted(set(args.alpha)) for b in sorted(set(args.beta)) for n in ns]
+    tasks = [(a, b, n, args.tol) for a in sorted(set(args.alpha)) for b in sorted(set(args.beta)) for n in ns]
     rows = {}
     failed = False
     if args.parallel > 1 and len(tasks) > 1:
@@ -233,8 +244,7 @@ def _sweep_wrapped(task):
 
 def _cmd_extremal(args):
     params = JacobiWeightParams(args.alpha, args.beta)
-    tol = args.tol if args.tol is not None else _default_tol()
-    u, v, m_n = extremal_polynomial(params, args.n, tol)
+    u, v, m_n = extremal_polynomial(params, args.n, args.tol)
     if args.format == "json":
         body = ", ".join(
             [
@@ -259,8 +269,7 @@ def _cmd_extremal(args):
 
 def _cmd_profile(args):
     params = JacobiWeightParams(args.alpha, args.beta)
-    tol = args.tol if args.tol is not None else _default_tol()
-    comparison = profile_compare(params, args.n, tol)
+    comparison = profile_compare(params, args.n, args.tol)
     prefix = args.output or f"profile_a{args.alpha:g}_b{args.beta:g}_n{args.n}"
     for suffix, series in (
         ("discrete", comparison.discrete),
@@ -280,11 +289,10 @@ def _cmd_profile(args):
 
 def _cmd_asymptotics(args):
     params = JacobiWeightParams(args.alpha, args.beta)
-    tol = args.tol if args.tol is not None else _default_tol()
     if not args.n_list:
         print("error: --n-list is empty", file=sys.stderr)
         return 1
-    reports = convergence_study(params, args.n_list, tol)
+    reports = convergence_study(params, args.n_list, args.tol)
     _emit(_reports_text([_report_row(r) for r in reports], args.format), args.output)
     return 0
 
@@ -317,6 +325,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if "tol" in args:  # every subcommand but verify
+            args.tol = _resolve_tol(args.tol)
         return _COMMANDS[args.command](args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import y_bundle
-from .eigensolver import _solve_scaled, sharp_constant
+from .discrete import log_scale_factors, y_bundle
+from .eigensolver import sharp_constant, smallest_eigenpair
+from .jacobi import log_norm_sequence
+from .pencil import scaled_pencil
 from .special import bessel_j, log_gamma, smallest_positive_zero
 
 __all__ = [
@@ -152,27 +154,13 @@ def profile_compare(params, n, tol=1e-12):
     """
     if n < 50:
         raise ValueError(f"profile comparison needs n >= 50, got {n}")
-    lam, w, _, _, _ = _solve_scaled(params, n, tol)
-    l_star = lam * float(n) ** 4
+    result = smallest_eigenpair(scaled_pencil(params, n), tol)
+    l_star = result.lambda_min * float(n) ** 4
 
     # x_k = w_k / (sqrt(d_k) * scale_k); the combined factor is only
     # polynomially large, so the bundle is formed without over/underflow.
-    a, b = params.alpha, params.beta
-    s = a + b
-    g = np.array(
-        [
-            0.5
-            * (
-                log_gamma(k + 1.0)
-                + log_gamma(k + s + 1.0)
-                - log_gamma(k + a + 1.0)
-                - log_gamma(k + b + 1.0)
-                + math.log(2 * k + s + 1.0)
-            )
-            for k in range(n)
-        ]
-    )
-    x = w * np.exp(-g)
+    g = 0.5 * log_norm_sequence(params, n)[:n] + log_scale_factors(params, n)
+    x = result.w * np.exp(-g)
 
     degenerate = params.alpha == params.beta
     if degenerate:

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pencil import band_matvec, symmetrized_bands
 from .special import log_gamma
-from .pencil import symmetrized_bands
 
 __all__ = [
     "ParticularSolution",
+    "log_scale_factors",
     "scale_factors",
     "scale_v_to_x",
     "scale_x_to_v",
@@ -55,22 +56,26 @@ class ParticularSolution:
     values: np.ndarray
 
 
-def scale_factors(params, n):
-    """The factors (2k+a+b+1)!/(2^k (k+a)!(k+b)!) for k = 0..n-1."""
+def log_scale_factors(params, n):
+    """ln of the factors (2k+a+b+1)!/(2^k (k+a)!(k+b)!) for k = 0..n-1."""
     a, b = params.alpha, params.beta
     s = a + b
     ln2 = math.log(2.0)
     return np.array(
         [
-            math.exp(
-                log_gamma(2 * k + s + 2.0)
-                - k * ln2
-                - log_gamma(k + a + 1.0)
-                - log_gamma(k + b + 1.0)
-            )
+            log_gamma(2 * k + s + 2.0)
+            - k * ln2
+            - log_gamma(k + a + 1.0)
+            - log_gamma(k + b + 1.0)
             for k in range(n)
         ]
     )
+
+
+def scale_factors(params, n):
+    """The factors (2k+a+b+1)!/(2^k (k+a)!(k+b)!) for k = 0..n-1; raises
+    OverflowError once they leave double range (k ~ 1000)."""
+    return np.array([math.exp(g) for g in log_scale_factors(params, n)])
 
 
 def scale_v_to_x(params, v):
@@ -192,13 +197,7 @@ def residual_support(pencil, solution, rel_tol=1e-10):
     if solution.variable == "x":
         v = scale_x_to_v(pencil.params, v)
     sd = np.sqrt(pencil.d)
-    w = sd * v
-    b0, b1, b2 = symmetrized_bands(pencil)
-    r = b0 * w
-    r[:-1] += b1 * w[1:]
-    r[1:] += b1 * w[:-1]
-    r[:-2] += b2 * w[2:]
-    r[2:] += b2 * w[:-2]
+    r = band_matvec(*symmetrized_bands(pencil), sd * v)
     scale = float(np.max(np.abs(r)))
     head = float(np.max(np.abs(r[: n - 2]))) if scale > 0 else 0.0
     support_ok = scale > 0 and head < rel_tol * scale

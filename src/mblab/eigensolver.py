@@ -21,7 +21,8 @@ from .jacobi import log_norm_sequence
 from .pencil import (
     BandedPencil,
     ScaledPencil,
-    _g_bands,
+    band_matvec,
+    g_bands,
     scaled_pencil,
     symmetrized_bands,
 )
@@ -43,7 +44,8 @@ class EigenResult:
     """Smallest generalized eigenvalue with certificate data.
 
     `eigenvector` is the unit generalized eigenvector (original
-    coordinates).  `residual` is the relative residual of the
+    coordinates) and `w` the unit eigenvector of the symmetrized matrix B
+    it is mapped from.  `residual` is the relative residual of the
     symmetrized problem, || (B - lambda I) w || / || w ||, which is the
     numerically meaningful certificate: the raw-coordinate residual is
     amplified by the ~4^n condition of the diagonal scaling for large n.
@@ -55,7 +57,8 @@ class EigenResult:
     eigenvector: np.ndarray
     residual: float
     iterations: int
-    multiplicity: int = 1
+    multiplicity: int
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,25 +126,15 @@ def _ldlt_solve(d, l1, l2, rhs):
     return y
 
 
-def _matvec(b0, b1, b2, w):
-    out = b0 * w
-    n = len(b0)
-    if n > 1:
-        out[:-1] += b1 * w[1:]
-        out[1:] += b1 * w[:-1]
-    if n > 2:
-        out[:-2] += b2 * w[2:]
-        out[2:] += b2 * w[:-2]
-    return out
-
-
-def _solve_core(b0, b1, b2, tol, hi_seed):
-    """Bisection + inverse iteration on the symmetrized bands.
+def _solve_core(params, b0, b1, b2, tol):
+    """Bisection + inverse iteration on the symmetrized bands of the
+    degree-n problem for `params`, n = len(b0).
 
     Returns (lambda, w, residual, iterations, multiplicity) with w the
     unit eigenvector of B.
     """
     n = len(b0)
+    hi_seed = _hi_seed(params, n)
     l0, l1_, l2_ = b0.tolist(), b1.tolist(), b2.tolist()
 
     def inertia(mu):
@@ -201,7 +194,7 @@ def _solve_core(b0, b1, b2, tol, hi_seed):
                 break
             z = z / zmax
             w = z / float(np.linalg.norm(z))
-            bw = _matvec(b0, b1, b2, w)
+            bw = band_matvec(b0, b1, b2, w)
             rho = float(w @ bw)
             residual = float(np.linalg.norm(bw - rho * w))
             if residual <= target:
@@ -257,11 +250,6 @@ def _eigvec_original(logd, n, w):
     return v
 
 
-def _solve_scaled(params, n, tol):
-    sp = scaled_pencil(params, n)
-    return _solve_core(sp.b0, sp.b1, sp.b2, tol, _hi_seed(params, n))
-
-
 def smallest_eigenpair(pencil, tol=1e-12):
     """Smallest generalized eigenvalue and eigenvector of (A, D).
 
@@ -277,9 +265,7 @@ def smallest_eigenpair(pencil, tol=1e-12):
         logd = np.log(pencil.d)  # raw norms are in range by construction
     else:
         raise TypeError(f"expected BandedPencil or ScaledPencil, got {type(pencil)}")
-    lam, w, residual, iterations, mult = _solve_core(
-        b0, b1, b2, tol, _hi_seed(pencil.params, pencil.n)
-    )
+    lam, w, residual, iterations, mult = _solve_core(pencil.params, b0, b1, b2, tol)
     v = _eigvec_original(logd, pencil.n, w)
     return EigenResult(
         lambda_min=lam,
@@ -287,6 +273,7 @@ def smallest_eigenpair(pencil, tol=1e-12):
         residual=residual,
         iterations=iterations,
         multiplicity=mult,
+        w=w,
     )
 
 
@@ -296,7 +283,8 @@ def sharp_constant(params, n, tol=1e-12):
     _check_tol(tol)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lam, _, residual, _, _ = _solve_scaled(params, n, tol)
+    sp = scaled_pencil(params, n)
+    lam, _, residual, _, _ = _solve_core(params, sp.b0, sp.b1, sp.b2, tol)
     m_n = lam ** -0.5
     j = smallest_positive_zero(params.nu_star)
     predicted = float(n) ** 2 / (2.0 * j)
@@ -319,15 +307,12 @@ def extremal_polynomial(params, n, tol=1e-12):
     basis of degrees 0..n-1, u those of Q in degrees 1..n, linked by
     N u = C2 C1 v; v is the unit eigenvector.
     """
-    _check_tol(tol)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lam, w, _, _, _ = _solve_scaled(params, n, tol)
-    v = _eigvec_original(log_norm_sequence(params, n)[:n], n, w)
-    g0, g1, g2 = _g_bands(params, n)
+    result = smallest_eigenpair(scaled_pencil(params, n), tol)
+    v = result.eigenvector
+    g0, g1, g2 = g_bands(params, n)
     u = g0 * v
     if n > 1:
         u[:-1] += g1 * v[1:]
     if n > 2:
         u[:-2] += g2 * v[2:]
-    return u, v, lam ** -0.5
+    return u, v, result.lambda_min ** -0.5

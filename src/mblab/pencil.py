@@ -12,7 +12,8 @@ in raw units and in the symmetrized, ratio-scaled form
     B = D^-1/2 A D^-1/2 = H^T H,    H = D+^1/2 (N^-1 C2 C1) D^-1/2,
 
 whose entries involve only the well-scaled ratios sqrt(d_{k+1}/d_k).
-The raw form underflows around n ~ 600; the scaled form works for any n.
+The raw form underflows around n ~ 460-480; the scaled form works for
+any n.
 """
 
 from __future__ import annotations
@@ -24,33 +25,18 @@ import numpy as np
 from .jacobi import JacobiWeightParams, norm_ratio, norm_sequence
 
 __all__ = [
-    "UpperBidiagonal",
     "BandedPencil",
     "ScaledPencil",
-    "build_c1",
-    "build_c2",
+    "g_bands",
     "build_pencil",
     "scaled_pencil",
+    "band_matvec",
     "apply_operator",
     "symmetrized_bands",
     "dense_a",
     "dense_d",
     "dump_banded",
 ]
-
-
-@dataclass(frozen=True)
-class UpperBidiagonal:
-    """Unit-diagonal upper bidiagonal matrix; only the superdiagonal is stored."""
-
-    n: int
-    superdiagonal: np.ndarray
-
-    def to_dense(self):
-        out = np.eye(self.n)
-        for i, s in enumerate(self.superdiagonal):
-            out[i, i + 1] = s
-        return out
 
 
 @dataclass(frozen=True)
@@ -110,22 +96,9 @@ def _c2_entries(params, n):
     return 2.0 * k * (k + a + 1) / ((2 * k + s + 1) * (2 * k + s + 2))
 
 
-def build_c1(params, n):
-    """C1 = I - diag(2k(k+beta)/((2k+a+b)(2k+a+b+1))) T, T the upper shift."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return UpperBidiagonal(n=n, superdiagonal=_c1_entries(params, n))
-
-
-def build_c2(params, n):
-    """C2 = I + diag(2k(k+alpha+1)/((2k+a+b+1)(2k+a+b+2))) T."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return UpperBidiagonal(n=n, superdiagonal=_c2_entries(params, n))
-
-
-def _g_bands(params, n):
-    """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2)."""
+def g_bands(params, n):
+    """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2), which maps
+    the monic coefficients of Q' to those of Q."""
     c1 = _c1_entries(params, n)
     c2 = _c2_entries(params, n)
     rows = np.arange(1, n + 1, dtype=float)
@@ -135,22 +108,28 @@ def _g_bands(params, n):
     return g0, g1, g2
 
 
-def build_pencil(params, n):
-    """Assemble A = G^T D+ G and D in banded storage (raw norm units)."""
-    norms = norm_sequence(params, n).values
-    dp = norms[1:]
-    g0, g1, g2 = _g_bands(params, n)
-    diag = dp * g0 ** 2
+def _gram_bands(f0, f1, f2, weights):
+    """Bands of F^T diag(weights) F for F upper triangular with bands
+    f0, f1, f2."""
+    n = len(f0)
+    diag = weights * f0 ** 2
     if n > 1:
-        diag[1:] += dp[:-1] * g1 ** 2
+        diag[1:] += weights[:-1] * f1 ** 2
     if n > 2:
-        diag[2:] += dp[:-2] * g2 ** 2
+        diag[2:] += weights[:-2] * f2 ** 2
     super1 = np.empty(max(n - 1, 0))
     if n > 1:
-        super1[:] = dp[:-1] * g0[:-1] * g1
+        super1[:] = weights[:-1] * f0[:-1] * f1
         if n > 2:
-            super1[1:] += dp[:-2] * g1[:-1] * g2
-    super2 = dp[:-2] * g0[:-2] * g2 if n > 2 else np.empty(0)
+            super1[1:] += weights[:-2] * f1[:-1] * f2
+    super2 = weights[:-2] * f0[:-2] * f2 if n > 2 else np.empty(0)
+    return diag, super1, super2
+
+
+def build_pencil(params, n):
+    """Assemble A = G^T D+ G and D in banded storage (raw norm units)."""
+    norms = norm_sequence(params, n)
+    diag, super1, super2 = _gram_bands(*g_bands(params, n), norms[1:])
     return BandedPencil(
         n=n, params=params, diag=diag, super1=super1, super2=super2, norms=norms
     )
@@ -169,18 +148,7 @@ def scaled_pencil(params, n):
     h0 = sr / rows
     h1 = (c1 + c2) / rows[:-1] if n > 1 else np.empty(0)
     h2 = (c2[:-1] * c1[1:]) / (rows[:-2] * sr[1 : n - 1]) if n > 2 else np.empty(0)
-
-    b0 = h0 ** 2
-    if n > 1:
-        b0[1:] += h1 ** 2
-    if n > 2:
-        b0[2:] += h2 ** 2
-    b1 = np.empty(max(n - 1, 0))
-    if n > 1:
-        b1[:] = h0[:-1] * h1
-        if n > 2:
-            b1[1:] += h1[:-1] * h2
-    b2 = h0[:-2] * h2 if n > 2 else np.empty(0)
+    b0, b1, b2 = _gram_bands(h0, h1, h2, np.ones(n))
     return ScaledPencil(n=n, params=params, h0=h0, h1=h1, h2=h2, b0=b0, b1=b1, b2=b2)
 
 
@@ -195,19 +163,26 @@ def symmetrized_bands(pencil):
     return b0, b1, b2
 
 
+def band_matvec(b0, b1, b2, w):
+    """Product of the symmetric pentadiagonal matrix with bands b0, b1, b2
+    and the vector w."""
+    out = b0 * w
+    n = len(b0)
+    if n > 1:
+        out[:-1] += b1 * w[1:]
+        out[1:] += b1 * w[:-1]
+    if n > 2:
+        out[:-2] += b2 * w[2:]
+        out[2:] += b2 * w[:-2]
+    return out
+
+
 def apply_operator(pencil, lam, v):
     """(A - lam D) v with banded arithmetic."""
     v = np.asarray(v, dtype=float)
     if v.shape != (pencil.n,):
         raise ValueError(f"vector length {v.shape} does not match pencil size {pencil.n}")
-    out = pencil.diag * v - lam * (pencil.d * v)
-    if pencil.n > 1:
-        out[:-1] += pencil.super1 * v[1:]
-        out[1:] += pencil.super1 * v[:-1]
-    if pencil.n > 2:
-        out[:-2] += pencil.super2 * v[2:]
-        out[2:] += pencil.super2 * v[:-2]
-    return out
+    return band_matvec(pencil.diag, pencil.super1, pencil.super2, v) - lam * (pencil.d * v)
 
 
 def dense_a(pencil):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from scipy.special import gammaln
 
 from .exceptions import AccuracyWindowError, ConvergenceError
 
@@ -73,7 +72,7 @@ def log_gamma(x):
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
+    return math.lgamma(x)
 
 
 def _series_f64(nu, x):
@@ -161,70 +160,16 @@ def bessel_j(order, x):
     return _bessel_any(nu, x)
 
 
-def _derivative_series(nu, x):
-    """d/dx of the ascending series, summed term by term (used when the
-    three-term derivative relation would need an order <= -1)."""
-    half = 0.5 * x
-    lead = nu * math.log(half) - log_gamma(nu + 1.0)
-    base = math.exp(lead)
-    term = base * (nu / x)
-    total = term
-    peak = abs(term)
-    q = -half * half
-    m = 0
-    while m < _MAX_TERMS:
-        base *= q / ((m + 1.0) * (nu + m + 1.0))
-        m += 1
-        term = base * ((nu + 2.0 * m) / x)
-        total += term
-        a = abs(term)
-        if a > peak:
-            peak = a
-        if (
-            a <= max(_TERM_EPS * abs(total), 2.5e-18 * peak, 5e-324)
-            and half * half < (m + 1.0) * (nu + m + 1.0)
-        ):
-            break
-    else:
-        raise ConvergenceError(f"derivative series did not converge, nu={nu} x={x}")
-    if peak <= _AMP_FLOAT64 * max(1.0, abs(total)):
-        return total
-    digits = 30 + max(0, int(math.log10(max(peak, 1.0))))
-    with mpmath.workdps(digits):
-        nu = mpmath.mpf(nu)
-        half = mpmath.mpf(x) / 2
-        base = mpmath.exp(nu * mpmath.log(half) - mpmath.loggamma(nu + 1))
-        total = base * nu / x
-        q = -half * half
-        stop = mpmath.mpf(10) ** (-(digits - 4))
-        peak = abs(total)
-        m = 0
-        while m < _MAX_TERMS:
-            base *= q / ((m + 1) * (nu + m + 1))
-            m += 1
-            term = base * (nu + 2 * m) / x
-            total += term
-            a = abs(term)
-            peak = max(peak, a)
-            if a <= stop * max(peak, mpmath.mpf(1)) and half * half < (m + 1) * (nu + m + 1):
-                return float(total)
-        raise ConvergenceError(f"derivative series did not converge, nu={nu} x={x}")
-
-
 def bessel_j_derivative(order, x):
-    """d/dx J_nu(x) for x > 0.
+    """d/dx J_nu(x) for x > 0, as (nu/x) J_nu(x) - J_{nu+1}(x).
 
-    For nu > 0 uses (J_{nu-1} - J_{nu+1})/2; for nu <= 0 the relation
-    would need an order at or below -1, so the series is differentiated
-    directly.
+    The relation needs only orders >= nu, so it holds for every nu > -1.
     """
     nu = _order(order)
     x = float(x)
     if not x > 0.0:
         raise ValueError("bessel_j_derivative requires x > 0")
-    if nu > 0.0:
-        return 0.5 * (_bessel_any(nu - 1.0, x) - _bessel_any(nu + 1.0, x))
-    return _derivative_series(nu, x)
+    return (nu / x) * _bessel_any(nu, x) - _bessel_any(nu + 1.0, x)
 
 
 @lru_cache(maxsize=1024)

@@ -99,6 +99,32 @@ def test_sweep_row_failure_yields_nan_and_exit_two(capsys, monkeypatch):
     assert bad[6] == "nan"
 
 
+def test_sweep_json_failed_row_is_null(capsys, monkeypatch):
+    import mblab.cli as cli
+    from mblab.exceptions import ConvergenceError
+
+    real = cli.sharp_constant
+
+    def flaky(params, n, tol):
+        if n == 6:
+            raise ConvergenceError("injected")
+        return real(params, n, tol)
+
+    monkeypatch.setattr(cli, "sharp_constant", flaky)
+    code, out, _ = run(
+        capsys,
+        [
+            "sweep", "--alpha", "0", "--beta", "0", "--n", "4,6",
+            "--parallel", "1", "--format", "json",
+        ],
+    )
+    assert code == 2
+    good, bad = json.loads(out)
+    assert good["n"] == 4 and good["m_n"] > 0
+    assert bad["n"] == 6
+    assert bad["lambda_min"] is None and bad["ratio"] is None
+
+
 def test_sweep_n_range(capsys):
     code, out, _ = run(
         capsys,
@@ -128,6 +154,22 @@ def test_constant_output_file_and_dump(capsys, tmp_path):
     assert len(bands) == 4  # three bands of A, then the diagonal of D
     assert len(bands[0].split()) == 4
     assert len(bands[1].split()) == 3
+
+
+def test_dump_pencil_past_raw_range_reports_then_fails(capsys, tmp_path):
+    # the raw norms leave double range at d_483 for alpha = beta = 0
+    dump_path = tmp_path / "bands.txt"
+    code, out, err = run(
+        capsys,
+        [
+            "constant", "--n", "600", "--alpha", "0", "--beta", "0",
+            "--format", "json", "--dump-pencil", str(dump_path),
+        ],
+    )
+    assert code == 1
+    assert json.loads(out)["n"] == 600
+    assert "n=600" in err
+    assert not dump_path.exists()
 
 
 def test_extremal_csv(capsys):
@@ -211,3 +253,14 @@ def test_env_tolerance_override(capsys, monkeypatch):
     )
     lam_flag = json.loads(out)["lambda_min"]
     assert lam_env == pytest.approx(lam_flag, rel=1e-7)
+
+
+def test_env_tolerance_unparsable_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("MB_LAB_TOL", "garbage")
+    argv = ["constant", "--n", "6", "--alpha", "0", "--beta", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "MB_LAB_TOL" in err and "garbage" in err
+    # the flag wins, so the env var is not consulted
+    assert run(capsys, argv + ["--tol", "1e-10"])[0] == 0

@@ -131,13 +131,13 @@ def test_extremal_polynomial_degree_two():
 def test_extremal_coefficient_identity(alpha, beta, n):
     p = JacobiWeightParams(alpha, beta)
     u, v, m_n = extremal_polynomial(p, n)
-    d = norm_sequence(p, n).values
+    d = norm_sequence(p, n)
     lhs = float(v**2 @ d[:n]) / float(u**2 @ d[1:])
     assert lhs == pytest.approx(m_n**2, rel=1e-9)
 
 
 def test_large_n_runs_without_raw_norms():
-    # raw pencil underflows near n ~ 600; the scaled route must not
+    # raw pencil underflows near n ~ 480; the scaled route must not
     r = sharp_constant(P00, 700)
     assert 0.99 < r.ratio < 1.01
 

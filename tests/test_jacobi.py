@@ -30,20 +30,20 @@ def test_params_validation_and_orders():
 
 
 def test_norms_legendre():
-    d = norm_sequence(P00, 2).values
+    d = norm_sequence(P00, 2)
     assert d[0] == pytest.approx(1.0, rel=1e-14)
     assert d[1] == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert d[2] == pytest.approx(4.0 / 45.0, rel=1e-14)
 
 
 def test_norms_alpha_beta_one():
-    d = norm_sequence(P11, 1).values
+    d = norm_sequence(P11, 1)
     assert d[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
     assert d[1] == pytest.approx(1.0 / 30.0, rel=1e-14)
 
 
 def test_norms_positive_and_overflow_reported():
-    d = norm_sequence(JacobiWeightParams(-0.5, -0.5), 120).values
+    d = norm_sequence(JacobiWeightParams(-0.5, -0.5), 120)
     assert np.all(d > 0)
     with pytest.raises(OverflowError):
         norm_sequence(P00, 700)
@@ -56,7 +56,7 @@ def test_recurrence_matches_norm_ratio(alpha, beta):
     # monic orthogonal polynomials satisfy b_k = d_k / d_{k-1}; d_k here
     # carries one k-independent global factor, which cancels in the ratio
     p = JacobiWeightParams(alpha, beta)
-    d = norm_sequence(p, 40).values
+    d = norm_sequence(p, 40)
     _, bk = recurrence_coefficients(p, 40)
     for k in range(1, 40):
         assert bk[k] == pytest.approx(d[k] / d[k - 1], rel=1e-10)
@@ -153,7 +153,7 @@ def test_quadrature_norms_match_d_up_to_global_factor(alpha, beta):
     # the stored d_k differ from the weighted-integral norms by one
     # k-independent factor; only the ratio is pinned down
     p = JacobiWeightParams(alpha, beta)
-    d = norm_sequence(p, 10).values
+    d = norm_sequence(p, 10)
     nodes, weights = gauss_jacobi_quadrature(p, 14)
     table = monic_eval_table(p, 10, nodes)
     quad = (table**2 * weights).sum(axis=1)

@@ -4,42 +4,48 @@ import pytest
 from mblab import (
     JacobiWeightParams,
     apply_operator,
-    build_c1,
-    build_c2,
     build_pencil,
     norm_sequence,
+    raising_coefficient,
     scaled_pencil,
     sharp_constant,
     symmetrized_bands,
 )
 from mblab.eigensolver import _ldlt
-from mblab.pencil import dense_a
+from mblab.pencil import band_matvec, dense_a
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
 P10 = JacobiWeightParams(1.0, 0.0)
 
 
+def c1_superdiagonal(p, n):
+    """C1 = I + diag(c1) T (T the upper shift), c1_k = -raising coefficient."""
+    return np.array([-raising_coefficient(p, k) for k in range(1, n)])
+
+
+def c2_superdiagonal(p, n):
+    """C2 = I + diag(c2) T: the raising coefficients of the weight with alpha
+    raised by one and reflected by x -> -x, which swaps alpha and beta."""
+    q = JacobiWeightParams(p.beta, p.alpha + 1.0)
+    return np.array([raising_coefficient(q, k) for k in range(1, n)])
+
+
+def unit_upper_bidiagonal(sup):
+    return np.eye(len(sup) + 1) + np.diag(sup, 1)
+
+
 def test_c1_entries():
-    assert build_c1(P00, 2).superdiagonal == pytest.approx([-1.0 / 3.0], rel=1e-15)
-    assert build_c1(P00, 3).superdiagonal == pytest.approx(
-        [-1.0 / 3.0, -2.0 / 5.0], rel=1e-15
-    )
-    assert build_c1(P11, 1).superdiagonal.size == 0
+    assert c1_superdiagonal(P00, 2) == pytest.approx([-1.0 / 3.0], rel=1e-15)
+    assert c1_superdiagonal(P00, 3) == pytest.approx([-1.0 / 3.0, -2.0 / 5.0], rel=1e-15)
+    assert c1_superdiagonal(P11, 1).size == 0
 
 
 def test_c2_entries():
-    assert build_c2(P00, 2).superdiagonal == pytest.approx([1.0 / 3.0], rel=1e-15)
+    assert c2_superdiagonal(P00, 2) == pytest.approx([1.0 / 3.0], rel=1e-15)
     # 2k(k+alpha+1)/((2k+a+b+1)(2k+a+b+2)) at k=1, (alpha,beta)=(1,0)
-    assert build_c2(P10, 2).superdiagonal == pytest.approx([6.0 / 20.0], rel=1e-15)
-    assert build_c2(P10, 1).superdiagonal.size == 0
-
-
-def test_bidiagonal_dense():
-    c1 = build_c1(P00, 3).to_dense()
-    assert np.allclose(np.diag(c1), 1.0)
-    assert c1[0, 1] == pytest.approx(-1.0 / 3.0)
-    assert c1[1, 0] == 0.0
+    assert c2_superdiagonal(P10, 2) == pytest.approx([6.0 / 20.0], rel=1e-15)
+    assert c2_superdiagonal(P10, 1).size == 0
 
 
 def test_pencil_one_by_one():
@@ -71,20 +77,29 @@ def test_apply_operator():
         apply_operator(pen, 0.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_band_matvec_matches_dense(n):
+    pen = build_pencil(JacobiWeightParams(1.0, 0.5), n)
+    w = np.random.default_rng(n).standard_normal(n)
+    want = dense_a(pen) @ w
+    got = band_matvec(pen.diag, pen.super1, pen.super2, w)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("alpha,beta,n", [(0.0, 0.0, 12), (1.0, 0.5, 9), (2.5, -0.5, 15)])
 def test_bandwidth_and_factored_consistency(alpha, beta, n):
     p = JacobiWeightParams(alpha, beta)
     pen = build_pencil(p, n)
     # independent dense assembly
-    c1 = build_c1(p, n).to_dense()
-    c2 = build_c2(p, n).to_dense()
+    c1 = unit_upper_bidiagonal(c1_superdiagonal(p, n))
+    c2 = unit_upper_bidiagonal(c2_superdiagonal(p, n))
     g = np.diag(1.0 / np.arange(1, n + 1)) @ c2 @ c1
     prod = c2 @ c1
     for i in range(n):
         for j in range(n):
             if j - i > 2 or j < i:
                 assert prod[i, j] == 0.0
-    a_dense = g.T @ np.diag(norm_sequence(p, n).values[1:]) @ g
+    a_dense = g.T @ np.diag(norm_sequence(p, n)[1:]) @ g
     mine = dense_a(pen)
     scale = np.max(np.abs(a_dense))
     assert np.max(np.abs(mine - a_dense)) < 1e-14 * scale

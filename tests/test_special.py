@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,6 +84,14 @@ def test_derivative_against_finite_differences():
         h = 1e-5
         fd = (bessel_j(nu, x + h) - bessel_j(nu, x - h)) / (2.0 * h)
         assert bessel_j_derivative(nu, x) == pytest.approx(fd, abs=5e-9, rel=5e-9)
+
+
+@pytest.mark.parametrize("nu", [-0.99, -0.5, 0.0, 0.5, 3.7])
+def test_derivative_against_mpmath(nu):
+    # orders <= 0 once needed a term-by-term differentiated series
+    for x in (0.05, 0.7, 2.5, 9.0, 30.0):
+        want = float(mpmath.besselj(nu, x, derivative=1))
+        assert bessel_j_derivative(nu, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_smallest_zero_closed_forms():

@@ -1,31 +1,28 @@
 """Smallest generalized eigenvalue of the banded pencil and the sharp
 constant / extremal polynomial derived from it.
 
-The solver works on the symmetrized pentadiagonal matrix B (see the
-pencil module).  The smallest eigenvalue is bracketed by bisection on
-the inertia (count of negative pivots) of the LDL^T factorization of
-B - mu I, which yields a certificate: the inertia is 0 just below the
-returned value and >= 1 just above it.  The eigenvector comes from
-inverse iteration at the converged shift.
+The solver works on the upper-triangular factor H of the symmetrized
+matrix B = H^T H (see the pencil module) and never forms B, so
+lambda_min = sigma_min(H)^2 keeps the relative accuracy of H's entries.
+Block inverse iteration with two vectors, each step two banded
+triangular solves per vector and a 2x2 Rayleigh-Ritz, finds the
+eigenpair.  The certificate is an inertia count (negative pivots of an
+unpivoted LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I,
+whose eigenvalues are +-sigma_i(H) - tau: no singular value lies below
+sqrt(lambda (1 - tol)) and at least one lies below sqrt(lambda (1 + tol)).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AccuracyWindowError, ConvergenceError
+from .exceptions import ConvergenceError
 from .jacobi import log_norm_sequence
-from .pencil import (
-    BandedPencil,
-    ScaledPencil,
-    band_matvec,
-    g_bands,
-    scaled_pencil,
-    symmetrized_bands,
-)
+from .pencil import ScaledPencil, g_bands, scaled_pencil
 from .special import smallest_positive_zero
 
 __all__ = [
@@ -37,6 +34,10 @@ __all__ = [
 ]
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
+_MAX_STEPS = 200
+# Stand-in for an exactly zero pivot of the inertia count; it is counted
+# as negative, the sign the pivot takes when the shift grows.
+_ZERO_PIVOT = -1e-300
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,9 @@ class EigenResult:
     symmetrized problem, || (B - lambda I) w || / || w ||, which is the
     numerically meaningful certificate: the raw-coordinate residual is
     amplified by the ~4^n condition of the diagonal scaling for large n.
-    `multiplicity` exceeds 1 when the inertia jumps by more than one
-    across the final bracket (numerically multiple smallest eigenvalue).
+    `iterations` counts block inverse-iteration steps.  `multiplicity`
+    is the number of eigenvalues below lambda (1 + tol); it exceeds 1 for
+    a numerically multiple smallest eigenvalue.
     """
 
     lambda_min: float
@@ -73,164 +75,118 @@ class SharpConstantReport:
     residual: float
 
 
-def _ldlt(b0, b1, b2, mu, floor=0.0):
-    """LDL^T of the shifted pentadiagonal matrix; returns
-    (negative pivot count, pivots, first subdiagonal of L, second).
+def _h_matvec(h0, h1, h2, x):
+    """H x for x of shape (n,) or (n, m), H upper triangular with bands
+    h0, h1, h2."""
+    if x.ndim == 2:
+        h0, h1, h2 = h0[:, None], h1[:, None], h2[:, None]
+    out = h0 * x
+    out[:-1] += h1 * x[1:]
+    out[:-2] += h2 * x[2:]
+    return out
 
-    A nonzero `floor` bounds pivot magnitudes away from zero (sign kept)
-    so that a solve at a near-eigenvalue shift stays finite; inertia
-    counts use floor = 0."""
-    n = len(b0)
-    d = [0.0] * n
-    l1 = [0.0] * (n - 1) if n > 1 else []
-    l2 = [0.0] * (n - 2) if n > 2 else []
+
+def _ht_matvec(h0, h1, h2, y):
+    """H^T y for y of shape (n,)."""
+    out = h0 * y
+    out[1:] += h1 * y[:-1]
+    out[2:] += h2 * y[:-2]
+    return out
+
+
+def _solve_normal(forward, backward, w):
+    """(H^T H)^-1 w: H^T y = w by forward substitution, then H z = y by
+    back substitution.  `forward` holds the bands (h0[k], h1[k-1],
+    h2[k-2]) and `backward` the bands (h0[k], h1[k], h2[k]) in reverse k
+    order, with 0 where an index is out of range."""
+    y, y1, y2 = [], 0.0, 0.0
+    for wk, d, a, b in zip(w, *forward):
+        y1, y2 = (wk - a * y1 - b * y2) / d, y1
+        y.append(y1)
+    z, z1, z2 = [], 0.0, 0.0
+    for yk, d, a, b in zip(reversed(y), *backward):
+        z1, z2 = (yk - a * z1 - b * z2) / d, z1
+        z.append(z1)
+    z.reverse()
+    return z
+
+
+def _count_below(forward, tau):
+    """Number of singular values of H below tau.
+
+    Streams the unpivoted LDL^T of the Golub-Kahan matrix
+    [[0, H^T], [H, 0]] - tau I in the interleaved order x_0, y_0, x_1,
+    y_1, ... (bandwidth 3); n of its eigenvalues, -sigma_i - tau, are
+    always negative, so the negative pivots beyond n count sigma_i < tau.
+    Row x_j couples to y_{j-2}, y_{j-1} through h2[j-2], h1[j-1], and
+    row y_j to x_j through h0[j]; the state is the last three pivots and
+    the fill-in factor l_j = L[x_j, y_{j-1}].
+    """
     neg = 0
-    for j in range(n):
-        piv = b0[j] - mu
-        if j >= 1:
-            piv -= l1[j - 1] * l1[j - 1] * d[j - 1]
-        if j >= 2:
-            piv -= l2[j - 2] * l2[j - 2] * d[j - 2]
-        if piv == 0.0:
-            piv = -1e-300
-        if piv < 0.0:
-            neg += 1
-            if -piv < floor:
-                piv = -floor
-        elif piv < floor:
-            piv = floor
-        d[j] = piv
-        if j + 1 < n:
-            t = b1[j]
-            if j >= 1:
-                t -= l1[j - 1] * l2[j - 1] * d[j - 1]
-            l1[j] = t / piv
-        if j + 2 < n:
-            l2[j] = b2[j] / piv
-    return neg, d, l1, l2
+    dx = dy = dy2 = 1.0  # pivots before row 0; they meet only zero bands
+    l = d_prev = 0.0
+    for d, a, b in zip(*forward):
+        t = b * l
+        num = a + t * d_prev / dx
+        l = num / dy
+        dx = (-tau - b * b / dy2 - t * t / dx - num * num / dy) or _ZERO_PIVOT
+        dy2, dy = dy, (-tau - d * d / dx) or _ZERO_PIVOT
+        neg += (dx < 0.0) + (dy < 0.0)
+        d_prev = d
+    return neg - len(forward[0])
 
 
-def _ldlt_solve(d, l1, l2, rhs):
-    n = len(d)
-    y = list(rhs)
-    for j in range(1, n):
-        y[j] -= l1[j - 1] * y[j - 1]
-        if j >= 2:
-            y[j] -= l2[j - 2] * y[j - 2]
-    for j in range(n):
-        y[j] /= d[j]
-    for j in range(n - 2, -1, -1):
-        y[j] -= l1[j] * y[j + 1]
-        if j + 2 < n:
-            y[j] -= l2[j] * y[j + 2]
-    return y
-
-
-def _solve_core(params, b0, b1, b2, tol):
-    """Bisection + inverse iteration on the symmetrized bands of the
-    degree-n problem for `params`, n = len(b0).
+def _solve_core(pencil, tol):
+    """Block inverse iteration on B = H^T H from the bands of H, then the
+    Golub-Kahan inertia certificate.
 
     Returns (lambda, w, residual, iterations, multiplicity) with w the
     unit eigenvector of B.
     """
-    n = len(b0)
-    hi_seed = _hi_seed(params, n)
-    l0, l1_, l2_ = b0.tolist(), b1.tolist(), b2.tolist()
+    n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
+    # Plain double arrays: the scalar loops run in Python, and array
+    # storage costs 8 bytes an entry where a list of floats costs 32.
+    forward = [array("d", b) for b in (h0, np.r_[0.0, h1], np.r_[0.0, 0.0, h2])]
+    backward = [array("d", b[::-1]) for b in (h0, np.r_[h1, 0.0], np.r_[h2, 0.0, 0.0])]
 
-    def inertia(mu):
-        return _ldlt(l0, l1_, l2_, mu)[0]
+    diag_b = h0 * h0
+    diag_b[1:] += h1 * h1
+    diag_b[2:] += h2 * h2
+    target = tol * max(1.0, float(np.max(diag_b)))
 
-    if inertia(0.0) != 0:
-        raise ConvergenceError("pencil is not positive definite at zero shift")
-
-    # min(diag B) bounds the smallest eigenvalue from above (Rayleigh
-    # quotient with a coordinate vector), so it always works as a seed.
-    hi = hi_seed if hi_seed > 0.0 else float(np.min(b0))
-    steps = 0
-    c_hi = inertia(hi)
-    while c_hi < 1:
-        hi *= 2.0
-        c_hi = inertia(hi)
-        steps += 1
-        if steps > 220:
-            raise ConvergenceError("failed to bracket the smallest eigenvalue")
-
-    lo = 0.0
-    iterations = steps
-    while hi - lo > 0.25 * tol * hi:
-        iterations += 1
-        if iterations > 500:
-            raise ConvergenceError("bisection budget exhausted")
-        mid = 0.5 * (lo + hi)
-        c = inertia(mid)
-        if c >= 1:
-            hi, c_hi = mid, c
-        else:
-            lo = mid
-    multiplicity = c_hi
-
-    bscale = max(
-        np.max(np.abs(b0)),
-        np.max(np.abs(b1)) if n > 1 else 0.0,
-        np.max(np.abs(b2)) if n > 2 else 0.0,
-    )
-    target = tol * max(1.0, bscale)
-    width = max(hi - lo, 1e-300)
-    residual = math.inf
-    rho = None
-    # A shift landing exactly on the eigenvalue breaks the solve; back
-    # the shift off by bracket widths and retry.
-    for attempt in range(4):
-        sigma = 0.5 * (lo + hi) - attempt * width
-        _, dfac, lf1, lf2 = _ldlt(l0, l1_, l2_, sigma, floor=1e-250)
-        w = np.full(n, 1.0 / math.sqrt(n))
-        broke = False
-        for it in range(1, 6):
-            iterations += 1
-            z = np.asarray(_ldlt_solve(dfac, lf1, lf2, w.tolist()))
-            zmax = float(np.max(np.abs(z)))
-            if not math.isfinite(zmax) or zmax == 0.0:
-                broke = True
-                break
-            z = z / zmax
-            w = z / float(np.linalg.norm(z))
-            bw = band_matvec(b0, b1, b2, w)
-            rho = float(w @ bw)
-            residual = float(np.linalg.norm(bw - rho * w))
-            if residual <= target:
-                break
-        if not broke and residual <= target:
+    # Start from the even- and odd-index indicator vectors: at alpha =
+    # beta the problem splits by parity and each holds one class.
+    q = np.zeros((n, min(n, 2)))
+    for col in range(q.shape[1]):
+        q[col::2, col] = 1.0
+    q /= np.linalg.norm(q, axis=0)
+    lam_prev = math.inf
+    for steps in range(1, _MAX_STEPS + 1):
+        z = np.array([_solve_normal(forward, backward, col.tolist()) for col in q.T]).T
+        q = np.linalg.qr(z)[0]
+        hq = _h_matvec(h0, h1, h2, q)
+        q = q @ np.linalg.eigh(hq.T @ hq)[1]
+        w = q[:, 0]
+        hw = _h_matvec(h0, h1, h2, w)
+        lam = float(hw @ hw)
+        residual = float(np.linalg.norm(_ht_matvec(h0, h1, h2, hw) - lam * w))
+        if abs(lam - lam_prev) <= 0.25 * tol * lam and residual <= target:
             break
-    if rho is None or residual > target:
+        lam_prev = lam
+    else:
         raise ConvergenceError(
-            f"inverse iteration residual {residual:.3e} above tolerance {target:.3e}"
+            f"block inverse iteration did not converge in {_MAX_STEPS} steps"
+            f" (residual {residual:.3e}, tolerance {target:.3e})"
         )
-
-    # Certified value: inertia must be 0 at lam*(1-tol) and >= 1 at
-    # lam*(1+tol).  The Rayleigh quotient normally satisfies this; fall
-    # back to the bracket-derived midpoint if roundoff pushed it out.
-    lam = rho
-    if not (inertia(lam * (1.0 - tol)) == 0 and inertia(lam * (1.0 + tol)) >= 1):
-        lam = 0.5 * (hi / (1.0 + tol) + lo / (1.0 - tol))
-        if not (inertia(lam * (1.0 - tol)) == 0 and inertia(lam * (1.0 + tol)) >= 1):
-            raise ConvergenceError("could not certify the eigenvalue bracket")
-    if lam <= 0.0:
-        raise ConvergenceError("smallest eigenvalue is not positive")
-    return lam, w, residual, iterations, multiplicity
+    multiplicity = _count_below(forward, math.sqrt(lam * (1.0 + tol)))
+    if _count_below(forward, math.sqrt(lam * (1.0 - tol))) != 0 or multiplicity < 1:
+        raise ConvergenceError("could not certify the eigenvalue bracket")
+    return lam, w, residual, steps, multiplicity
 
 
 def _check_tol(tol):
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
-
-
-def _hi_seed(params, n):
-    # Rescaled limit of n^4 lambda_min is (2 j)^2; pad j generously.
-    try:
-        j = smallest_positive_zero(params.nu_star)
-        return (2.0 * (j + 2.0)) ** 2 / float(n) ** 4
-    except AccuracyWindowError:
-        return 0.0  # doubling from a positive floor takes over
 
 
 def _eigvec_original(logd, n, w):
@@ -251,25 +207,17 @@ def _eigvec_original(logd, n, w):
 
 
 def smallest_eigenpair(pencil, tol=1e-12):
-    """Smallest generalized eigenvalue and eigenvector of (A, D).
-
-    Accepts a raw BandedPencil (the stored bands are symmetrized by
-    congruence, so modified bands are honored) or a ScaledPencil.
-    """
+    """Smallest generalized eigenvalue and eigenvector of (A, D), solved
+    on the bands of the ScaledPencil factor H (so modified bands are
+    honored)."""
     _check_tol(tol)
-    if isinstance(pencil, ScaledPencil):
-        b0, b1, b2 = pencil.b0, pencil.b1, pencil.b2
-        logd = log_norm_sequence(pencil.params, pencil.n)[: pencil.n]
-    elif isinstance(pencil, BandedPencil):
-        b0, b1, b2 = symmetrized_bands(pencil)
-        logd = np.log(pencil.d)  # raw norms are in range by construction
-    else:
-        raise TypeError(f"expected BandedPencil or ScaledPencil, got {type(pencil)}")
-    lam, w, residual, iterations, mult = _solve_core(pencil.params, b0, b1, b2, tol)
-    v = _eigvec_original(logd, pencil.n, w)
+    if not isinstance(pencil, ScaledPencil):
+        raise TypeError(f"expected ScaledPencil, got {type(pencil)}")
+    lam, w, residual, iterations, mult = _solve_core(pencil, tol)
+    logd = log_norm_sequence(pencil.params, pencil.n)[: pencil.n]
     return EigenResult(
         lambda_min=lam,
-        eigenvector=v,
+        eigenvector=_eigvec_original(logd, pencil.n, w),
         residual=residual,
         iterations=iterations,
         multiplicity=mult,
@@ -283,8 +231,7 @@ def sharp_constant(params, n, tol=1e-12):
     _check_tol(tol)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    sp = scaled_pencil(params, n)
-    lam, _, residual, _, _ = _solve_core(params, sp.b0, sp.b1, sp.b2, tol)
+    lam, _, residual, _, _ = _solve_core(scaled_pencil(params, n), tol)
     m_n = lam ** -0.5
     j = smallest_positive_zero(params.nu_star)
     predicted = float(n) ** 2 / (2.0 * j)
@@ -309,10 +256,4 @@ def extremal_polynomial(params, n, tol=1e-12):
     """
     result = smallest_eigenpair(scaled_pencil(params, n), tol)
     v = result.eigenvector
-    g0, g1, g2 = g_bands(params, n)
-    u = g0 * v
-    if n > 1:
-        u[:-1] += g1 * v[1:]
-    if n > 2:
-        u[:-2] += g2 * v[2:]
-    return u, v, result.lambda_min ** -0.5
+    return _h_matvec(*g_bands(params, n), v), v, result.lambda_min ** -0.5

@@ -2,8 +2,8 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative procedure (bracketing, bisection, inverse iteration)
-    failed to converge within its budget."""
+    """An iterative procedure (inverse iteration, zero finding) failed to
+    converge within its budget, or its result could not be certified."""
 
 
 class AccuracyWindowError(ValueError):

@@ -7,7 +7,8 @@ eigenvalue of (A, D) where
 
 C1, C2 are unit upper bidiagonal, N = diag(1..n) and D+ = diag(d_1..d_n).
 A is symmetric pentadiagonal and assembled here in banded storage, both
-in raw units and in the symmetrized, ratio-scaled form
+in raw units, and as the upper-triangular factor H of the symmetrized,
+ratio-scaled form
 
     B = D^-1/2 A D^-1/2 = H^T H,    H = D+^1/2 (N^-1 C2 C1) D^-1/2,
 
@@ -66,10 +67,12 @@ class BandedPencil:
 
 @dataclass(frozen=True)
 class ScaledPencil:
-    """Symmetrized pencil B = H^T H with H upper triangular, bandwidth 2.
+    """Factor H of the symmetrized pencil B = H^T H, upper triangular with
+    bandwidth 2.
 
-    h0/h1/h2 are the bands of H, b0/b1/b2 those of B.  Eigenvalues of B
-    equal the generalized eigenvalues of (A, D).
+    h0/h1/h2 are the bands of H.  The squared singular values of H are
+    the eigenvalues of B, which equal the generalized eigenvalues of
+    (A, D).
     """
 
     n: int
@@ -77,9 +80,6 @@ class ScaledPencil:
     h0: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
 
 
 def _c1_entries(params, n):
@@ -99,12 +99,14 @@ def _c2_entries(params, n):
 def g_bands(params, n):
     """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2), which maps
     the monic coefficients of Q' to those of Q."""
-    c1 = _c1_entries(params, n)
-    c2 = _c2_entries(params, n)
+    s = params.alpha + params.beta
     rows = np.arange(1, n + 1, dtype=float)
+    k = rows[:-1]
     g0 = 1.0 / rows
-    g1 = (c1 + c2) / rows[:-1] if n > 1 else np.empty(0)
-    g2 = (c2[:-1] * c1[1:]) / rows[:-2] if n > 2 else np.empty(0)
+    # (c1 + c2)_k = 2k(alpha - beta) / ((2k+s)(2k+s+2)) exactly; the closed
+    # form has no cancellation and is exactly 0 at alpha = beta.
+    g1 = 2.0 * (params.alpha - params.beta) / ((2 * k + s) * (2 * k + s + 2))
+    g2 = _c2_entries(params, n)[:-1] * _c1_entries(params, n)[1:] / rows[:-2]
     return g0, g1, g2
 
 
@@ -136,20 +138,13 @@ def build_pencil(params, n):
 
 
 def scaled_pencil(params, n):
-    """Build the symmetrized pencil directly from norm ratios; never
+    """Build the factor H directly from G and the norm ratios; never
     forms the raw d_k, so it is safe for any n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ratios = np.array([norm_ratio(params, k) for k in range(n)])
-    sr = np.sqrt(ratios)
-    c1 = _c1_entries(params, n)
-    c2 = _c2_entries(params, n)
-    rows = np.arange(1, n + 1, dtype=float)
-    h0 = sr / rows
-    h1 = (c1 + c2) / rows[:-1] if n > 1 else np.empty(0)
-    h2 = (c2[:-1] * c1[1:]) / (rows[:-2] * sr[1 : n - 1]) if n > 2 else np.empty(0)
-    b0, b1, b2 = _gram_bands(h0, h1, h2, np.ones(n))
-    return ScaledPencil(n=n, params=params, h0=h0, h1=h1, h2=h2, b0=b0, b1=b1, b2=b2)
+    sr = np.sqrt([norm_ratio(params, k) for k in range(n)])
+    g0, g1, g2 = g_bands(params, n)
+    return ScaledPencil(n=n, params=params, h0=sr * g0, h1=g1, h2=g2 / sr[1 : n - 1])
 
 
 def symmetrized_bands(pencil):

@@ -1,13 +1,14 @@
 """Cross-module consistency checks, runnable from the CLI.
 
 Each check returns (name, passed, detail).  A nonzero `perturb` scales
-one band of the matrix under test and is expected to make the residual
-checks fail; it exists as a negative-control hook.
+one band of the matrix under test (h2 of H for the oracle check, super2
+of A elsewhere) and is expected to make the checks fail; it exists as a
+negative-control hook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,16 +85,7 @@ def _check_norm_ratio():
 
 def _perturbed_pencil(params, n, perturb):
     pen = pencil.build_pencil(params, n)
-    if perturb:
-        pen = pencil.BandedPencil(
-            n=pen.n,
-            params=pen.params,
-            diag=pen.diag,
-            super1=pen.super1,
-            super2=pen.super2 * (1.0 + perturb),
-            norms=pen.norms,
-        )
-    return pen
+    return replace(pen, super2=pen.super2 * (1.0 + perturb)) if perturb else pen
 
 
 def _check_particular_support(perturb):
@@ -148,8 +140,10 @@ def _check_oracle_equivalence(perturb):
             pen = pencil.build_pencil(p, n)
             sd = np.sqrt(pen.d)
             dense = np.linalg.eigvalsh(pencil.dense_a(pen) / np.outer(sd, sd))[0]
-            # Scaling the raw super2 scales the symmetrized b2 alike.
-            lam = eigensolver.smallest_eigenpair(_perturbed_pencil(p, n, perturb)).lambda_min
+            sp = pencil.scaled_pencil(p, n)
+            lam = eigensolver.smallest_eigenpair(
+                replace(sp, h2=sp.h2 * (1.0 + perturb))
+            ).lambda_min
             worst = max(worst, abs(lam - dense) / dense)
     return CheckResult(
         "small_n_oracle_equivalence", worst < 1e-10, f"max rel defect {worst:.2e}"

@@ -3,6 +3,7 @@ paths they check."""
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -55,16 +56,45 @@ def exact_moment(alpha, beta, k):
     return total
 
 
+def b_bands(sp):
+    """Bands (b0, b1, b2) of B = H^T H from the bands of a ScaledPencil."""
+    h0, h1, h2 = sp.h0, sp.h1, sp.h2
+    b0 = h0**2
+    b0[1:] += h1**2
+    b0[2:] += h2**2
+    b1 = h0[:-1] * h1
+    b1[1:] += h1[:-1] * h2
+    return b0, b1, h0[:-2] * h2
+
+
+def _moment_matrices(alpha, beta, n):
+    """Exact Gram matrices of Q and Q' over the monomials of degree <= n."""
+    moments = [exact_moment(alpha, beta, k) for k in range(2 * n + 1)]
+    size = n + 1
+    gram = [[moments[i + j] for j in range(size)] for i in range(size)]
+    deriv = [[i * j * moments[i + j - 2] if i and j else Fraction(0) for j in range(size)]
+             for i in range(size)]
+    return gram, deriv
+
+
+def mp_lambda_min(alpha, beta, n, dps=60):
+    """lambda_min = 1 / M_n^2 from exact monomial moments and an mpmath
+    dense symmetric eigensolve at `dps` digits; no library code."""
+    gram, deriv = _moment_matrices(alpha, beta, n)
+    with mpmath.workdps(dps):
+        def mp(rows):
+            return mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in r]
+                                  for r in rows])
+
+        linv = mpmath.inverse(mpmath.cholesky(mp(gram)))
+        eigs = mpmath.eigsy(linv * mp(deriv) * linv.T, eigvals_only=True)
+        return 1 / max(eigs)
+
+
 def rayleigh_supremum(alpha, beta, n):
     """Brute-force sharp ratio sup ||Q'||/||Q|| over degree <= n, from
     exact monomial moments and a dense generalized eigensolve.  Built on
     nothing but integer arithmetic and LAPACK."""
-    moments = [float(exact_moment(alpha, beta, k)) for k in range(2 * n + 1)]
-    size = n + 1
-    gram = np.array([[moments[i + j] for j in range(size)] for i in range(size)])
-    deriv = np.zeros((size, size))
-    for i in range(1, size):
-        for j in range(1, size):
-            deriv[i, j] = i * j * moments[i + j - 2]
+    gram, deriv = (np.array(m, dtype=float) for m in _moment_matrices(alpha, beta, n))
     eigs = scipy.linalg.eigh(deriv, gram, eigvals_only=True)
     return float(np.sqrt(eigs[-1]))

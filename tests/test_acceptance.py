@@ -16,6 +16,7 @@ from mblab import (
     particular_v,
     profile_compare,
     residual_support,
+    scaled_pencil,
     sharp_constant,
     smallest_eigenpair,
     smallest_positive_zero,
@@ -69,7 +70,7 @@ def test_criterion_2_dense_oracle_equivalence():
                 dense = scipy.linalg.eigh(
                     dense_a(pen), dense_d(pen), eigvals_only=True
                 )[0]
-                lam = smallest_eigenpair(pen).lambda_min
+                lam = smallest_eigenpair(scaled_pencil(p, n)).lambda_min
                 worst = max(worst, abs(lam - dense) / dense)
     _report(2, worst < 1e-10, f"max relative defect {worst:.2e} over 25 pairs, n <= 8")
 

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,24 +13,27 @@ from mblab import (
     extremal_polynomial,
     monic_eval,
     norm_sequence,
+    scaled_pencil,
     sharp_constant,
     smallest_eigenpair,
 )
-from mblab.pencil import dense_a, dense_d, symmetrized_bands
-from conftest import rayleigh_supremum
+from mblab.pencil import dense_a, dense_d
+from conftest import b_bands, mp_lambda_min, rayleigh_supremum
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
 
 
 def test_smallest_eigenvalue_closed_forms():
-    assert smallest_eigenpair(build_pencil(P00, 1)).lambda_min == pytest.approx(
+    assert smallest_eigenpair(scaled_pencil(P00, 1)).lambda_min == pytest.approx(
         1.0 / 3.0, rel=1e-12
     )
-    assert smallest_eigenpair(build_pencil(P00, 2)).lambda_min == pytest.approx(
+    assert smallest_eigenpair(scaled_pencil(P00, 2)).lambda_min == pytest.approx(
         1.0 / 15.0, rel=1e-12
     )
-    assert smallest_eigenpair(build_pencil(P11, 1)).lambda_min == pytest.approx(
+    assert smallest_eigenpair(scaled_pencil(P11, 1)).lambda_min == pytest.approx(
         1.0 / 5.0, rel=1e-12
     )
 
@@ -59,13 +65,14 @@ def test_dense_oracle_small_n(alpha, beta):
     for n in range(1, 9):
         pen = build_pencil(p, n)
         dense = scipy.linalg.eigh(dense_a(pen), dense_d(pen), eigvals_only=True)[0]
-        mine = smallest_eigenpair(pen).lambda_min
+        mine = smallest_eigenpair(scaled_pencil(p, n)).lambda_min
         assert mine == pytest.approx(dense, rel=1e-10)
 
 
 def test_eigen_result_certificate():
-    pen = build_pencil(JacobiWeightParams(0.5, 1.5), 30)
-    res = smallest_eigenpair(pen, tol=1e-12)
+    p = JacobiWeightParams(0.5, 1.5)
+    pen = build_pencil(p, 30)
+    res = smallest_eigenpair(scaled_pencil(p, 30), tol=1e-12)
     assert res.residual <= 1e-12
     assert res.multiplicity == 1
     assert np.linalg.norm(res.eigenvector) == pytest.approx(1.0, rel=1e-12)
@@ -77,16 +84,11 @@ def test_eigen_result_certificate():
 
 
 def test_inertia_brackets_the_eigenvalue():
-    pen = build_pencil(JacobiWeightParams(1.0, 0.0), 20)
-    res = smallest_eigenpair(pen, tol=1e-12)
-    b0, b1, b2 = symmetrized_bands(pen)
-    from mblab.eigensolver import _ldlt
-
+    # the certified bracket lambda (1 -+ tol) must hold the true eigenvalue
+    res = smallest_eigenpair(scaled_pencil(JacobiWeightParams(1.0, 0.0), 20), tol=1e-12)
+    exact = mp_lambda_min(1, 0, 20)
     lam = res.lambda_min
-    below = _ldlt(b0.tolist(), b1.tolist(), b2.tolist(), lam * (1 - 1e-12))[0]
-    above = _ldlt(b0.tolist(), b1.tolist(), b2.tolist(), lam * (1 + 1e-12))[0]
-    assert below == 0
-    assert above >= 1
+    assert lam * (1 - 1e-12) < exact <= lam * (1 + 1e-12)
 
 
 def test_tolerance_validation():
@@ -98,6 +100,8 @@ def test_tolerance_validation():
         sharp_constant(P00, 0)
     with pytest.raises(TypeError):
         smallest_eigenpair(np.eye(3))
+    with pytest.raises(TypeError):
+        smallest_eigenpair(build_pencil(P00, 3))
 
 
 def test_matches_brute_force_rayleigh_supremum():
@@ -153,16 +157,14 @@ def test_edge_parameters_still_solve():
 @pytest.mark.parametrize("n", [50, 150, 400])
 def test_banded_lapack_oracle_moderate_n(alpha, beta, n):
     # independent banded route; LAPACK's absolute eps*||B|| floor lands
-    # around 1e-9 relative on these tiny eigenvalues, whereas bisection
-    # on the inertia keeps relative accuracy, so 1e-9 is the fair bar
-    from mblab import scaled_pencil
-
+    # around 1e-9 relative on these tiny eigenvalues, whereas the solve
+    # on the factor H keeps relative accuracy, so 1e-9 is the fair bar
     p = JacobiWeightParams(alpha, beta)
-    sp = scaled_pencil(p, n)
     band = np.zeros((3, n))
-    band[0] = sp.b0
-    band[1, : n - 1] = sp.b1
-    band[2, : n - 2] = sp.b2
+    b0, b1, b2 = b_bands(scaled_pencil(p, n))
+    band[0] = b0
+    band[1, : n - 1] = b1
+    band[2, : n - 2] = b2
     ref = scipy.linalg.eig_banded(
         band, lower=True, eigvals_only=True, select="i", select_range=(0, 0)
     )[0]
@@ -173,12 +175,11 @@ def test_banded_lapack_oracle_moderate_n(alpha, beta, n):
 def test_even_odd_decoupling_at_equal_exponents():
     # for alpha = beta the pencil splits into even/odd blocks, so the
     # extremal eigenvector lives on a single parity class
-    from mblab import scaled_pencil
-
-    res = smallest_eigenpair(scaled_pencil(P11, 41))
-    even = np.linalg.norm(res.eigenvector[::2])
-    odd = np.linalg.norm(res.eigenvector[1::2])
-    assert min(even, odd) < 1e-10 * max(even, odd)
+    for p, n in [(P11, 41), (JacobiWeightParams(-0.95, -0.95), 4000)]:
+        res = smallest_eigenpair(scaled_pencil(p, n))
+        even = np.linalg.norm(res.eigenvector[::2])
+        odd = np.linalg.norm(res.eigenvector[1::2])
+        assert min(even, odd) < 1e-10 * max(even, odd)
 
 
 def test_extremal_derivative_linkage():
@@ -199,17 +200,21 @@ def test_extremal_derivative_linkage():
 
 def test_perturbed_bands_are_honored():
     # the solver must consume the stored bands, not rebuild from params
-    from mblab.pencil import BandedPencil
-
-    pen = build_pencil(JacobiWeightParams(0.5, 1.5), 12)
-    res = smallest_eigenpair(pen)
-    bumped = BandedPencil(
-        n=pen.n,
-        params=pen.params,
-        diag=pen.diag * (1.0 + 1e-3),
-        super1=pen.super1,
-        super2=pen.super2,
-        norms=pen.norms,
-    )
-    res2 = smallest_eigenpair(bumped)
+    sp = scaled_pencil(JacobiWeightParams(0.5, 1.5), 12)
+    res = smallest_eigenpair(sp)
+    res2 = smallest_eigenpair(dataclasses.replace(sp, h0=sp.h0 * (1.0 + 1e-3)))
     assert abs(res2.lambda_min - res.lambda_min) / res.lambda_min > 1e-4
+
+
+def test_lambda_matches_50_digit_reference():
+    # 50-digit values from an mpmath solve that shares no code with mblab
+    cases = json.loads(REFERENCE.read_text())["lambda"]
+    checked = 0
+    for key, value in cases.items():
+        alpha, beta, n = key.split(",")
+        if int(n) > 4000:
+            continue
+        lam = sharp_constant(JacobiWeightParams(float(alpha), float(beta)), int(n)).lambda_min
+        assert lam == pytest.approx(float(value), rel=1e-12), key
+        checked += 1
+    assert checked == 58

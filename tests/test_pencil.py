@@ -11,8 +11,8 @@ from mblab import (
     sharp_constant,
     symmetrized_bands,
 )
-from mblab.eigensolver import _ldlt
 from mblab.pencil import band_matvec, dense_a
+from conftest import b_bands
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
@@ -114,11 +114,8 @@ def test_bandwidth_and_factored_consistency(alpha, beta, n):
 @pytest.mark.parametrize("alpha,beta,n", [(0.0, 0.0, 20), (-0.5, 1.5, 25), (2.5, 2.5, 16)])
 def test_positive_definite_pivots(alpha, beta, n):
     pen = build_pencil(JacobiWeightParams(alpha, beta), n)
-    neg, pivots, _, _ = _ldlt(
-        pen.diag.tolist(), pen.super1.tolist(), pen.super2.tolist(), 0.0
-    )
-    assert neg == 0
-    assert all(piv > 0 for piv in pivots)
+    chol = np.linalg.cholesky(dense_a(pen))  # raises unless positive definite
+    assert np.all(np.diag(chol) > 0)
 
 
 def test_rayleigh_quotient_bounded_by_sharp_constant():
@@ -138,10 +135,11 @@ def test_scaled_pencil_matches_congruence(alpha, beta):
     p = JacobiWeightParams(alpha, beta)
     n = 40
     sp = scaled_pencil(p, n)
+    sb0, sb1, sb2 = b_bands(sp)
     b0, b1, b2 = symmetrized_bands(build_pencil(p, n))
-    assert sp.b0 == pytest.approx(b0, rel=1e-12, abs=1e-15)
-    assert sp.b1 == pytest.approx(b1, rel=1e-12, abs=1e-15)
-    assert sp.b2 == pytest.approx(b2, rel=1e-12, abs=1e-15)
+    assert sb0 == pytest.approx(b0, rel=1e-12, abs=1e-15)
+    assert sb1 == pytest.approx(b1, rel=1e-12, abs=1e-15)
+    assert sb2 == pytest.approx(b2, rel=1e-12, abs=1e-15)
     # B = H^T H as dense matrices
     h = np.zeros((n, n))
     for i in range(n):
@@ -151,16 +149,16 @@ def test_scaled_pencil_matches_congruence(alpha, beta):
     for i in range(n - 2):
         h[i, i + 2] = sp.h2[i]
     b = h.T @ h
-    dense = np.diag(sp.b0)
+    dense = np.diag(sb0)
     for i in range(n - 1):
-        dense[i, i + 1] = dense[i + 1, i] = sp.b1[i]
+        dense[i, i + 1] = dense[i + 1, i] = sb1[i]
     for i in range(n - 2):
-        dense[i, i + 2] = dense[i + 2, i] = sp.b2[i]
+        dense[i, i + 2] = dense[i + 2, i] = sb2[i]
     assert np.max(np.abs(b - dense)) < 1e-14 * np.max(np.abs(b))
 
 
 def test_scaled_pencil_large_n_no_overflow():
     # raw norms underflow long before n = 2000; the scaled form must not
-    sp = scaled_pencil(P00, 2000)
-    assert np.all(np.isfinite(sp.b0))
-    assert np.all(sp.b0 > 0)
+    b0 = b_bands(scaled_pencil(P00, 2000))[0]
+    assert np.all(np.isfinite(b0))
+    assert np.all(b0 > 0)

@@ -4,9 +4,10 @@ constant / extremal polynomial derived from it.
 The solver works on the upper-triangular factor H of the symmetrized
 matrix B = H^T H (see the pencil module) and never forms B, so
 lambda_min = sigma_min(H)^2 keeps the relative accuracy of H's entries.
-Block inverse iteration with two vectors, each step two banded
-triangular solves per vector and a 2x2 Rayleigh-Ritz, finds the
-eigenpair.  The certificate is an inertia count (negative pivots of an
+Locally optimal block inverse iteration with two vectors finds the
+eigenpair: each step makes two banded triangular solves per vector and a
+Rayleigh-Ritz over the solves, the current vectors and the last change
+of the vectors (at most 6x6).  The certificate is an inertia count (negative pivots of an
 unpivoted LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I,
 whose eigenvalues are +-sigma_i(H) - tau: no singular value lies below
 sqrt(lambda (1 - tol)) and at least one lies below sqrt(lambda (1 + tol)).
@@ -35,6 +36,9 @@ __all__ = [
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 _MAX_STEPS = 200
+# A Rayleigh-Ritz direction whose part outside the earlier ones has a
+# relative squared norm below this is dropped from the basis.
+_DROP = 1e-14
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
 # as negative, the sign the pivot takes when the shift grows.
 _ZERO_PIVOT = -1e-300
@@ -76,13 +80,11 @@ class SharpConstantReport:
 
 
 def _h_matvec(h0, h1, h2, x):
-    """H x for x of shape (n,) or (n, m), H upper triangular with bands
-    h0, h1, h2."""
-    if x.ndim == 2:
-        h0, h1, h2 = h0[:, None], h1[:, None], h2[:, None]
+    """H x for every row x of a 1-D or 2-D array, H upper triangular with
+    bands h0, h1, h2."""
     out = h0 * x
-    out[:-1] += h1 * x[1:]
-    out[:-2] += h2 * x[2:]
+    out[..., :-1] += h1 * x[..., 1:]
+    out[..., :-2] += h2 * x[..., 2:]
     return out
 
 
@@ -94,21 +96,71 @@ def _ht_matvec(h0, h1, h2, y):
     return out
 
 
+# The n-long reductions below are einsums: for n > 1e4 a BLAS dot, norm
+# or X^T X wakes the OpenBLAS thread pool, which costs milliseconds a
+# call and slows the Python loops of the triangular solves while its
+# workers spin.
+def _dot(x, y):
+    return float(np.einsum("i,i->", x, y))
+
+
+def _gram(x, y):
+    """Inner products of the rows of x with the rows of y."""
+    return np.einsum("in,jn->ij", x, y)
+
+
+def _combine(c, x):
+    """Linear combinations of the rows of x: row k of the result is
+    sum_i c[i, k] x[i]."""
+    return np.einsum("ik,in->kn", c, x)
+
+
 def _solve_normal(forward, backward, w):
     """(H^T H)^-1 w: H^T y = w by forward substitution, then H z = y by
     back substitution.  `forward` holds the bands (h0[k], h1[k-1],
     h2[k-2]) and `backward` the bands (h0[k], h1[k], h2[k]) in reverse k
-    order, with 0 where an index is out of range."""
-    y, y1, y2 = [], 0.0, 0.0
-    for wk, d, a, b in zip(w, *forward):
+    order, with 0 where an index is out of range.  w and the result are
+    ndarrays; the loops run on array("d") buffers, which need no
+    per-entry conversion and cost 8 bytes an entry where a list of floats
+    costs 32."""
+    y, y1, y2 = array("d"), 0.0, 0.0
+    for wk, d, a, b in zip(array("d", w.tobytes()), *forward):
         y1, y2 = (wk - a * y1 - b * y2) / d, y1
         y.append(y1)
-    z, z1, z2 = [], 0.0, 0.0
+    z, z1, z2 = array("d"), 0.0, 0.0
     for yk, d, a, b in zip(reversed(y), *backward):
         z1, z2 = (yk - a * z1 - b * z2) / d, z1
         z.append(z1)
     z.reverse()
-    return z
+    return np.frombuffer(z)
+
+
+def _orthonormal_blocks(blocks):
+    """Orthonormalize the rows of `blocks` in order, by two Gram-Schmidt
+    passes against the blocks kept before and then two within the block.
+    The rows of the first block are always kept; a later row is dropped
+    when the part of it that the earlier rows do not span has squared
+    norm below _DROP (relative to the row).  Returns one 2-D array per
+    block."""
+    out = []
+    for i, block in enumerate(blocks):
+        norms = np.sqrt(np.einsum("in,in->i", block, block))
+        # A P row vanishes when the Ritz vectors did not move.
+        x = block[norms > 0.0] / norms[norms > 0.0, None]
+        for _ in range(2):
+            for prev in out:
+                x -= _combine(_gram(prev, x), prev)
+        keep = []
+        for j, v in enumerate(x):
+            for _ in range(2):
+                for k in keep:
+                    v -= _dot(v, x[k]) * x[k]
+            norm2 = _dot(v, v)
+            if i == 0 or norm2 >= _DROP:
+                v /= math.sqrt(norm2)
+                keep.append(j)
+        out.append(x if len(keep) == len(x) else x[keep])
+    return out
 
 
 def _count_below(forward, tau):
@@ -137,17 +189,27 @@ def _count_below(forward, tau):
 
 
 def _solve_core(pencil, tol):
-    """Block inverse iteration on B = H^T H from the bands of H, then the
-    Golub-Kahan inertia certificate.
+    """Locally optimal block inverse iteration on B = H^T H from the bands
+    of H, then the Golub-Kahan inertia certificate.
 
-    Returns (lambda, w, residual, iterations, multiplicity) with w the
-    unit eigenvector of B.
+    Each step makes Z = B^-1 Q with two triangular solves per vector and
+    a Rayleigh-Ritz over span[Z, Q, P], P being the change of the Ritz
+    vectors over the last step (LOBPCG with the exact inverse as
+    preconditioner; Knyazev, SISC 23, 2001).  The basis is orthonormal in
+    n-space and the small matrix is formed from products of the blocks
+    H Z, H Q, H P.  Returns (lambda, w, residual, iterations,
+    multiplicity) with w the unit eigenvector of B.
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
-    # Plain double arrays: the scalar loops run in Python, and array
-    # storage costs 8 bytes an entry where a list of floats costs 32.
-    forward = [array("d", b) for b in (h0, np.r_[0.0, h1], np.r_[0.0, 0.0, h2])]
-    backward = [array("d", b[::-1]) for b in (h0, np.r_[h1, 0.0], np.r_[h2, 0.0, 0.0])]
+    # Plain double arrays for the scalar loops, built from the raw bytes:
+    # array("d", ndarray) would convert entry by entry.
+    forward = [
+        array("d", b.tobytes()) for b in (h0, np.r_[0.0, h1], np.r_[0.0, 0.0, h2])
+    ]
+    backward = [
+        array("d", b[::-1].tobytes())
+        for b in (h0, np.r_[h1, 0.0], np.r_[h2, 0.0, 0.0])
+    ]
 
     diag_b = h0 * h0
     diag_b[1:] += h1 * h1
@@ -156,20 +218,29 @@ def _solve_core(pencil, tol):
 
     # Start from the even- and odd-index indicator vectors: at alpha =
     # beta the problem splits by parity and each holds one class.
-    q = np.zeros((n, min(n, 2)))
-    for col in range(q.shape[1]):
-        q[col::2, col] = 1.0
-    q /= np.linalg.norm(q, axis=0)
+    m = min(n, 2)
+    q = np.zeros((m, n))
+    for row in range(m):
+        q[row, row::2] = 1.0 / math.sqrt(len(range(row, n, 2)))
+    p = np.empty((0, n))
     lam_prev = math.inf
     for steps in range(1, _MAX_STEPS + 1):
-        z = np.array([_solve_normal(forward, backward, col.tolist()) for col in q.T]).T
-        q = np.linalg.qr(z)[0]
-        hq = _h_matvec(h0, h1, h2, q)
-        q = q @ np.linalg.eigh(hq.T @ hq)[1]
-        w = q[:, 0]
+        z = np.array([_solve_normal(forward, backward, row) for row in q])
+        blocks = _orthonormal_blocks((z, q, p))
+        hblocks = [_h_matvec(h0, h1, h2, x) for x in blocks]
+        small = np.concatenate(
+            [np.concatenate([_gram(x, y) for y in hblocks], axis=1) for x in hblocks]
+        )
+        c = np.linalg.eigh(small)[1][:, :m]
+        c_blocks = np.split(c, np.cumsum([len(x) for x in blocks])[:-1])
+        q_new = sum(_combine(cx, x) for cx, x in zip(c_blocks, blocks))
+        p = q_new - _combine(_gram(q_new, q).T, q)
+        q = q_new
+        w = q[0]
         hw = _h_matvec(h0, h1, h2, w)
-        lam = float(hw @ hw)
-        residual = float(np.linalg.norm(_ht_matvec(h0, h1, h2, hw) - lam * w))
+        lam = _dot(hw, hw)
+        r = _ht_matvec(h0, h1, h2, hw) - lam * w
+        residual = math.sqrt(_dot(r, r))
         if abs(lam - lam_prev) <= 0.25 * tol * lam and residual <= target:
             break
         lam_prev = lam
@@ -198,7 +269,7 @@ def _eigvec_original(logd, n, w):
     t[nz] = np.log(np.abs(w[nz])) - 0.5 * logd[nz]
     shift = np.max(t)
     v = np.where(nz, np.sign(w) * np.exp(t - shift), 0.0)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(_dot(v, v))
     # Deterministic orientation: largest-magnitude component positive.
     imax = int(np.argmax(np.abs(v)))
     if v[imax] < 0:

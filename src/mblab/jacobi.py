@@ -43,6 +43,14 @@ class JacobiWeightParams:
             raise ValueError(
                 f"Jacobi weight needs alpha, beta > -1, got ({self.alpha}, {self.beta})"
             )
+        # At the float just above -1 the Bessel order (x - 1)/2 of the
+        # large-n law rounds to -1, where it is undefined.
+        for name, x in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (x - 1.0) / 2.0 > -1.0:
+                raise ValueError(
+                    f"{name} = {x!r} is too close to -1: its Bessel order"
+                    f" ({name} - 1)/2 rounds to -1"
+                )
 
     @property
     def nu_alpha(self):
@@ -58,17 +66,20 @@ class JacobiWeightParams:
 
 
 def norm_ratio(params, k):
-    """d_{k+1} / d_k.
+    """d_{k+1} / d_k for an integer k or an integer array k.
 
     At k = 0 the factor (1+alpha+beta)/(1+alpha+beta) cancels exactly,
     which keeps the value finite when alpha + beta = -1.
     """
     a, b = params.alpha, params.beta
     s = a + b
-    out = 4.0 * (k + 1) * (k + 1 + a) * (k + 1 + b) / ((2 * k + s + 2) ** 2 * (2 * k + s + 3))
-    if k == 0:
-        return out
-    return out * ((k + 1 + s) / (2 * k + s + 1))
+    # Float scalars square by pow(), arrays by x*x: one path for both.
+    kf = np.array(k, dtype=float, ndmin=1)
+    out = 4.0 * (kf + 1) * (kf + 1 + a) * (kf + 1 + b) / (
+        (2 * kf + s + 2) ** 2 * (2 * kf + s + 3)
+    )
+    out = out * np.divide(kf + 1 + s, 2 * kf + s + 1, out=np.ones_like(kf), where=kf != 0)
+    return float(out[0]) if np.ndim(k) == 0 else out
 
 
 def norm_sequence(params, n):
@@ -82,15 +93,15 @@ def norm_sequence(params, n):
     if n < 1:
         raise ValueError(f"norm_sequence requires n >= 1, got {n}")
     a, b = params.alpha, params.beta
-    values = np.empty(n + 1)
-    values[0] = math.exp(log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
-    for k in range(n):
-        values[k + 1] = values[k] * norm_ratio(params, k)
-        if not (_D_MIN < values[k + 1] < _D_MAX):
-            raise OverflowError(
-                f"norm d_{k + 1} = {values[k + 1]:.3e} leaves the representable range"
-                f" (n={n} needs d_0..d_{n})"
-            )
+    d0 = math.exp(log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
+    values = np.cumprod(np.r_[d0, norm_ratio(params, np.arange(n))])
+    outside = np.flatnonzero(~((values > _D_MIN) & (values < _D_MAX)))
+    if outside.size:
+        k = outside[0]
+        raise OverflowError(
+            f"norm d_{k} = {values[k]:.3e} leaves the representable range"
+            f" (n={n} needs d_0..d_{n})"
+        )
     return values
 
 

@@ -142,7 +142,7 @@ def scaled_pencil(params, n):
     forms the raw d_k, so it is safe for any n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sr = np.sqrt([norm_ratio(params, k) for k in range(n)])
+    sr = np.sqrt(norm_ratio(params, np.arange(n)))
     g0, g1, g2 = g_bands(params, n)
     return ScaledPencil(n=n, params=params, h0=sr * g0, h1=g1, h2=g2 / sr[1 : n - 1])
 

@@ -218,3 +218,12 @@ def test_lambda_matches_50_digit_reference():
         assert lam == pytest.approx(float(value), rel=1e-12), key
         checked += 1
     assert checked == 58
+
+
+@pytest.mark.parametrize("alpha,beta,max_steps", [(12.0, 12.0, 10), (49.5, 49.5, 16)])
+def test_step_count_at_clustered_spectra(alpha, beta, max_steps):
+    # Both endpoints give a Bessel-zero family of eigenvalues; plain block
+    # inverse iteration took 22 and 45 steps here, the three-term step 9
+    # and 14.
+    result = smallest_eigenpair(scaled_pencil(JacobiWeightParams(alpha, beta), 4000))
+    assert result.iterations <= max_steps

@@ -29,6 +29,18 @@ def test_params_validation_and_orders():
     assert p.nu_star == -0.5
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_params_reject_exponent_whose_bessel_order_rounds_to_minus_one(name):
+    # refused when the weight is built, so before any solve
+    x = -0.9999999999999999
+    assert x > -1.0 and (x - 1.0) / 2.0 == -1.0
+    with pytest.raises(ValueError, match=f"{name} = {x!r}"):
+        JacobiWeightParams(**{"alpha": 0.5, "beta": 0.5, name: x})
+    # the next float up still works
+    ok = JacobiWeightParams(**{"alpha": 0.5, "beta": 0.5, name: -0.9999999999999998})
+    assert ok.nu_star > -1.0
+
+
 def test_norms_legendre():
     d = norm_sequence(P00, 2)
     assert d[0] == pytest.approx(1.0, rel=1e-14)

@@ -106,22 +106,16 @@ def norm_sequence(params, n):
 
 
 def log_norm_sequence(params, n):
-    """ln d_k for k = 0..n, evaluated through log-gamma (no underflow)."""
+    """ln d_k for k = 0..n: ln d_0 through log-gamma, then the cumulative
+    sum of ln(d_{k+1}/d_k) (no underflow).  The ratios tend to 1/4, so
+    the sum runs over ln(4 d_{k+1}/d_k), which stay small, and k ln 4 is
+    taken off afterwards."""
     a, b = params.alpha, params.beta
-    s = a + b
+    ln4 = math.log(4.0)
     out = np.empty(n + 1)
-    out[0] = log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(s + 2.0)
-    ln2 = math.log(2.0)
-    for k in range(1, n + 1):
-        out[k] = (
-            2 * k * ln2
-            + log_gamma(k + 1.0)
-            + log_gamma(k + a + 1.0)
-            + log_gamma(k + b + 1.0)
-            + log_gamma(k + s + 1.0)
-            - log_gamma(2 * k + s + 1.0)
-            - log_gamma(2 * k + s + 2.0)
-        )
+    out[0] = log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0)
+    steps = np.log(norm_ratio(params, np.arange(n))) + ln4
+    out[1:] = out[0] + np.cumsum(steps) - ln4 * np.arange(1, n + 1)
     return out
 
 

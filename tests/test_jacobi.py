@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from mblab import (
     JacobiWeightParams,
     gauss_jacobi_quadrature,
+    log_norm_sequence,
     monic_eval,
     monic_eval_table,
     norm_ratio,
@@ -59,6 +61,27 @@ def test_norms_positive_and_overflow_reported():
     assert np.all(d > 0)
     with pytest.raises(OverflowError):
         norm_sequence(P00, 700)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.0, 0.0), (0.3, 1.7), (-0.95, 12.0), (49.5, 49.5), (-0.999999, -0.95)]
+)
+def test_log_norm_sequence_matches_mpmath(alpha, beta):
+    # ln d_k = 2k ln 2 + lnG(k+1) + lnG(k+a+1) + lnG(k+b+1) + lnG(k+s+1)
+    #          - lnG(2k+s+1) - lnG(2k+s+2), with s = a + b, at 40 digits
+    logd = log_norm_sequence(JacobiWeightParams(alpha, beta), 40000)
+    lg = mpmath.loggamma
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        s = a + b
+        for k in (0, 1, 2, 3, 10, 100, 481, 1000, 9999, 20000, 39999, 40000):
+            # lnG(k+s+1) - lnG(2k+s+1) cancels at k = 0, where s+1 may be <= 0
+            pair = lg(k + s + 1) - lg(2 * k + s + 1) if k else 0
+            exact = (
+                2 * k * mpmath.log(2) + lg(k + 1) + lg(k + a + 1) + lg(k + b + 1)
+                + pair - lg(2 * k + s + 2)
+            )
+            assert abs(logd[k] - float(exact)) <= 1e-10, k
 
 
 @pytest.mark.parametrize(

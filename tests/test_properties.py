@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from mblab import (
     ConvergenceError,
     JacobiWeightParams,
+    extremal_polynomial,
     norm_ratio,
+    profile_compare,
     scaled_pencil,
     sharp_constant,
     smallest_eigenpair,
@@ -57,6 +59,33 @@ def test_smallest_eigenpair_is_certified_or_raises(alpha, beta, n):
     assert result.multiplicity >= 1
     assert abs(math.sqrt(float(np.sum(result.w * result.w))) - 1.0) <= 1e-12
     assert np.all(np.isfinite(result.eigenvector))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=EXPONENT, beta=EXPONENT, n=st.integers(min_value=1, max_value=2000))
+@example(alpha=-0.95, beta=12.0, n=200)
+def test_extremal_polynomial_is_finite_or_raises(alpha, beta, n):
+    try:
+        u, v, m_n = extremal_polynomial(JacobiWeightParams(alpha, beta), n)
+    except (ConvergenceError, ValueError):
+        return
+    assert u.shape == v.shape == (n,)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    assert math.isfinite(m_n) and m_n > 0.0
+
+
+# profile_compare raises ValueError below n = 50.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=EXPONENT, beta=EXPONENT, n=st.integers(min_value=1, max_value=2000))
+@example(alpha=-0.95, beta=12.0, n=200)
+def test_profile_compare_is_finite_or_raises(alpha, beta, n):
+    try:
+        result = profile_compare(JacobiWeightParams(alpha, beta), n)
+    except (ConvergenceError, ValueError):
+        return
+    assert math.isfinite(result.sup_defect)
+    assert math.isfinite(result.l_star) and result.l_star > 0.0
+    assert np.all(np.isfinite(result.discrete)) and np.all(np.isfinite(result.closed_form))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -63,20 +63,22 @@ def branch_for(params, j, l):
     return ProfileBranch(j=j, b=params.alpha if j == 1 else params.beta, l=l)
 
 
-def profile_y(branch, t):
-    """Closed-form profile value at t > 0."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"profile requires t > 0, got {t}")
+def profile_values(branch, ts):
+    """Closed-form profile values at an array of t > 0, through one
+    array Bessel call."""
+    ts = np.asarray(ts, dtype=float)
+    if not (ts > 0.0).all():
+        raise ValueError(f"profile requires t > 0, got {ts[~(ts > 0.0)].flat[0]}")
     nu = branch.nu
     const = math.exp(
         branch.b * math.log(2.0) + log_gamma(nu + 1.0) - 0.5 * nu * math.log(branch.l)
     )
-    return const * t * bessel_j(nu, math.sqrt(branch.l) * t * t / 2.0)
+    return const * ts * bessel_j(nu, math.sqrt(branch.l) * ts * ts / 2.0)
 
 
-def profile_values(branch, ts):
-    return np.array([profile_y(branch, t) for t in np.asarray(ts, dtype=float)])
+def profile_y(branch, t):
+    """Closed-form profile value at t > 0."""
+    return float(profile_values(branch, float(t)))
 
 
 def ode_residual_of(
@@ -167,15 +169,10 @@ def profile_compare(params, n, tol=1e-12):
         branch = 1
     else:
         branch = 1 if params.nu_alpha < params.nu_beta else 2
-    comp = branch - 1
 
     ks = np.arange(int(math.ceil(n / 4.0)), n - 1)
-    discrete = np.empty(len(ks), dtype=float)
-    for i, k in enumerate(ks):
-        yk = y_bundle(x, int(k))[comp]
-        if branch == 2 and k % 2 == 1:
-            yk = -yk
-        discrete[i] = yk
+    sign = 1 - 2 * (ks % 2) if branch == 2 else 1
+    discrete = sign * y_bundle(x, ks)[branch - 1]
     br = branch_for(params, branch, l_star)
     ts = ks / float(n)
     closed = profile_values(br, ts)

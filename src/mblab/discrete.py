@@ -57,19 +57,19 @@ class ParticularSolution:
 
 
 def log_scale_factors(params, n):
-    """ln of the factors (2k+a+b+1)!/(2^k (k+a)!(k+b)!) for k = 0..n-1."""
+    """ln of the factors f_k = (2k+a+b+1)!/(2^k (k+a)!(k+b)!) for
+    k = 0..n-1: ln f_0 through log-gamma, then the cumulative sum of
+
+        ln(f_{k+1}/f_k) = ln((2k+s+2)(2k+s+3) / (2 (k+a+1)(k+b+1))),
+
+    s = a + b.  The ratios tend to 2, so the sum runs over ln(f_{k+1} /
+    (2 f_k)), which stay small, and k ln 2 is added afterwards."""
     a, b = params.alpha, params.beta
     s = a + b
-    ln2 = math.log(2.0)
-    return np.array(
-        [
-            log_gamma(2 * k + s + 2.0)
-            - k * ln2
-            - log_gamma(k + a + 1.0)
-            - log_gamma(k + b + 1.0)
-            for k in range(n)
-        ]
-    )
+    k = np.arange(n - 1.0)
+    steps = np.log((2 * k + s + 2) * (2 * k + s + 3) / (4 * (k + a + 1) * (k + b + 1)))
+    lead = log_gamma(s + 2.0) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
+    return lead + np.cumsum(np.r_[0.0, steps])[:n] + math.log(2.0) * np.arange(n)
 
 
 def scale_factors(params, n):
@@ -146,10 +146,16 @@ def particular_x_sequence(params, j, n):
 def y_bundle(x, k):
     """The 4-vector (x_{k-2}+x_{k-1}, x_{k-2}-x_{k-1},
     k(-(x_{k-2}+x_{k-1}) + (x_k+x_{k+1})),
-    k(-(x_{k-2}-x_{k-1}) + (x_k-x_{k+1}))), needing x_{k-2}..x_{k+1}."""
+    k(-(x_{k-2}-x_{k-1}) + (x_k-x_{k+1}))), needing x_{k-2}..x_{k+1}.
+
+    k is an integer or an integer array; for an array the result has
+    shape (4, len(k)), column i holding the vector at k[i]."""
     x = np.asarray(x, dtype=float)
-    if not 2 <= k <= len(x) - 2:
-        raise IndexError(f"k = {k} needs x[{k - 2}..{k + 1}] inside 0..{len(x) - 1}")
+    k = np.asarray(k)
+    outside = (k < 2) | (k > len(x) - 2)
+    if outside.any():
+        bad = int(k[outside].flat[0])
+        raise IndexError(f"k = {bad} needs x[{bad - 2}..{bad + 1}] inside 0..{len(x) - 1}")
     sp = x[k - 2] + x[k - 1]
     sm = x[k - 2] - x[k - 1]
     return np.array(

@@ -303,9 +303,13 @@ def _solve_core(pencil, tol):
         q_new = sum(_combine(cx, x) for cx, x in zip(c_blocks, blocks))
         p = q_new - _combine(_gram(q_new, q).T, q)
         q = q_new
-        w = q[0]
-        hw = _h_matvec(h0, h1, h2, w)
-        lam = _dot(hw, hw)
+        # The small matrix is accurate only to eps ||small||, which can
+        # exceed the gap of a nearly multiple smallest eigenvalue and
+        # order the Ritz vectors wrongly: take the one of least ||Hq||^2.
+        hq = _h_matvec(h0, h1, h2, q)
+        norms = [_dot(row, row) for row in hq]
+        i = norms.index(min(norms))
+        w, hw, lam = q[i], hq[i], norms[i]
         r = _ht_matvec(h0, h1, h2, hw) - lam * w
         residual = math.sqrt(_dot(r, r))
         if abs(lam - lam_prev) <= 0.25 * tol * lam and residual <= target:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from mblab import (
     root_condition_min_l,
     smallest_positive_zero,
 )
+from mblab.continuum import profile_values
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
@@ -132,6 +137,25 @@ def test_profile_compare_converges():
         assert np.max(np.abs(c.closed_form)) == pytest.approx(1.0)
         assert len(c.t) == len(c.discrete) == len(c.closed_form)
     assert defects[200] < defects[100] < 0.1
+
+
+def test_sup_defect_matches_50_digit_reference():
+    # Sup defects recomputed from a 50-digit eigenpair that shares no code
+    # with mblab (measured worst difference 2.8e-11).
+    cases = json.loads(REFERENCE.read_text())["sup_defect"]
+    for key, value in cases.items():
+        alpha, beta, n = key.split(",")
+        c = profile_compare(JacobiWeightParams(float(alpha), float(beta)), int(n))
+        assert abs(c.sup_defect - float(value)) <= 1e-10, key
+    assert len(cases) == 13
+
+
+def test_profile_values_match_profile_y():
+    br = ProfileBranch(j=2, b=8.0, l=130.0)
+    ts = np.linspace(0.05, 1.0, 30)
+    assert profile_values(br, ts).tolist() == [profile_y(br, t) for t in ts]
+    with pytest.raises(ValueError):
+        profile_values(br, np.array([0.5, 0.0]))
 
 
 def test_profile_compare_l_star_near_root_condition():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from mblab import (
     scale_x_to_v,
     y_bundle,
 )
-from mblab.discrete import ParticularSolution, scale_factors
+from mblab.discrete import ParticularSolution, log_scale_factors, scale_factors
 from mblab.pencil import _c1_entries, _c2_entries
 
 P00 = JacobiWeightParams(0.0, 0.0)
@@ -27,6 +28,27 @@ def test_scale_factors_legendre():
     assert f[0] == pytest.approx(1.0, rel=1e-14)
     assert f[1] == pytest.approx(3.0, rel=1e-14)  # 3!/(2*1*1)
     assert f[2] == pytest.approx(7.5, rel=1e-13)  # 5!/(4*2*2)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.0, 0.0), (-0.95, -0.95), (0.3, 1.7), (49.5, 0.0)]
+)
+def test_log_scale_factors_match_mpmath(alpha, beta):
+    # ln f_k = lnG(2k+s+2) - k ln 2 - lnG(k+a+1) - lnG(k+b+1) at 40 digits
+    logf = log_scale_factors(JacobiWeightParams(alpha, beta), 40001)
+    lg = mpmath.loggamma
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        for k in (0, 1, 2, 3, 10, 100, 1000, 9999, 20000, 39999, 40000):
+            exact = lg(2 * k + a + b + 2) - k * mpmath.log(2) - lg(k + a + 1) - lg(k + b + 1)
+            assert abs(logf[k] - float(exact)) <= 1e-9, k
+    assert log_scale_factors(JacobiWeightParams(alpha, beta), 0).shape == (0,)
+
+
+def test_scale_factors_overflow_past_double_range():
+    assert np.all(np.isfinite(scale_factors(P00, 900)))
+    with pytest.raises(OverflowError):
+        scale_factors(P00, 1100)
 
 
 def test_scale_round_trip():
@@ -133,6 +155,19 @@ def test_y_bundle_constant_and_alternating():
         y_bundle(const, 1)
     with pytest.raises(IndexError):
         y_bundle(const, 11)
+
+
+def test_y_bundle_array_k_matches_scalar_k():
+    x = np.random.default_rng(4).standard_normal(20)
+    ks = np.arange(2, 19)
+    table = y_bundle(x, ks)
+    assert table.shape == (4, len(ks))
+    for i, k in enumerate(ks):
+        assert table[:, i].tolist() == y_bundle(x, int(k)).tolist()
+    with pytest.raises(IndexError, match="k = 1 "):
+        y_bundle(x, np.array([5, 1, 19]))
+    with pytest.raises(IndexError, match="k = 19 "):
+        y_bundle(x, np.array([5, 19]))
 
 
 def test_bundle_leading_vector_branch_one():

@@ -251,6 +251,20 @@ def test_lambda_matches_50_digit_reference():
     assert checked == {"small": 58, "large": 27}
 
 
+@pytest.mark.parametrize("n", [73, 200])
+def test_nearly_multiple_smallest_eigenvalue_is_certified(n):
+    # At the float just above the edge, lambda_1 and lambda_2 lie within 6%
+    # of each other and far below eps ||B||: the Rayleigh-Ritz matrix put
+    # the second eigenvector first, and the certificate failed.
+    alpha = -0.9999999999999998
+    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
+    result = smallest_eigenpair(sp)
+    h = np.diag(sp.h0) + np.diag(sp.h1, 1) + np.diag(sp.h2, 2)
+    sigma = np.linalg.svd(h, compute_uv=False)[-1]
+    assert result.multiplicity >= 1
+    assert result.lambda_min == pytest.approx(sigma**2, rel=1e-6)
+
+
 @pytest.mark.parametrize("alpha,beta,max_steps", [(12.0, 12.0, 10), (49.5, 49.5, 16)])
 def test_step_count_at_clustered_spectra(alpha, beta, max_steps):
     # Both endpoints give a Bessel-zero family of eigenvalues; plain block

@@ -5,11 +5,13 @@ raise a documented exception."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mblab import (
     ConvergenceError,
+    bessel_j,
     JacobiWeightParams,
     extremal_polynomial,
     norm_ratio,
@@ -94,3 +96,19 @@ def test_norm_ratio_array_matches_scalar(alpha, beta, n):
     params = JacobiWeightParams(alpha, beta)
     ratios = norm_ratio(params, np.arange(n))
     assert ratios.tolist() == [norm_ratio(params, k) for k in range(n)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nu=st.floats(min_value=-1.0, max_value=50.0, exclude_min=True),
+    xs=st.lists(st.floats(min_value=0.0, max_value=120.0), max_size=12),
+)
+def test_bessel_j_array_matches_scalar(nu, xs):
+    # J_nu(x) leaves double range for nu < 0 and subnormal x.
+    try:
+        want = [bessel_j(nu, x) for x in xs]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            bessel_j(nu, np.array(xs))
+        return
+    assert bessel_j(nu, np.array(xs)).tolist() == want

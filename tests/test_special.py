@@ -144,3 +144,71 @@ def test_integer_order_zeros_against_scipy():
     for k in range(0, 16):
         want = float(sp.jn_zeros(k, 1)[0])
         assert abs(smallest_positive_zero(float(k)) - want) < 1e-12
+
+
+def _mp_besselj(nu, xs):
+    with mpmath.workdps(40):
+        return [float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))) for x in xs]
+
+
+# nu = 2 on [4, 6] and nu = 25 on [20, 40] escalate to mpmath near the
+# zeros, where the float64 series cancels; nu -> -1+ has J large near 0.
+@pytest.mark.parametrize(
+    "nu,lo,hi",
+    [(2.0, 4.0, 6.0), (25.0, 20.0, 40.0), (-0.999999, 1e-6, 3.0), (-0.5, 0.05, 10.0)],
+)
+def test_bessel_array_against_mpmath(nu, lo, hi):
+    xs = np.linspace(lo, hi, 41)
+    got = bessel_j(nu, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, value, ref in zip(xs, got, _mp_besselj(nu, xs)):
+        assert abs(value - ref) < 1e-13 * max(1.0, abs(ref)), x
+
+
+def test_bessel_array_matches_scalar_calls():
+    xs = np.array([[0.0, 0.5, 5.1], [5.2, 37.0, 119.0]])
+    for nu in (-0.99, -0.5, 0.0, 2.0, 25.0, 50.0):
+        got = bessel_j(nu, xs)
+        assert got.shape == xs.shape
+        assert got.tolist() == [[bessel_j(nu, x) for x in row] for row in xs]
+
+
+def test_bessel_array_with_origin():
+    assert bessel_j(0.0, np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
+    assert bessel_j(2.3, np.array([1.0, 0.0]))[1] == 0.0
+    assert bessel_j(-0.5, np.array([0.0, 1.0]))[0] == math.inf
+    assert bessel_j(1.0, np.array([])).shape == (0,)
+
+
+def test_bessel_array_domain_and_window():
+    with pytest.raises(ValueError):
+        bessel_j(0.0, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        bessel_j(0.0, np.array([1.0, math.nan]))
+    with pytest.raises(AccuracyWindowError):
+        bessel_j(0.0, np.array([1.0, 121.0]))
+    with pytest.raises(AccuracyWindowError):
+        bessel_j(50.5, np.array([1.0]))
+
+
+def test_bessel_at_subnormal_x():
+    # x/2 underflows to zero here; the series must not take its log
+    assert bessel_j(0.0, 5e-324) == 1.0
+    assert bessel_j(2.0, np.array([5e-324, 1e-300])).tolist() == [0.0, 0.0]
+    want = math.sqrt(2.0 / math.pi) / math.sqrt(5e-324)  # 2/(pi x) overflows
+    assert bessel_j(-0.5, 5e-324) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "nu", [-0.99999999, -0.9999, -0.999, -0.99, -0.5, 2.5, 10.3, 37.7, 50.0]
+)
+def test_zero_against_mpmath(nu):
+    # Below nu ~ -0.9975 j_nu lies under the first march point; mpmath's
+    # besseljzero takes only nu >= 0, so negative orders polish a root.
+    got = smallest_positive_zero(nu)
+    with mpmath.workdps(30):
+        if nu >= 0.0:
+            ref = float(mpmath.besseljzero(nu, 1))
+        else:
+            ref = float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), got))
+    assert abs(got - ref) <= 1e-13 * max(1.0, ref)

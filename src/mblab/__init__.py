@@ -35,9 +35,11 @@ from .discrete import (
 from .eigensolver import (
     EigenResult,
     SharpConstantReport,
+    Solution,
     extremal_polynomial,
     sharp_constant,
     smallest_eigenpair,
+    solve,
 )
 from .exceptions import AccuracyWindowError, ConvergenceError
 from .jacobi import (

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import log_scale_factors, y_bundle
-from .eigensolver import sharp_constant, smallest_eigenpair
+from .eigensolver import sharp_constant, solve
 from .jacobi import log_norm_sequence
-from .pencil import scaled_pencil
 from .special import bessel_j, log_gamma, smallest_positive_zero
 
 __all__ = [
@@ -81,17 +80,21 @@ def profile_y(branch, t):
     return float(profile_values(branch, float(t)))
 
 
-def ode_residual_of(
-    fn, b, t, l, steps=(0.02, 0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0003125)
-):
-    """Relative defect of y'' = y'/t - (t^2 l - b(b-2)/t^2) y for the
-    callable fn, via fourth-order central differences; the smallest
-    defect over the refined steps is returned.  Steps are capped at t/8
-    because the 1/t^2 term steepens the derivatives near the origin."""
+_STEPS = (0.02, 0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0003125)
+
+
+def _stencil(t, steps):
+    """The steps capped at t/8, and the points t + i h, i = -2..2, one row
+    per step."""
+    hs = np.minimum(steps, t / 8.0)
+    return hs, t + hs[:, None] * np.arange(-2.0, 3.0)
+
+
+def _stencil_defect(values, hs, b, t, l):
+    """Smallest relative defect of the ODE over the rows of `values`, the
+    function at the points of `_stencil`."""
     best = math.inf
-    for h0 in steps:
-        h = min(h0, t / 8.0)
-        ys = [fn(t + i * h) for i in (-2, -1, 0, 1, 2)]
+    for h, ys in zip(hs.tolist(), values.tolist()):
         d1 = (-ys[4] + 8.0 * ys[3] - 8.0 * ys[1] + ys[0]) / (12.0 * h)
         d2 = (-ys[4] + 16.0 * ys[3] - 30.0 * ys[2] + 16.0 * ys[1] - ys[0]) / (
             12.0 * h * h
@@ -102,12 +105,25 @@ def ode_residual_of(
     return best
 
 
+def ode_residual_of(fn, b, t, l, steps=_STEPS):
+    """Relative defect of y'' = y'/t - (t^2 l - b(b-2)/t^2) y for the
+    callable fn, via fourth-order central differences; the smallest
+    defect over the refined steps is returned.  Steps are capped at t/8
+    because the 1/t^2 term steepens the derivatives near the origin."""
+    hs, points = _stencil(t, steps)
+    values = np.array([[fn(s) for s in row] for row in points.tolist()])
+    return _stencil_defect(values, hs, b, t, l)
+
+
 def ode_residual(branch, t, l=None):
     """Finite-difference defect of the closed-form profile in the
-    limiting ODE (analytically zero; truncation only)."""
+    limiting ODE (analytically zero; truncation only), from one array
+    evaluation of the profile at every stencil point."""
     lval = branch.l if l is None else float(l)
     br = branch if l is None else ProfileBranch(branch.j, branch.b, lval)
-    return ode_residual_of(lambda s: profile_y(br, s), br.b, float(t), lval)
+    t = float(t)
+    hs, points = _stencil(t, _STEPS)
+    return _stencil_defect(profile_values(br, points), hs, br.b, t, lval)
 
 
 def predicted_constant(params, n):
@@ -156,13 +172,13 @@ def profile_compare(params, n, tol=1e-12):
     """
     if n < 50:
         raise ValueError(f"profile comparison needs n >= 50, got {n}")
-    result = smallest_eigenpair(scaled_pencil(params, n), tol)
-    l_star = result.lambda_min * float(n) ** 4
+    sol = solve(params, n, tol)
+    l_star = sol.lambda_min * float(n) ** 4
 
     # x_k = w_k / (sqrt(d_k) * scale_k); the combined factor is only
     # polynomially large, so the bundle is formed without over/underflow.
     g = 0.5 * log_norm_sequence(params, n)[:n] + log_scale_factors(params, n)
-    x = result.w * np.exp(-g)
+    x = sol.w * np.exp(-g)
 
     degenerate = params.alpha == params.beta
     if degenerate:

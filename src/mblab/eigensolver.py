@@ -22,8 +22,10 @@ the steps together.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .special import smallest_positive_zero
 __all__ = [
     "EigenResult",
     "SharpConstantReport",
+    "Solution",
+    "solve",
     "smallest_eigenpair",
     "sharp_constant",
     "extremal_polynomial",
@@ -56,7 +60,7 @@ class EigenResult:
 
     `eigenvector` is the unit generalized eigenvector (original
     coordinates) and `w` the unit eigenvector of the symmetrized matrix B
-    it is mapped from.  `residual` is the relative residual of the
+    it is mapped from (read-only).  `residual` is the relative residual of the
     symmetrized problem, || (B - lambda I) w || / || w ||, which is the
     numerically meaningful certificate: the raw-coordinate residual is
     amplified by the ~4^n condition of the diagonal scaling for large n.
@@ -71,6 +75,20 @@ class EigenResult:
     iterations: int
     multiplicity: int
     w: np.ndarray
+
+
+@dataclass(frozen=True)
+class Solution:
+    """One certified solve: the smallest eigenvalue of B = H^T H, its unit
+    eigenvector w (read-only) and the certificate data, with the meanings
+    of EigenResult.  The sharp constant, the extremal polynomial and the
+    profile comparison all derive from it."""
+
+    lambda_min: float
+    w: np.ndarray
+    residual: float
+    iterations: int
+    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -269,8 +287,7 @@ def _solve_core(pencil, tol):
     23, 2001).  The spikes of both triangular factors are computed once
     per call, before the first step.  The basis is orthonormal in n-space
     and the small matrix is formed from products of the blocks H Z, H Q,
-    H P.  Returns (lambda, w, residual, iterations, multiplicity) with w
-    the unit eigenvector of B.
+    H P.  Returns the Solution, w marked read-only.
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
     # H^T is lower triangular, and so is H with its rows and columns
@@ -329,7 +346,10 @@ def _solve_core(pencil, tol):
     multiplicity = _count_below(forward, math.sqrt(lam * (1.0 + tol)))
     if _count_below(forward, math.sqrt(lam * (1.0 - tol))) != 0 or multiplicity < 1:
         raise ConvergenceError("could not certify the eigenvalue bracket")
-    return lam, w, residual, steps, multiplicity
+    # A copy of the row, so a memoised Solution holds n doubles, not q.
+    w = w.copy()
+    w.flags.writeable = False
+    return Solution(lam, w, residual, steps, multiplicity)
 
 
 def _check_tol(tol):
@@ -337,10 +357,11 @@ def _check_tol(tol):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
 
 
-def _eigvec_original(logd, n, w):
+def _eigvec_original(params, n, w):
     """Map the symmetrized eigenvector w to the unit eigenvector of
     (A, D) through v_k = w_k / sqrt(d_k), in log space so the ~2^k
     dynamic range cannot overflow."""
+    logd = log_norm_sequence(params, n)[:n]
     t = np.full(n, -math.inf)
     nz = w != 0.0
     t[nz] = np.log(np.abs(w[nz])) - 0.5 * logd[nz]
@@ -354,44 +375,70 @@ def _eigvec_original(logd, n, w):
     return v
 
 
+def solve(params, n, tol=1e-12):
+    """The Solution of the degree-n pencil of `params`.
+
+    The last result is memoised (one entry, keyed on (params, n, tol)),
+    so the entry points that read one problem in turn share one solve;
+    `solve.cache_clear()` drops it.  n and tol are checked before the
+    lookup, so a result never depends on what is memoised.  A pencil
+    with modified bands goes through smallest_eigenpair, which is never
+    memoised.
+    """
+    if isinstance(n, bool):
+        raise TypeError("n must be an integer, got a bool")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_tol(tol)
+    return _memoised_solve(params, n, tol)
+
+
+# One entry: the entry points that read one problem run one after
+# another, while consecutive problems of a sweep, a convergence study or
+# a benchmark pass differ, so more entries would only keep n-vectors.
+@lru_cache(maxsize=1)
+def _memoised_solve(params, n, tol):
+    return _solve_core(scaled_pencil(params, n), tol)
+
+
+solve.cache_clear = _memoised_solve.cache_clear
+
+
 def smallest_eigenpair(pencil, tol=1e-12):
     """Smallest generalized eigenvalue and eigenvector of (A, D), solved
     on the bands of the ScaledPencil factor H (so modified bands are
-    honored)."""
+    honored); never memoised."""
     _check_tol(tol)
     if not isinstance(pencil, ScaledPencil):
         raise TypeError(f"expected ScaledPencil, got {type(pencil)}")
-    lam, w, residual, iterations, mult = _solve_core(pencil, tol)
-    logd = log_norm_sequence(pencil.params, pencil.n)[: pencil.n]
+    sol = _solve_core(pencil, tol)
     return EigenResult(
-        lambda_min=lam,
-        eigenvector=_eigvec_original(logd, pencil.n, w),
-        residual=residual,
-        iterations=iterations,
-        multiplicity=mult,
-        w=w,
+        lambda_min=sol.lambda_min,
+        eigenvector=_eigvec_original(pencil.params, pencil.n, sol.w),
+        residual=sol.residual,
+        iterations=sol.iterations,
+        multiplicity=sol.multiplicity,
+        w=sol.w,
     )
 
 
 def sharp_constant(params, n, tol=1e-12):
     """Sharp derivative-to-function norm ratio M_n over polynomials of
     degree <= n, with the large-n prediction n^2 / (2 j) attached."""
-    _check_tol(tol)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lam, _, residual, _, _ = _solve_core(scaled_pencil(params, n), tol)
-    m_n = lam ** -0.5
+    sol = solve(params, n, tol)
+    m_n = sol.lambda_min ** -0.5
     j = smallest_positive_zero(params.nu_star)
     predicted = float(n) ** 2 / (2.0 * j)
     return SharpConstantReport(
         n=n,
         alpha=params.alpha,
         beta=params.beta,
-        lambda_min=lam,
+        lambda_min=sol.lambda_min,
         m_n=m_n,
         predicted=predicted,
         ratio=m_n / predicted,
-        residual=residual,
+        residual=sol.residual,
     )
 
 
@@ -402,6 +449,6 @@ def extremal_polynomial(params, n, tol=1e-12):
     basis of degrees 0..n-1, u those of Q in degrees 1..n, linked by
     N u = C2 C1 v; v is the unit eigenvector.
     """
-    result = smallest_eigenpair(scaled_pencil(params, n), tol)
-    v = result.eigenvector
-    return _h_matvec(*g_bands(params, n), v), v, result.lambda_min ** -0.5
+    sol = solve(params, n, tol)
+    v = _eigvec_original(params, n, sol.w)
+    return _h_matvec(*g_bands(params, n), v), v, sol.lambda_min ** -0.5

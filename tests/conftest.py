@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 import scipy.linalg
 
-from mblab import bessel_j
+from mblab import bessel_j, solve
+
+
+@pytest.fixture(autouse=True)
+def _empty_solve_memo():
+    """Every test starts without a memoised solve, so none passes on an
+    entry another test left behind."""
+    solve.cache_clear()
 
 
 def bisect_zero(fn, lo, hi, iters=90):

@@ -85,7 +85,10 @@ def test_profile_domain():
 def test_ode_residual_grid(b, l):
     br = ProfileBranch(j=1, b=b, l=l)
     for t in (0.1, 0.5, 1.0):
-        assert ode_residual(br, t) < 1e-6
+        residual = ode_residual(br, t)
+        assert residual < 1e-6
+        # One array evaluation gives the scalar calls' values exactly.
+        assert residual == ode_residual_of(lambda s: profile_y(br, s), b, t, l)
 
 
 def test_ode_residual_examples_and_control():

@@ -8,15 +8,20 @@ import pytest
 import scipy.linalg
 
 from mblab import (
+    ConvergenceError,
     JacobiWeightParams,
     build_pencil,
+    convergence_study,
     extremal_polynomial,
     monic_eval,
     norm_sequence,
+    profile_compare,
     scaled_pencil,
     sharp_constant,
     smallest_eigenpair,
+    solve,
 )
+from mblab import eigensolver
 from mblab.eigensolver import _Recurrence
 from mblab.pencil import dense_a, dense_d
 from conftest import b_bands, mp_lambda_min, rayleigh_supremum
@@ -272,3 +277,136 @@ def test_step_count_at_clustered_spectra(alpha, beta, max_steps):
     # and 14.
     result = smallest_eigenpair(scaled_pencil(JacobiWeightParams(alpha, beta), 4000))
     assert result.iterations <= max_steps
+
+
+P37 = JacobiWeightParams(0.3, 1.7)
+
+
+def _count_solves(monkeypatch):
+    """Record (n, tol) of every _solve_core call from here on."""
+    calls = []
+    core = eigensolver._solve_core
+
+    def counting(pencil, tol):
+        calls.append((pencil.n, tol))
+        return core(pencil, tol)
+
+    monkeypatch.setattr(eigensolver, "_solve_core", counting)
+    return calls
+
+
+def _bits(*values):
+    """Exact bit patterns of floats and arrays, for bit-for-bit equality."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else float(v).hex() for v in values]
+
+
+def _views(p, n, between=lambda: None):
+    """Everything the three entry points return for (p, n), as bits;
+    `between` runs before each entry point."""
+    between()
+    rep = sharp_constant(p, n)
+    between()
+    u, v, m_n = extremal_polynomial(p, n)
+    between()
+    c = profile_compare(p, n)
+    return (
+        _bits(*(getattr(rep, f.name) for f in dataclasses.fields(rep)))
+        + _bits(u, v, m_n)
+        + _bits(c.sup_defect, c.branch, c.l_star, c.t, c.discrete, c.closed_form)
+    )
+
+
+def test_one_solve_serves_every_entry_point(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    sharp_constant(P37, 1000)
+    extremal_polynomial(P37, 1000)
+    profile_compare(P37, 1000)
+    assert calls == [(1000, 1e-12)]
+    # One entry: a study's degrees are distinct problems, and the one
+    # before the last evicts the earlier 1000.
+    convergence_study(P37, [200, 1000])
+    assert calls == [(1000, 1e-12), (200, 1e-12), (1000, 1e-12)]
+
+
+def test_memoised_results_equal_fresh_ones():
+    for p in (P37, JacobiWeightParams(1.0, 1.0)):
+        memoised = _views(p, 600)
+        assert _views(p, 600) == memoised
+        assert _views(p, 600, between=solve.cache_clear) == memoised
+
+
+def test_returned_arrays_are_the_callers_own():
+    before = _views(P37, 300)
+    u, v, _ = extremal_polynomial(P37, 300)
+    c = profile_compare(P37, 300)
+    for a in (u, v, c.t, c.discrete, c.closed_form):
+        a[:] = 7.0
+    result = smallest_eigenpair(scaled_pencil(P37, 300))
+    result.eigenvector[:] = 7.0
+    assert _views(P37, 300) == before
+    again = smallest_eigenpair(scaled_pencil(P37, 300))
+    assert np.all(again.eigenvector != 7.0)
+    with pytest.raises(ValueError):
+        solve(P37, 300).w[0] = 1.0
+
+
+def test_tolerances_do_not_share_an_entry(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    sharp_constant(P37, 300)
+    sharp_constant(P37, 300, 1e-10)
+    sharp_constant(P37, 300, tol=1e-10)
+    assert calls == [(300, 1e-12), (300, 1e-10)]
+    assert solve(P37, 300, 1e-10) is solve(P37, 300, np.float64(1e-10))
+
+
+def test_perturbed_pencil_is_never_memoised():
+    p = JacobiWeightParams(0.5, 1.5)
+    lam = sharp_constant(p, 400).lambda_min
+    sp = scaled_pencil(p, 400)
+    perturbed = smallest_eigenpair(dataclasses.replace(sp, h2=sp.h2 * (1.0 + 1e-3)))
+    assert abs(perturbed.lambda_min - lam) > 0.05 * lam
+    assert sharp_constant(p, 400).lambda_min == lam
+
+
+def test_failures_are_raised_again_and_not_memoised(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(eigensolver, "_MAX_STEPS", 1)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            sharp_constant(P37, 400)
+    assert len(calls) == 2
+    monkeypatch.setattr(eigensolver, "_MAX_STEPS", 200)
+    assert sharp_constant(P37, 400).lambda_min > 0.0
+    assert len(calls) == 3
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            extremal_polynomial(P37, 0)
+        with pytest.raises(ValueError):
+            sharp_constant(P37, 400, tol=1e-3)
+    assert len(calls) == 3
+
+
+def test_degree_is_checked_before_the_memo(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    one = extremal_polynomial(P37, 1)
+    for bad in (True, 1.0, 2.5, "1"):
+        with pytest.raises(TypeError):
+            extremal_polynomial(P37, bad)
+        with pytest.raises(TypeError):
+            sharp_constant(P37, bad)
+    assert _bits(*extremal_polynomial(P37, np.int64(1))) == _bits(*one)
+    assert sharp_constant(P37, np.int32(1)).m_n == one[2]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [300, 4000])
+@pytest.mark.parametrize("signed,plain", [((-0.0, 1.7), (0.0, 1.7)), ((2.0, -0.0), (2.0, 0.0))])
+def test_signed_zero_exponent_shares_the_entry(monkeypatch, n, signed, plain):
+    calls = _count_solves(monkeypatch)
+    neg = solve(JacobiWeightParams(*signed), n)
+    solve.cache_clear()
+    pos = solve(JacobiWeightParams(*plain), n)
+    assert _bits(neg.lambda_min, neg.w) == _bits(pos.lambda_min, pos.w)
+    assert solve(JacobiWeightParams(*signed), n) is pos
+    assert len(calls) == 2
+    assert sharp_constant(JacobiWeightParams(*signed), n).alpha == signed[0]

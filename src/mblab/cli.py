@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .continuum import convergence_study, profile_compare
 from .eigensolver import extremal_polynomial, sharp_constant
@@ -217,6 +216,10 @@ def _cmd_sweep(args):
     rows = {}
     failed = False
     if args.parallel > 1 and len(tasks) > 1:
+        # Imported here: it loads multiprocessing, which no other command
+        # needs and every command would pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
             for task, outcome in zip(tasks, pool.map(_sweep_wrapped, tasks)):
                 rows[task] = outcome

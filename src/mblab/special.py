@@ -13,9 +13,10 @@ working precision sized from the observed amplification, so the
 returned double is good to ~1e-13 absolute (relative for large values)
 over the whole supported window.
 
-The smallest positive zero j_nu is found by marching to a sign change
-over a grid evaluated in one array call, then by Newton steps kept
-inside the bracket.
+The smallest positive zero j_nu is found on the ratio J_nu / J_{nu+1},
+which a backward recurrence gives in float64 without cancellation, so
+zero finding never escalates: a march to a sign change over a grid
+evaluated in one array call, then Newton steps kept inside the bracket.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .exceptions import AccuracyWindowError, ConvergenceError
@@ -50,6 +50,9 @@ _LN2 = math.log(2.0)
 _MAX_TERMS = 700
 _TABLE_ENTRIES = 1 << 14  # 128 kB of float64 per term table
 _ZERO_STEPS = 100
+# Orders above max(x, nu) at which the ratio run starts; from 30 on, the
+# zeros over nu in (-1, 50] no longer change in the last bit.
+_RATIO_MARGIN = 40
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,11 @@ def _series_mp(nu, x, digits):
 
     The order is promoted to mpf up front: mixed float/mpf arithmetic
     would round nu + m + 1 in double precision, and the cancellation
-    amplifies that exponent noise.
+    amplifies that exponent noise.  mpmath is imported here, at the first
+    escalation, so a process that never escalates does not load it.
     """
+    import mpmath
+
     with mpmath.workdps(digits):
         nu = mpmath.mpf(nu)
         half = mpmath.mpf(x) / 2
@@ -213,46 +219,67 @@ def bessel_j_derivative(order, x):
     return (nu / x) * _bessel_any(nu, x) - _bessel_any(nu + 1.0, x)
 
 
+def _ratio_to_next(nu, x):
+    """J_nu(x) / J_{nu+1}(x) at the points x > 0 (a 1-D array).
+
+    The ratios r_m = J_m / J_{m-1} obey 1 / r_m = 2m/x - r_{m+1}.  They
+    are run from r = 0 at _RATIO_MARGIN orders above max(x, nu) down to
+    r_{nu+2}, the direction in which J is the minimal solution, so the
+    start error dies out; then J_nu / J_{nu+1} = 2(nu+1)/x - r_{nu+2}.
+    No sum cancels, so the ratio keeps float64 accuracy where the
+    ascending series would escalate to mpmath.
+    """
+    r = np.zeros_like(x)
+    with np.errstate(divide="ignore"):
+        for k in range(max(0, int(x.max() - nu)) + _RATIO_MARGIN, 1, -1):
+            r = x / (2.0 * (nu + k) - x * r)
+    return 2.0 * (nu + 1.0) / x - r
+
+
 @lru_cache(maxsize=1024)
 def _smallest_zero(nu):
+    # J_{nu+1} > 0 on (0, j_{nu+1}), which holds j_nu and the 0.25 step
+    # past it, so g = J_nu / J_{nu+1} has the sign of J_nu there and its
+    # first zero is j_nu; g' = (2nu+1) g / x - 1 - g^2 is -1 at the zero.
     # March in 0.25 steps from just past the turning region to the first
-    # sign change; J_nu > 0 on (0, j_nu) so the first crossing is j_nu.
-    # The march grid is one array call: it ends past the upper bound
-    # j_nu < sqrt(nu+1) (sqrt(nu+2) + 1) (Chambers, Math. Comp. 38, 1982).
+    # sign change; the march grid is one array call and ends past the
+    # upper bound j_nu < sqrt(nu+1) (sqrt(nu+2) + 1) (Chambers, Math.
+    # Comp. 38, 1982).
     start = max(nu, 0.0) + 0.1
     bound = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
     grid = start + 0.25 * np.arange(2 + int((bound - start) / 0.25))
-    crossed = np.flatnonzero(_bessel_any(nu, grid) <= 0.0)
+    crossed = np.flatnonzero(_ratio_to_next(nu, grid) <= 0.0)
     if not crossed.size:
         raise ConvergenceError(f"no sign change of J_{nu} found below {grid[-1]}")
     i = int(crossed[0])
     if i == 0:
         # j_nu below the first probe (nu very close to -1, j ~ 2 sqrt(nu+1));
-        # the series leading term is positive, so 0+ brackets from the left.
+        # g(0+) > 0, so 0+ brackets from the left.
         a, b = 1e-12, float(grid[0])
     else:
         a, b = float(grid[i - 1]), float(grid[i])
-    # Newton steps from the midpoint, J' = (nu/x) J_nu - J_{nu+1}.  Every
-    # sign seen shrinks the bracket, and a step that would leave it is
-    # replaced by bisection.  Once a step is below 1e-12 of the root,
-    # quadratic convergence makes the point it reaches good to rounding.
+    # Newton steps from the midpoint.  Every sign seen shrinks the
+    # bracket, and a step that would leave it is replaced by bisection.
+    # Once a step is below 1e-12 of the root, quadratic convergence makes
+    # the point it reaches good to rounding.
     root = 0.5 * (a + b)
     for _ in range(_ZERO_STEPS):
-        f = _bessel_any(nu, root)
-        if f == 0.0:
+        g = float(_ratio_to_next(nu, np.array([root]))[0])
+        if g == 0.0:
             break
-        if f > 0.0:
+        if g > 0.0:
             a = root
         else:
             b = root
-        step = f / ((nu / root) * f - _bessel_any(nu + 1.0, root))
+        slope = (2.0 * nu + 1.0) / root * g - 1.0 - g * g
+        step = g / slope if slope else math.inf
         if abs(step) <= 1e-12 * root:
             root -= step
             break
         root = root - step if a < root - step < b else 0.5 * (a + b)
     else:
         raise ConvergenceError(f"zero refinement did not converge for nu={nu}")
-    if abs(_bessel_any(nu, root)) >= 1e-12:
+    if abs(_ratio_to_next(nu, np.array([root]))[0]) >= 1e-12 * root:
         raise ConvergenceError(f"zero refinement stalled for nu={nu}")
     return root
 

@@ -97,6 +97,33 @@ def test_inertia_brackets_the_eigenvalue():
     assert lam * (1 - 1e-12) < exact <= lam * (1 + 1e-12)
 
 
+EDGE = -0.9999999999999998
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 120])
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(EDGE, EDGE), (EDGE, 49.5), (49.5, 49.5), (12.0, 12.0), (0.0, 0.0), (-0.95, 11.5), (0.3, 1.7)],
+)
+def test_inertia_count_matches_dense_svd(alpha, beta, n):
+    # Between two singular values of H that a dense SVD separates by well
+    # over its eps ||H|| accuracy, the count must equal the dense count.
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    # np.diag of an empty band is not n x n for n < 3: cut it back
+    h = np.diag(sp.h0) + np.diag(sp.h1, 1)[:n, :n] + np.diag(sp.h2, 2)[:n, :n]
+    sigma = np.sort(np.linalg.svd(h, compute_uv=False))
+    margin = 1e3 * np.finfo(float).eps * sigma[-1]
+    forward = eigensolver._inertia_bands(sp)
+    checked = 0
+    for below, (lo, hi) in enumerate(zip([0.0, *sigma], [*sigma, 4.0 * sigma[-1]])):
+        tau = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        if tau - lo > margin and hi - tau > margin:
+            assert eigensolver._count_below(forward, tau) == below, (below, tau)
+            checked += 1
+    # the bracket above the spectrum always counts, and most gaps do
+    assert checked >= max(1, n // 2)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         sharp_constant(P00, 5, tol=1e-15)

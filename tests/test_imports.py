@@ -62,13 +62,65 @@ def test_guard_flags_private_imports(tmp_path):
     ]
 
 
-def test_import_loads_no_scipy():
+def _fresh(code):
+    """stdout of `code` run in a fresh interpreter that imports mblab from
+    this checkout."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    code = (
-        "import sys, mblab\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def _loaded_by(module, names):
+    """The modules named in `names`, or inside them, that a fresh
+    `import module` loads."""
+    return _fresh(
+        f"import sys, {module}\n"
+        f"print(sorted(m for m in sys.modules"
+        f" if any(m == r or m.startswith(r + '.') for r in {names!r})))"
+    )
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_by("mblab", ("scipy",)) == "[]"
+
+
+def test_import_loads_no_mpmath():
+    # mpmath is loaded at the first Bessel escalation, not at import.
+    assert _loaded_by("mblab", ("mpmath",)) == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only `sweep --parallel` above 1 starts worker processes.
+    assert _loaded_by("mblab.cli", ("concurrent.futures", "multiprocessing")) == "[]"
+
+
+def test_zero_finder_loads_no_mpmath():
+    # j_12 and j_50 lie where the ascending series would escalate; the
+    # zero finder runs on the float64 ratio J_nu / J_{nu+1} instead.
+    code = (
+        "import sys\n"
+        "from mblab import smallest_positive_zero\n"
+        "zeros = [smallest_positive_zero(nu) for nu in (2.0, 12.0, 50.0)]\n"
+        "print('mpmath' in sys.modules)"
+    )
+    assert _fresh(code) == "False"
+
+
+def test_escalation_loads_mpmath_and_matches_it():
+    # In-process tests cannot see the deferred import: conftest loads mpmath.
+    code = (
+        "import sys\n"
+        "from mblab import bessel_j\n"
+        "before = 'mpmath' in sys.modules\n"
+        "value = bessel_j(25.0, 30.0)\n"
+        "after = 'mpmath' in sys.modules\n"
+        "import mpmath\n"
+        "with mpmath.workdps(40):\n"
+        "    exact = mpmath.besselj(25, 30)\n"
+        "print(before, after, float(abs(value - exact)))"
+    )
+    before, after, err = _fresh(code).split()
+    assert (before, after) == ("False", "True")
+    assert float(err) <= 1e-13

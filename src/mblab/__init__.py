@@ -28,8 +28,6 @@ from .discrete import (
     particular_x,
     particular_x_sequence,
     residual_support,
-    scale_v_to_x,
-    scale_x_to_v,
     y_bundle,
 )
 from .eigensolver import (
@@ -53,14 +51,7 @@ from .jacobi import (
     raising_coefficient,
     recurrence_coefficients,
 )
-from .pencil import (
-    BandedPencil,
-    ScaledPencil,
-    apply_operator,
-    build_pencil,
-    scaled_pencil,
-    symmetrized_bands,
-)
+from .pencil import ScaledPencil, scaled_pencil
 from .special import (
     BesselOrder,
     bessel_j,

@@ -187,7 +187,7 @@ def build_parser():
         "--perturb",
         type=float,
         default=0.0,
-        help="scale one band of A by (1+eps); residual checks should fail",
+        help="scale the band h2 of H by (1+eps); the residual checks should fail",
     )
 
     return parser

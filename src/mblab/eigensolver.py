@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .jacobi import log_norm_sequence
-from .pencil import ScaledPencil, g_bands, scaled_pencil
+from .pencil import ScaledPencil, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import smallest_positive_zero
 
 __all__ = [
@@ -101,23 +101,6 @@ class SharpConstantReport:
     predicted: float
     ratio: float
     residual: float
-
-
-def _h_matvec(h0, h1, h2, x, out=None):
-    """H x for every row x of a 1-D or 2-D array, H upper triangular with
-    bands h0, h1, h2; written into `out` when given."""
-    out = np.multiply(h0, x, out=out)
-    out[..., :-1] += h1 * x[..., 1:]
-    out[..., :-2] += h2 * x[..., 2:]
-    return out
-
-
-def _ht_matvec(h0, h1, h2, y):
-    """H^T y for y of shape (n,)."""
-    out = h0 * y
-    out[1:] += h1 * y[:-1]
-    out[2:] += h2 * y[:-2]
-    return out
 
 
 # The n-long reductions below are einsums: for n > 1e4 a BLAS dot, norm
@@ -366,7 +349,7 @@ def _iterate(pencil, tol):
         z = solve_upper(solve_lower(q)[:, ::-1])[:, ::-1]
         basis = _orthonormal_blocks((z, q, p), basis_buf)
         del z, p  # the basis spans them: the product below peaks without them
-        hbasis = _h_matvec(h0, h1, h2, basis, out=hbasis_buf[: len(basis)])
+        hbasis = h_matvec(h0, h1, h2, basis, out=hbasis_buf[: len(basis)])
         c = np.linalg.eigh(_gram(hbasis, hbasis))[1][:, :m]
         q_new = _combine(c, basis)
         p = q_new - _combine(_gram(q_new, q).T, q)
@@ -378,7 +361,7 @@ def _iterate(pencil, tol):
         norms = [_dot(row, row) for row in hq]
         i = norms.index(min(norms))
         w, hw, lam = q[i], hq[i], norms[i]
-        r = _ht_matvec(h0, h1, h2, hw) - lam * w
+        r = ht_matvec(h0, h1, h2, hw) - lam * w
         residual = math.sqrt(_dot(r, r))
         if abs(lam - lam_prev) <= 0.25 * tol * lam and residual <= target:
             # A copy of the row, so a memoised Solution holds n doubles, not q.
@@ -489,4 +472,4 @@ def extremal_polynomial(params, n, tol=1e-12):
     """
     sol = solve(params, n, tol)
     v = _eigvec_original(params, n, sol.w)
-    return _h_matvec(*g_bands(params, n), v), v, sol.lambda_min ** -0.5
+    return h_matvec(*g_bands(params, n), v), v, sol.lambda_min ** -0.5

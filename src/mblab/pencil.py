@@ -6,15 +6,16 @@ eigenvalue of (A, D) where
     A = C1^T C2^T N^-1 D+ N^-1 C2 C1,      D = diag(d_0..d_{n-1}),
 
 C1, C2 are unit upper bidiagonal, N = diag(1..n) and D+ = diag(d_1..d_n).
-A is symmetric pentadiagonal and assembled here in banded storage, both
-in raw units, and as the upper-triangular factor H of the symmetrized,
-ratio-scaled form
+Every computation runs on the upper-triangular factor H of the
+symmetrized, ratio-scaled form
 
     B = D^-1/2 A D^-1/2 = H^T H,    H = D+^1/2 (N^-1 C2 C1) D^-1/2,
 
-whose entries involve only the well-scaled ratios sqrt(d_{k+1}/d_k).
-The raw form underflows around n ~ 460-480; the scaled form works for
-any n.
+whose entries involve only the well-scaled ratios sqrt(d_{k+1}/d_k), so
+it works for any n; this module owns H's band layout and its products.
+The raw pentadiagonal A and D, whose norms leave double range around
+n ~ 460-480, are assembled only for the independent dense oracle of
+`verify` and for `--dump-pencil`.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ __all__ = [
     "g_bands",
     "build_pencil",
     "scaled_pencil",
-    "band_matvec",
-    "apply_operator",
+    "h_matvec",
+    "ht_matvec",
     "symmetrized_bands",
-    "dense_a",
-    "dense_d",
     "dump_banded",
 ]
 
@@ -59,10 +58,6 @@ class BandedPencil:
     @property
     def d(self):
         return self.norms[: self.n]
-
-    @property
-    def dplus(self):
-        return self.norms[1:]
 
 
 @dataclass(frozen=True)
@@ -158,40 +153,21 @@ def symmetrized_bands(pencil):
     return b0, b1, b2
 
 
-def band_matvec(b0, b1, b2, w):
-    """Product of the symmetric pentadiagonal matrix with bands b0, b1, b2
-    and the vector w."""
-    out = b0 * w
-    n = len(b0)
-    if n > 1:
-        out[:-1] += b1 * w[1:]
-        out[1:] += b1 * w[:-1]
-    if n > 2:
-        out[:-2] += b2 * w[2:]
-        out[2:] += b2 * w[:-2]
+def h_matvec(h0, h1, h2, x, out=None):
+    """H x for every row x of a 1-D or 2-D array, H upper triangular with
+    bands h0, h1, h2; written into `out` when given."""
+    out = np.multiply(h0, x, out=out)
+    out[..., :-1] += h1 * x[..., 1:]
+    out[..., :-2] += h2 * x[..., 2:]
     return out
 
 
-def apply_operator(pencil, lam, v):
-    """(A - lam D) v with banded arithmetic."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (pencil.n,):
-        raise ValueError(f"vector length {v.shape} does not match pencil size {pencil.n}")
-    return band_matvec(pencil.diag, pencil.super1, pencil.super2, v) - lam * (pencil.d * v)
-
-
-def dense_a(pencil):
-    a = np.diag(pencil.diag)
-    n = pencil.n
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = pencil.super1[i]
-    for i in range(n - 2):
-        a[i, i + 2] = a[i + 2, i] = pencil.super2[i]
-    return a
-
-
-def dense_d(pencil):
-    return np.diag(pencil.d)
+def ht_matvec(h0, h1, h2, y):
+    """H^T y for y of shape (n,)."""
+    out = h0 * y
+    out[1:] += h1 * y[:-1]
+    out[2:] += h2 * y[:-2]
+    return out
 
 
 def dump_banded(pencil, stream):

@@ -1,9 +1,11 @@
 """Cross-module consistency checks, runnable from the CLI.
 
-Each check returns (name, passed, detail).  A nonzero `perturb` scales
-one band of the matrix under test (h2 of H for the oracle check, super2
-of A elsewhere) and is expected to make the checks fail; it exists as a
-negative-control hook.
+Each check returns (name, passed, detail).  The residual checks run on
+the factor H of B = H^T H that every solve uses; only the small-n oracle
+builds the raw pencil, as an independent dense reference.  A nonzero
+`perturb` scales the band h2 of H by (1 + perturb) in all three residual
+checks (particular support, Rayleigh bound, oracle equivalence) and is
+expected to make them fail; it exists as a negative-control hook.
 """
 
 from __future__ import annotations
@@ -83,19 +85,20 @@ def _check_norm_ratio():
     return CheckResult("norm_ratio_identity", worst < 1e-10, f"max rel defect {worst:.2e}")
 
 
-def _perturbed_pencil(params, n, perturb):
-    pen = pencil.build_pencil(params, n)
-    return replace(pen, super2=pen.super2 * (1.0 + perturb)) if perturb else pen
+def _pencil_under_test(params, n, perturb):
+    """The factor H under test: its band h2 scaled by (1 + perturb)."""
+    sp = pencil.scaled_pencil(params, n)
+    return replace(sp, h2=sp.h2 * (1.0 + perturb)) if perturb else sp
 
 
 def _check_particular_support(perturb):
     bad = []
     for (a, b) in [(0.0, 0.0), (1.0, 0.0), (0.5, 2.5), (-0.5, 1.0)]:
         p = JacobiWeightParams(a, b)
-        pen = _perturbed_pencil(p, 20, perturb)
+        sp = _pencil_under_test(p, 20, perturb)
         for j in (1, 2):
             sol = discrete.particular_v(p, j, 20)
-            ok, _ = discrete.residual_support(pen, sol)
+            ok, _ = discrete.residual_support(sp, sol)
             if not ok:
                 bad.append((a, b, j))
     return CheckResult(
@@ -116,19 +119,21 @@ def _check_ode_residual():
 
 
 def _check_rayleigh_bound(rng, perturb):
-    """Random vectors stay below M_n^2, and the solver's extremal vector
-    attains it (to 1e-9 relative) on the raw pencil."""
+    """Random vectors stay below M_n^2 = 1/lambda_min, and the solver's
+    vector w attains it (to 1e-9 relative): quotients ||w||^2 / ||Hw||^2
+    on the factor H under test."""
     p = JacobiWeightParams(0.4, 1.3)
     n = 25
-    pen = _perturbed_pencil(p, n, perturb)
-    result = eigensolver.smallest_eigenpair(pencil.scaled_pencil(p, n))
+    sp = _pencil_under_test(p, n, perturb)
+    result = eigensolver.solve(p, n)
     m2 = 1.0 / result.lambda_min
 
-    def quotient(v):
-        return float(v @ (pen.d * v)) / float(v @ pencil.apply_operator(pen, 0.0, v))
+    def quotient(w):
+        hw = pencil.h_matvec(sp.h0, sp.h1, sp.h2, w)
+        return float(w @ w) / float(hw @ hw)
 
     worst = max(quotient(rng.standard_normal(n)) for _ in range(100))
-    attained = quotient(result.eigenvector)
+    attained = quotient(result.w)
     ok = worst <= m2 + 1e-9 and abs(attained - m2) <= 1e-9 * m2
     return CheckResult(
         "rayleigh_bound",
@@ -138,18 +143,24 @@ def _check_rayleigh_bound(rng, perturb):
     )
 
 
+def _dense_b(params, n):
+    """Dense B = D^-1/2 A D^-1/2 from the raw pencil's bands."""
+    b0, b1, b2 = pencil.symmetrized_bands(pencil.build_pencil(params, n))
+    i = np.arange(n)
+    dense = np.diag(b0)
+    dense[i[:-1], i[1:]] = dense[i[1:], i[:-1]] = b1
+    dense[i[:-2], i[2:]] = dense[i[2:], i[:-2]] = b2
+    return dense
+
+
 def _check_oracle_equivalence(perturb):
     worst = 0.0
     for (a, b) in [(-0.5, 0.0), (0.0, 0.0), (1.0, 2.5)]:
         p = JacobiWeightParams(a, b)
         for n in (1, 2, 4, 8):
-            pen = pencil.build_pencil(p, n)
-            sd = np.sqrt(pen.d)
-            dense = np.linalg.eigvalsh(pencil.dense_a(pen) / np.outer(sd, sd))[0]
-            sp = pencil.scaled_pencil(p, n)
-            lam = eigensolver.smallest_eigenpair(
-                replace(sp, h2=sp.h2 * (1.0 + perturb))
-            ).lambda_min
+            dense = np.linalg.eigvalsh(_dense_b(p, n))[0]
+            sp = _pencil_under_test(p, n, perturb)
+            lam = eigensolver.smallest_eigenpair(sp).lambda_min
             worst = max(worst, abs(lam - dense) / dense)
     return CheckResult(
         "small_n_oracle_equivalence", worst < 1e-10, f"max rel defect {worst:.2e}"

@@ -75,6 +75,31 @@ def b_bands(sp):
     return b0, b1, h0[:-2] * h2
 
 
+def dense_a(pen):
+    """Dense A from the stored raw bands of a BandedPencil."""
+    a = np.diag(pen.diag)
+    for i in range(pen.n - 1):
+        a[i, i + 1] = a[i + 1, i] = pen.super1[i]
+    for i in range(pen.n - 2):
+        a[i, i + 2] = a[i + 2, i] = pen.super2[i]
+    return a
+
+
+def dense_d(pen):
+    """Dense D = diag(d_0..d_{n-1}) of a BandedPencil."""
+    return np.diag(pen.d)
+
+
+def dense_h(sp):
+    """Dense upper-triangular H from the bands of a ScaledPencil."""
+    h = np.diag(sp.h0)
+    for i in range(sp.n - 1):
+        h[i, i + 1] = sp.h1[i]
+    for i in range(sp.n - 2):
+        h[i, i + 2] = sp.h2[i]
+    return h
+
+
 def _moment_matrices(alpha, beta, n):
     """Exact Gram matrices of Q and Q' over the monomials of degree <= n."""
     moments = [exact_moment(alpha, beta, k) for k in range(2 * n + 1)]

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from mblab import (
     JacobiWeightParams,
-    build_pencil,
     bundle_matching_defect,
     extremal_polynomial,
     gauss_jacobi_quadrature,
@@ -22,8 +21,8 @@ from mblab import (
     smallest_positive_zero,
 )
 from mblab.continuum import ProfileBranch, ode_residual
-from mblab.pencil import dense_a, dense_d
-from conftest import j0_oracle, rayleigh_supremum
+from mblab.pencil import build_pencil
+from conftest import dense_a, dense_d, j0_oracle, rayleigh_supremum
 
 GRID = [-0.5, 0.0, 0.5, 1.0, 2.5]
 
@@ -92,9 +91,9 @@ def test_criterion_4_particular_solution_support():
     for alpha in GRID:
         for beta in GRID:
             p = JacobiWeightParams(alpha, beta)
-            pen = build_pencil(p, 20)
+            sp = scaled_pencil(p, 20)
             for j in (1, 2):
-                good, _ = residual_support(pen, particular_v(p, j, 20))
+                good, _ = residual_support(sp, particular_v(p, j, 20))
                 if not good:
                     bad.append((alpha, beta, j))
     _report(4, not bad, "all 50 cases clean" if not bad else f"leaks at {bad}")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,17 +7,15 @@ import pytest
 
 from mblab import (
     JacobiWeightParams,
-    build_pencil,
     bundle_matching_defect,
     particular_v,
     particular_x,
     particular_x_sequence,
     residual_support,
-    scale_v_to_x,
-    scale_x_to_v,
+    scaled_pencil,
     y_bundle,
 )
-from mblab.discrete import ParticularSolution, log_scale_factors, scale_factors
+from mblab.discrete import ParticularSolution, log_scale_factors
 from mblab.pencil import _c1_entries, _c2_entries
 
 P00 = JacobiWeightParams(0.0, 0.0)
@@ -24,7 +23,7 @@ P10 = JacobiWeightParams(1.0, 0.0)
 
 
 def test_scale_factors_legendre():
-    f = scale_factors(P00, 3)
+    f = np.exp(log_scale_factors(P00, 3))
     assert f[0] == pytest.approx(1.0, rel=1e-14)
     assert f[1] == pytest.approx(3.0, rel=1e-14)  # 3!/(2*1*1)
     assert f[2] == pytest.approx(7.5, rel=1e-13)  # 5!/(4*2*2)
@@ -43,20 +42,6 @@ def test_log_scale_factors_match_mpmath(alpha, beta):
             exact = lg(2 * k + a + b + 2) - k * mpmath.log(2) - lg(k + a + 1) - lg(k + b + 1)
             assert abs(logf[k] - float(exact)) <= 1e-9, k
     assert log_scale_factors(JacobiWeightParams(alpha, beta), 0).shape == (0,)
-
-
-def test_scale_factors_overflow_past_double_range():
-    assert np.all(np.isfinite(scale_factors(P00, 900)))
-    with pytest.raises(OverflowError):
-        scale_factors(P00, 1100)
-
-
-def test_scale_round_trip():
-    rng = np.random.default_rng(2)
-    for p in (P00, JacobiWeightParams(1.3, -0.4)):
-        v = rng.standard_normal(30)
-        back = scale_x_to_v(p, scale_v_to_x(p, v))
-        assert np.max(np.abs(back - v)) < 1e-13 * np.max(np.abs(v))
 
 
 def test_particular_v_values():
@@ -112,7 +97,7 @@ def test_homogeneous_annihilation(alpha, beta):
 def test_v_to_x_consistency(alpha, beta):
     p = JacobiWeightParams(alpha, beta)
     for j in (1, 2):
-        xs = scale_v_to_x(p, particular_v(p, j, 20).values)
+        xs = particular_v(p, j, 20).values / np.exp(log_scale_factors(p, 20))
         want = particular_x_sequence(p, j, 20).values
         assert np.max(np.abs(xs - want) / np.abs(want)) < 1e-12
 
@@ -121,23 +106,47 @@ def test_v_to_x_consistency(alpha, beta):
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.0), (0.5, 2.5)])
 def test_residual_support(alpha, beta, n):
     p = JacobiWeightParams(alpha, beta)
-    pen = build_pencil(p, n)
+    sp = scaled_pencil(p, n)
     for j in (1, 2):
-        ok, tail = residual_support(pen, particular_v(p, j, n))
+        ok, tail = residual_support(sp, particular_v(p, j, n))
         assert ok
         assert tail[0] != 0.0 or tail[1] != 0.0
 
 
 def test_residual_support_negative_control():
-    pen = build_pencil(P00, 20)
+    sp = scaled_pencil(P00, 20)
     rng = np.random.default_rng(9)
     fake = ParticularSolution(
         branch=1, exponent=0.0, variable="v", values=rng.standard_normal(20)
     )
-    ok, _ = residual_support(pen, fake)
+    ok, _ = residual_support(sp, fake)
     assert not ok
     with pytest.raises(ValueError):
-        residual_support(pen, ParticularSolution(1, 0.0, "v", np.ones(5)))
+        residual_support(sp, ParticularSolution(1, 0.0, "v", np.ones(5)))
+
+
+@pytest.mark.parametrize("n", [600, 40000])
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.3, 1.7), (-0.9, 2.0), (-0.95, -0.95), (12.0, 6.5)]
+)
+def test_residual_support_past_the_raw_range(alpha, beta, n):
+    # the raw norms d_k leave double range near k = 480; the check on H
+    # holds at any n, and its tail rows stay finite and do not cancel
+    p = JacobiWeightParams(alpha, beta)
+    sp = scaled_pencil(p, n)
+    for j in (1, 2):
+        sol = particular_x_sequence(p, j, n)
+        ok, tail = residual_support(sp, sol)
+        assert ok
+        assert all(0.1 < t < 1.0 for t in tail), tail
+        if n == 600:
+            perturbed = replace(sp, h2=sp.h2 * (1.0 + 1e-3))
+            assert not residual_support(perturbed, sol)[0]
+    if n == 600:
+        fake = ParticularSolution(
+            1, 0.0, "x", np.random.default_rng(3).standard_normal(n)
+        )
+        assert not residual_support(sp, fake)[0]
 
 
 def test_y_bundle_constant_and_alternating():

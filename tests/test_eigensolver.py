@@ -10,7 +10,6 @@ import scipy.linalg
 from mblab import (
     ConvergenceError,
     JacobiWeightParams,
-    build_pencil,
     convergence_study,
     extremal_polynomial,
     monic_eval,
@@ -23,8 +22,8 @@ from mblab import (
 )
 from mblab import eigensolver
 from mblab.eigensolver import _Recurrence
-from mblab.pencil import dense_a, dense_d
-from conftest import b_bands, mp_lambda_min, rayleigh_supremum
+from mblab.pencil import build_pencil
+from conftest import b_bands, dense_a, dense_d, mp_lambda_min, rayleigh_supremum
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 

@@ -3,16 +3,13 @@ import pytest
 
 from mblab import (
     JacobiWeightParams,
-    apply_operator,
-    build_pencil,
     norm_sequence,
     raising_coefficient,
     scaled_pencil,
     sharp_constant,
-    symmetrized_bands,
 )
-from mblab.pencil import band_matvec, dense_a
-from conftest import b_bands
+from mblab.pencil import build_pencil, h_matvec, ht_matvec, symmetrized_bands
+from conftest import b_bands, dense_a, dense_d, dense_h
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
@@ -66,24 +63,36 @@ def test_pencil_two_by_two_legendre():
 
 
 def test_apply_operator():
-    pen = build_pencil(P00, 2)
-    out = apply_operator(pen, 0.0, np.array([1.0, 0.0]))
-    assert out == pytest.approx([1.0 / 3.0, 0.0], abs=1e-15)
-    pen1 = build_pencil(P00, 1)
-    lam = pen1.diag[0] / pen1.d[0]
-    assert apply_operator(pen1, lam, np.array([1.0])) == pytest.approx([0.0], abs=1e-16)
-    assert apply_operator(pen, 0.7, np.zeros(2)) == pytest.approx([0.0, 0.0], abs=0)
+    # B = H^T H applied through the band products of H
+    def apply_b(sp, w):
+        return ht_matvec(sp.h0, sp.h1, sp.h2, h_matvec(sp.h0, sp.h1, sp.h2, w))
+
+    sp = scaled_pencil(P00, 2)  # B = diag(1/3, 1/15) for Legendre
+    assert apply_b(sp, np.array([1.0, 0.0])) == pytest.approx([1.0 / 3.0, 0.0], abs=1e-15)
+    assert apply_b(sp, np.array([0.0, 1.0])) == pytest.approx([0.0, 1.0 / 15.0], abs=1e-15)
+    sp1 = scaled_pencil(P00, 1)
+    lam = sp1.h0[0] ** 2
+    assert apply_b(sp1, np.array([1.0])) - lam == pytest.approx([0.0], abs=1e-16)
+    assert apply_b(sp, np.zeros(2)) == pytest.approx([0.0, 0.0], abs=0)
     with pytest.raises(ValueError):
-        apply_operator(pen, 0.0, np.zeros(3))
+        h_matvec(sp.h0, sp.h1, sp.h2, np.zeros(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_band_matvec_matches_dense(n):
-    pen = build_pencil(JacobiWeightParams(1.0, 0.5), n)
-    w = np.random.default_rng(n).standard_normal(n)
-    want = dense_a(pen) @ w
-    got = band_matvec(pen.diag, pen.super1, pen.super2, w)
-    assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * np.max(np.abs(want)))
+    sp = scaled_pencil(JacobiWeightParams(1.0, 0.5), n)
+    h = dense_h(sp)
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal(n)
+    for got, want in (
+        (h_matvec(sp.h0, sp.h1, sp.h2, w), h @ w),
+        (ht_matvec(sp.h0, sp.h1, sp.h2, w), h.T @ w),
+    ):
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * np.max(np.abs(want)))
+    block = rng.standard_normal((3, n))
+    assert h_matvec(sp.h0, sp.h1, sp.h2, block) == pytest.approx(
+        block @ h.T, rel=1e-13, abs=1e-13 * np.max(np.abs(block @ h.T))
+    )
 
 
 @pytest.mark.parametrize("alpha,beta,n", [(0.0, 0.0, 12), (1.0, 0.5, 9), (2.5, -0.5, 15)])
@@ -122,11 +131,12 @@ def test_rayleigh_quotient_bounded_by_sharp_constant():
     p = JacobiWeightParams(0.4, 1.3)
     n = 25
     pen = build_pencil(p, n)
+    a, d = dense_a(pen), dense_d(pen)
     m2 = sharp_constant(p, n).m_n ** 2
     rng = np.random.default_rng(11)
     for _ in range(100):
         v = rng.standard_normal(n)
-        quotient = float(v @ (pen.d * v)) / float(v @ apply_operator(pen, 0.0, v))
+        quotient = float(v @ d @ v) / float(v @ a @ v)
         assert quotient <= m2 + 1e-9
 
 
@@ -141,13 +151,7 @@ def test_scaled_pencil_matches_congruence(alpha, beta):
     assert sb1 == pytest.approx(b1, rel=1e-12, abs=1e-15)
     assert sb2 == pytest.approx(b2, rel=1e-12, abs=1e-15)
     # B = H^T H as dense matrices
-    h = np.zeros((n, n))
-    for i in range(n):
-        h[i, i] = sp.h0[i]
-    for i in range(n - 1):
-        h[i, i + 1] = sp.h1[i]
-    for i in range(n - 2):
-        h[i, i + 2] = sp.h2[i]
+    h = dense_h(sp)
     b = h.T @ h
     dense = np.diag(sb0)
     for i in range(n - 1):

@@ -114,14 +114,24 @@ def particular_x(params, j, k):
 
 
 def particular_x_sequence(params, j, n):
-    """x_0^(j)..x_{n-1}^(j) as a ParticularSolution."""
-    values = np.array([particular_x(params, j, k) for k in range(n)])
-    return ParticularSolution(
-        branch=j,
-        exponent=params.alpha if j == 1 else params.beta,
-        variable="x",
-        values=values,
-    )
+    """x_0^(j)..x_{n-1}^(j) as a ParticularSolution.
+
+    ln x_k = ln Gamma(e+1) + sum_{i=1..k} ln(1 + e/i), e the branch's
+    exponent: a cumulative sum of the log ratios x_i / x_{i-1} = (i+e)/i,
+    as in `log_scale_factors`, whose small terms keep the rounding of
+    large log-gammas out of x_k.
+    """
+    if j not in (1, 2):
+        raise ValueError(f"branch must be 1 or 2, got {j}")
+    e = params.alpha if j == 1 else params.beta
+    steps = np.log1p(e / np.arange(1.0, n))
+    with np.errstate(over="ignore"):
+        values = np.exp(log_gamma(e + 1.0) + np.cumsum(np.r_[0.0, steps])[:n])
+    if not np.isfinite(values).all():
+        raise OverflowError(f"particular solution x^({j}) overflows before k = {n}")
+    if j == 2:
+        values[1::2] *= -1.0
+    return ParticularSolution(branch=j, exponent=e, variable="x", values=values)
 
 
 def y_bundle(x, k):

@@ -31,7 +31,9 @@ def bisect_zero(fn, lo, hi, iters=90):
 
 
 def j0_oracle():
-    """Smallest positive zero of J_0 by bisection on the series."""
+    """Smallest positive zero of J_0 by plain bisection on `bessel_j`:
+    independent of the zero finder's march and Newton steps, not of the
+    recurrence both evaluate."""
     return bisect_zero(lambda x: bessel_j(0.0, x), 2.0, 3.0)
 
 

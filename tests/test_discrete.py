@@ -44,6 +44,22 @@ def test_log_scale_factors_match_mpmath(alpha, beta):
     assert log_scale_factors(JacobiWeightParams(alpha, beta), 0).shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.0, 0.0), (-0.95, -0.95), (0.3, 1.7), (49.5, -0.9999999999999998)]
+)
+def test_particular_x_sequence_matches_mpmath(alpha, beta):
+    # x_k = (-1)^{k(j-1)} Gamma(k+e+1) / k! at 40 digits, e = alpha, beta
+    p = JacobiWeightParams(alpha, beta)
+    for j, e in ((1, alpha), (2, beta)):
+        xs = particular_x_sequence(p, j, 40001).values
+        with mpmath.workdps(40):
+            for k in (0, 1, 2, 3, 10, 100, 1000, 9999, 20000, 39999, 40000):
+                exact = mpmath.gamma(k + mpmath.mpf(e) + 1) / mpmath.factorial(k)
+                exact *= (-1) ** (k * (j - 1))
+                assert abs(xs[k] / float(exact) - 1.0) <= 1e-10, (j, k)
+        assert particular_x_sequence(p, j, 0).values.shape == (0,)
+
+
 def test_particular_v_values():
     v1 = particular_v(P00, 1, 3).values
     assert v1 == pytest.approx([1.0, 3.0, 7.5], rel=1e-13)

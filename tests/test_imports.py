@@ -87,7 +87,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_mpmath():
-    # mpmath is loaded at the first Bessel escalation, not at import.
+    # mpmath is a test-only dependency; no module of the package loads it.
     assert _loaded_by("mblab", ("mpmath",)) == "[]"
 
 
@@ -97,8 +97,8 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_zero_finder_loads_no_mpmath():
-    # j_12 and j_50 lie where the ascending series would escalate; the
-    # zero finder runs on the float64 ratio J_nu / J_{nu+1} instead.
+    # j_12 and j_50 lie where the ascending series would cancel; the zero
+    # finder runs on the float64 ratio J_nu / J_{nu+1} instead.
     code = (
         "import sys\n"
         "from mblab import smallest_positive_zero\n"
@@ -108,19 +108,21 @@ def test_zero_finder_loads_no_mpmath():
     assert _fresh(code) == "False"
 
 
-def test_escalation_loads_mpmath_and_matches_it():
-    # In-process tests cannot see the deferred import: conftest loads mpmath.
+def test_bessel_and_profile_load_no_mpmath():
+    # J_25(30) and the (5, 8) profile points lie where the ascending series
+    # cancels; the backward recurrence stays in float64.  In-process tests
+    # cannot see an import: conftest loads mpmath.
     code = (
         "import sys\n"
-        "from mblab import bessel_j\n"
-        "before = 'mpmath' in sys.modules\n"
+        "from mblab import JacobiWeightParams, bessel_j, profile_compare\n"
         "value = bessel_j(25.0, 30.0)\n"
-        "after = 'mpmath' in sys.modules\n"
+        "profile_compare(JacobiWeightParams(5.0, 8.0), 400)\n"
+        "loaded = 'mpmath' in sys.modules\n"
         "import mpmath\n"
         "with mpmath.workdps(40):\n"
         "    exact = mpmath.besselj(25, 30)\n"
-        "print(before, after, float(abs(value - exact)))"
+        "print(loaded, float(abs(value - exact)))"
     )
-    before, after, err = _fresh(code).split()
-    assert (before, after) == ("False", "True")
+    loaded, err = _fresh(code).split()
+    assert loaded == "False"
     assert float(err) <= 1e-13

@@ -7,10 +7,12 @@ import pytest
 from mblab import (
     AccuracyWindowError,
     BesselOrder,
+    ConvergenceError,
     bessel_j,
     bessel_j_derivative,
     log_gamma,
     smallest_positive_zero,
+    special,
 )
 from conftest import j0_oracle
 
@@ -64,6 +66,8 @@ def test_bessel_domain_and_window():
         bessel_j(0.0, 121.0)
     with pytest.raises(AccuracyWindowError):
         bessel_j(50.5, 1.0)
+    with pytest.raises(AccuracyWindowError):
+        bessel_j_derivative(0.0, 121.0)
 
 
 def test_three_term_recurrence():
@@ -151,8 +155,8 @@ def _mp_besselj(nu, xs):
         return [float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))) for x in xs]
 
 
-# nu = 2 on [4, 6] and nu = 25 on [20, 40] escalate to mpmath near the
-# zeros, where the float64 series cancels; nu -> -1+ has J large near 0.
+# nu = 2 on [4, 6] and nu = 25 on [20, 40] hold zeros where the ascending
+# series cancels heavily; nu -> -1+ has J large near 0.
 @pytest.mark.parametrize(
     "nu,lo,hi",
     [(2.0, 4.0, 6.0), (25.0, 20.0, 40.0), (-0.999999, 1e-6, 3.0), (-0.5, 0.05, 10.0)],
@@ -163,6 +167,30 @@ def test_bessel_array_against_mpmath(nu, lo, hi):
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     for x, value, ref in zip(xs, got, _mp_besselj(nu, xs)):
         assert abs(value - ref) < 1e-13 * max(1.0, abs(ref)), x
+
+
+@pytest.mark.parametrize("nu", [-0.99999999, 0.0, 10.0, 25.0, 50.0])
+def test_bessel_window_edge_against_mpmath(nu):
+    # The backward recurrence must start far enough above x: a margin of
+    # 40 orders leaves errors of about 1e-6 here.
+    xs = np.linspace(100.0, 120.0, 81)
+    got = bessel_j(nu, xs)
+    for x, value, ref in zip(xs, got, _mp_besselj(nu, xs)):
+        assert abs(value - ref) < 1e-13 * max(1.0, abs(ref)), x
+
+
+def test_bessel_recurrence_failure_is_loud(monkeypatch):
+    # With the start pulled down to order 11.5, below x ~ 22, the second
+    # downward step divides by 2 (nu + 10) - x r = 21 - x (x / 23), which
+    # vanishes exactly at x = sqrt(21 * 23); the non-finite value must
+    # raise rather than be returned.
+    monkeypatch.setattr(special, "_MARGIN", -12)
+    x = math.sqrt(21.0 * 23.0)
+    assert 21.0 - x * (x / 23.0) == 0.0
+    with pytest.raises(ConvergenceError):
+        bessel_j(0.5, x)
+    with pytest.raises(ConvergenceError):
+        bessel_j(0.5, np.array([3.0, x]))
 
 
 def test_bessel_array_matches_scalar_calls():

@@ -15,8 +15,6 @@ from .continuum import (
     ProfileComparison,
     convergence_study,
     ode_residual,
-    ode_residual_of,
-    predicted_constant,
     profile_compare,
     profile_y,
     root_condition_min_l,
@@ -25,13 +23,11 @@ from .discrete import (
     ParticularSolution,
     bundle_matching_defect,
     particular_v,
-    particular_x,
     particular_x_sequence,
     residual_support,
     y_bundle,
 )
 from .eigensolver import (
-    EigenResult,
     SharpConstantReport,
     Solution,
     extremal_polynomial,
@@ -44,7 +40,6 @@ from .jacobi import (
     JacobiWeightParams,
     gauss_jacobi_quadrature,
     log_norm_sequence,
-    monic_eval,
     monic_eval_table,
     norm_ratio,
     norm_sequence,
@@ -53,7 +48,6 @@ from .jacobi import (
 )
 from .pencil import ScaledPencil, scaled_pencil
 from .special import (
-    BesselOrder,
     bessel_j,
     bessel_j_derivative,
     log_gamma,

@@ -138,13 +138,14 @@ def _resolve_tol(flag):
         raise ValueError(f"MB_LAB_TOL must be a number, got {env!r}") from None
 
 
-def _add_common(sub, needs_n=True):
+def _add_common(sub, needs_n=True, has_format=True):
     sub.add_argument("--alpha", type=_weight_param, required=True)
     sub.add_argument("--beta", type=_weight_param, required=True)
     if needs_n:
         sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    if has_format:
+        sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sub.add_argument("--output", default=None)
 
 
@@ -174,8 +175,8 @@ def build_parser():
     profile = subs.add_parser(
         "profile", help="eigenvector bundle vs closed-form profile data"
     )
-    _add_common(profile)
-    profile.set_defaults(output=None)
+    # The data go to two files of fixed layout, so there is no --format.
+    _add_common(profile, has_format=False)
 
     asym = subs.add_parser("asymptotics", help="convergence study over a degree list")
     _add_common(asym, needs_n=False)
@@ -195,10 +196,11 @@ def build_parser():
 
 def _cmd_constant(args):
     params = JacobiWeightParams(args.alpha, args.beta)
+    # Built before anything is written: it raises past the raw norms' range.
+    pen = build_pencil(params, args.n) if args.dump_pencil else None
     report = sharp_constant(params, args.n, args.tol)
     _emit(_reports_text([_report_row(report)], args.format), args.output)
-    if args.dump_pencil:
-        pen = build_pencil(params, args.n)  # raises past the raw norms' range
+    if pen is not None:
         with open(args.dump_pencil, "w", encoding="utf-8") as fh:
             dump_banded(pen, fh)
     return 0

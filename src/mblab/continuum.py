@@ -27,8 +27,6 @@ __all__ = [
     "ProfileBranch",
     "profile_y",
     "ode_residual",
-    "ode_residual_of",
-    "predicted_constant",
     "root_condition_min_l",
     "ProfileComparison",
     "profile_compare",
@@ -62,37 +60,36 @@ def branch_for(params, j, l):
     return ProfileBranch(j=j, b=params.alpha if j == 1 else params.beta, l=l)
 
 
-def profile_values(branch, ts):
-    """Closed-form profile values at an array of t > 0, through one
-    array Bessel call."""
-    ts = np.asarray(ts, dtype=float)
+def profile_y(branch, t):
+    """Closed-form profile at t > 0, through one Bessel call: a float for
+    a scalar t, an array for an array of them."""
+    ts = np.asarray(t, dtype=float)
     if not (ts > 0.0).all():
         raise ValueError(f"profile requires t > 0, got {ts[~(ts > 0.0)].flat[0]}")
     nu = branch.nu
     const = math.exp(
         branch.b * math.log(2.0) + log_gamma(nu + 1.0) - 0.5 * nu * math.log(branch.l)
     )
-    return const * ts * bessel_j(nu, math.sqrt(branch.l) * ts * ts / 2.0)
-
-
-def profile_y(branch, t):
-    """Closed-form profile value at t > 0."""
-    return float(profile_values(branch, float(t)))
+    y = const * ts * bessel_j(nu, math.sqrt(branch.l) * ts * ts / 2.0)
+    return float(y) if ts.ndim == 0 else y
 
 
 _STEPS = (0.02, 0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0003125)
 
 
-def _stencil(t, steps):
-    """The steps capped at t/8, and the points t + i h, i = -2..2, one row
-    per step."""
-    hs = np.minimum(steps, t / 8.0)
-    return hs, t + hs[:, None] * np.arange(-2.0, 3.0)
-
-
-def _stencil_defect(values, hs, b, t, l):
-    """Smallest relative defect of the ODE over the rows of `values`, the
-    function at the points of `_stencil`."""
+def ode_residual(branch, t, l=None):
+    """Relative defect of the closed-form profile of `branch` in
+    y'' = y'/t - (t^2 l - b(b-2)/t^2) y, l defaulting to branch.l (where
+    it is analytically zero: truncation only; another l is a negative
+    control).  Fourth-order central differences over the refined steps
+    of _STEPS, capped at t/8 because the 1/t^2 term steepens the
+    derivatives near the origin; the smallest defect is returned.  The
+    profile is evaluated at every stencil point in one call."""
+    b = branch.b
+    l = branch.l if l is None else float(l)
+    t = float(t)
+    hs = np.minimum(_STEPS, t / 8.0)
+    values = profile_y(branch, t + hs[:, None] * np.arange(-2.0, 3.0))
     best = math.inf
     for h, ys in zip(hs.tolist(), values.tolist()):
         d1 = (-ys[4] + 8.0 * ys[3] - 8.0 * ys[1] + ys[0]) / (12.0 * h)
@@ -103,34 +100,6 @@ def _stencil_defect(values, hs, b, t, l):
         scale = max(abs(ys[2]), abs(d1), abs(d2), 1e-30)
         best = min(best, abs(lhs) / scale)
     return best
-
-
-def ode_residual_of(fn, b, t, l, steps=_STEPS):
-    """Relative defect of y'' = y'/t - (t^2 l - b(b-2)/t^2) y for the
-    callable fn, via fourth-order central differences; the smallest
-    defect over the refined steps is returned.  Steps are capped at t/8
-    because the 1/t^2 term steepens the derivatives near the origin."""
-    hs, points = _stencil(t, steps)
-    values = np.array([[fn(s) for s in row] for row in points.tolist()])
-    return _stencil_defect(values, hs, b, t, l)
-
-
-def ode_residual(branch, t, l=None):
-    """Finite-difference defect of the closed-form profile in the
-    limiting ODE (analytically zero; truncation only), from one array
-    evaluation of the profile at every stencil point."""
-    lval = branch.l if l is None else float(l)
-    br = branch if l is None else ProfileBranch(branch.j, branch.b, lval)
-    t = float(t)
-    hs, points = _stencil(t, _STEPS)
-    return _stencil_defect(profile_values(br, points), hs, br.b, t, lval)
-
-
-def predicted_constant(params, n):
-    """Leading-order prediction n^2 / (2 j_nu*) for the sharp constant."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return float(n) ** 2 / (2.0 * smallest_positive_zero(params.nu_star))
 
 
 def root_condition_min_l(params):
@@ -191,7 +160,7 @@ def profile_compare(params, n, tol=1e-12):
     discrete = sign * y_bundle(x, ks)[branch - 1]
     br = branch_for(params, branch, l_star)
     ts = ks / float(n)
-    closed = profile_values(br, ts)
+    closed = profile_y(br, ts)
 
     discrete = _sup_normalize(discrete)
     closed = _sup_normalize(closed)

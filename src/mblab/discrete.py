@@ -31,7 +31,6 @@ __all__ = [
     "ParticularSolution",
     "log_scale_factors",
     "particular_v",
-    "particular_x",
     "particular_x_sequence",
     "y_bundle",
     "bundle_matching_defect",
@@ -98,19 +97,6 @@ def particular_v(params, j, n):
         variable="v",
         values=values,
     )
-
-
-def particular_x(params, j, k):
-    """x_k^(1) = (k+alpha)!/k!, x_k^(2) = (-1)^k (k+beta)!/k!."""
-    if j not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {j}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    e = params.alpha if j == 1 else params.beta
-    val = math.exp(log_gamma(k + e + 1.0) - log_gamma(k + 1.0))
-    if j == 2 and k % 2 == 1:
-        val = -val
-    return val
 
 
 def particular_x_sequence(params, j, n):

@@ -35,7 +35,6 @@ from .pencil import ScaledPencil, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import smallest_positive_zero
 
 __all__ = [
-    "EigenResult",
     "SharpConstantReport",
     "Solution",
     "solve",
@@ -55,34 +54,19 @@ _ZERO_PIVOT = -1e-300
 
 
 @dataclass(frozen=True)
-class EigenResult:
-    """Smallest generalized eigenvalue with certificate data.
-
-    `eigenvector` is the unit generalized eigenvector (original
-    coordinates) and `w` the unit eigenvector of the symmetrized matrix B
-    it is mapped from (read-only).  `residual` is the relative residual of the
-    symmetrized problem, || (B - lambda I) w || / || w ||, which is the
-    numerically meaningful certificate: the raw-coordinate residual is
-    amplified by the ~4^n condition of the diagonal scaling for large n.
-    `iterations` counts block inverse-iteration steps.  `multiplicity`
-    is the number of eigenvalues below lambda (1 + tol); it exceeds 1 for
-    a numerically multiple smallest eigenvalue.
-    """
-
-    lambda_min: float
-    eigenvector: np.ndarray
-    residual: float
-    iterations: int
-    multiplicity: int
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class Solution:
-    """One certified solve: the smallest eigenvalue of B = H^T H, its unit
-    eigenvector w (read-only) and the certificate data, with the meanings
-    of EigenResult.  The sharp constant, the extremal polynomial and the
-    profile comparison all derive from it."""
+    """One certified solve: the smallest eigenvalue of B = H^T H and its
+    unit eigenvector w (read-only).  The sharp constant, the extremal
+    polynomial and the profile comparison all derive from it.
+
+    `residual` is the relative residual of the symmetrized problem,
+    || (B - lambda I) w || / || w ||, which is the numerically meaningful
+    certificate: the raw-coordinate residual is amplified by the ~4^n
+    condition of the diagonal scaling for large n.  `iterations` counts
+    block inverse-iteration steps.  `multiplicity` is the number of
+    eigenvalues below lambda (1 + tol); it exceeds 1 for a numerically
+    multiple smallest eigenvalue.
+    """
 
     lambda_min: float
     w: np.ndarray
@@ -427,21 +411,13 @@ solve.cache_clear = _memoised_solve.cache_clear
 
 
 def smallest_eigenpair(pencil, tol=1e-12):
-    """Smallest generalized eigenvalue and eigenvector of (A, D), solved
-    on the bands of the ScaledPencil factor H (so modified bands are
-    honored); never memoised."""
+    """The Solution of the ScaledPencil factor H as given (so modified
+    bands are honored); never memoised.  `extremal_polynomial` maps w to
+    the eigenvector of (A, D)."""
     _check_tol(tol)
     if not isinstance(pencil, ScaledPencil):
         raise TypeError(f"expected ScaledPencil, got {type(pencil)}")
-    sol = _solve_core(pencil, tol)
-    return EigenResult(
-        lambda_min=sol.lambda_min,
-        eigenvector=_eigvec_original(pencil.params, pencil.n, sol.w),
-        residual=sol.residual,
-        iterations=sol.iterations,
-        multiplicity=sol.multiplicity,
-        w=sol.w,
-    )
+    return _solve_core(pencil, tol)
 
 
 def sharp_constant(params, n, tol=1e-12):

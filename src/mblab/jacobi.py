@@ -21,7 +21,6 @@ __all__ = [
     "norm_sequence",
     "log_norm_sequence",
     "recurrence_coefficients",
-    "monic_eval",
     "monic_eval_table",
     "raising_coefficient",
     "gauss_jacobi_quadrature",
@@ -147,23 +146,6 @@ def recurrence_coefficients(params, m):
             / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
         )
     return ak, bk
-
-
-def monic_eval(params, k, x):
-    """Monic Jacobi polynomial of degree k at x (scalar or array)."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    p_prev = np.ones_like(xs)
-    if k == 0:
-        return float(p_prev[0]) if scalar else p_prev
-    ak, bk = recurrence_coefficients(params, k)
-    p = xs - ak[0]
-    for j in range(1, k):
-        p, p_prev = (xs - ak[j]) * p - bk[j] * p_prev, p
-    return float(p[0]) if scalar else p
 
 
 def monic_eval_table(params, kmax, x):

@@ -19,7 +19,6 @@ evaluated in one array call, then Newton steps kept inside the bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from .exceptions import AccuracyWindowError, ConvergenceError
 
 __all__ = [
-    "BesselOrder",
     "log_gamma",
     "bessel_j",
     "bessel_j_derivative",
@@ -47,20 +45,6 @@ _ZERO_STEPS = 100
 # On x in [100, 120] a margin of 40 leaves errors of 1.6e-6 against
 # 40-digit reference values, 60 leaves 5.6e-12 and 80 leaves 4.4e-15.
 _MARGIN = 80
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Real order nu of J_nu, restricted to nu > -1."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not self.nu > -1.0:
-            raise ValueError(f"Bessel order must exceed -1, got {self.nu}")
-
-    def __float__(self):
-        return float(self.nu)
 
 
 def _order(order) -> float:
@@ -112,7 +96,10 @@ def _backward(nu, x):
             q *= live
             r = x / (2.0 * (nu + 2 * k) - x * q)  # r_{2k-1}
             r *= live
-            ratio = (mu + 2 * k) * (mu + k - 1) / ((mu + 2 * k - 2) * k)  # c_k / c_{k-1}
+            # c_k / c_{k-1}.  At k = 1 it is (mu + 2) mu / mu, and for mu
+            # below ulp(2) the sums round mu / mu to 0 / 0: take mu + 2.
+            den = (mu + 2 * k - 2) * k
+            ratio = (mu + 2 * k) * (mu + k - 1) / den if den else mu + 2.0
             t = 1.0 + ratio * (r * q) * t
         value = np.exp(lead) * (1.0 - x * r / (2.0 * mu)) / t
     bad = ~np.isfinite(value)

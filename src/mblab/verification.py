@@ -18,7 +18,7 @@ from . import discrete, eigensolver, pencil
 from .continuum import ProfileBranch, ode_residual
 from .jacobi import (
     JacobiWeightParams,
-    monic_eval,
+    monic_eval_table,
     norm_sequence,
     raising_coefficient,
     recurrence_coefficients,
@@ -62,11 +62,11 @@ def _check_raising_relation():
     worst = 0.0
     for (a, b) in [(0.0, 0.0), (1.0, 0.5), (2.5, -0.5)]:
         p = JacobiWeightParams(a, b)
-        p_up = JacobiWeightParams(a + 1.0, b)
+        table = monic_eval_table(p, 12, xs)
+        table_up = monic_eval_table(JacobiWeightParams(a + 1.0, b), 12, xs)
         for k in range(1, 13):
-            c = raising_coefficient(p, k)
-            lhs = monic_eval(p, k, xs)
-            rhs = monic_eval(p_up, k, xs) - c * monic_eval(p_up, k - 1, xs)
+            lhs = table[k]
+            rhs = table_up[k] - raising_coefficient(p, k) * table_up[k - 1]
             scale = np.max(np.abs([lhs, rhs])) + 1e-300
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
     return CheckResult("raising_relation", worst < 1e-10, f"max rel defect {worst:.2e}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mblab import bessel_j, solve
+from mblab import solve
 
 
 @pytest.fixture(autouse=True)
@@ -18,23 +18,11 @@ def _empty_solve_memo():
     solve.cache_clear()
 
 
-def bisect_zero(fn, lo, hi, iters=90):
-    """Plain bisection, no marching or Newton; fn(lo) > 0 > fn(hi)."""
-    assert fn(lo) > 0 > fn(hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def j0_oracle():
-    """Smallest positive zero of J_0 by plain bisection on `bessel_j`:
-    independent of the zero finder's march and Newton steps, not of the
-    recurrence both evaluate."""
-    return bisect_zero(lambda x: bessel_j(0.0, x), 2.0, 3.0)
+    """Smallest positive zero of J_0 from mpmath, which shares no code
+    with the library's recurrence or zero finder."""
+    with mpmath.workdps(30):
+        return float(mpmath.besseljzero(0, 1))
 
 
 def _poly_mul(p, q):

@@ -156,20 +156,21 @@ def test_constant_output_file_and_dump(capsys, tmp_path):
     assert len(bands[1].split()) == 3
 
 
-def test_dump_pencil_past_raw_range_reports_then_fails(capsys, tmp_path):
-    # the raw norms leave double range at d_483 for alpha = beta = 0
+def test_dump_pencil_past_raw_range_writes_nothing(capsys, tmp_path):
+    # the raw norms leave double range at d_481 for (0.3, 1.7); the pencil
+    # is built before the report, so the failed command emits no row
     dump_path = tmp_path / "bands.txt"
-    code, out, err = run(
-        capsys,
-        [
-            "constant", "--n", "600", "--alpha", "0", "--beta", "0",
-            "--format", "json", "--dump-pencil", str(dump_path),
-        ],
-    )
-    assert code == 1
-    assert json.loads(out)["n"] == 600
-    assert "n=600" in err
-    assert not dump_path.exists()
+    out_path = tmp_path / "report.json"
+    argv = [
+        "constant", "--n", "600", "--alpha=0.3", "--beta=1.7",
+        "--format", "json", "--dump-pencil", str(dump_path),
+    ]
+    for extra in ([], ["--output", str(out_path)]):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 1
+        assert out == ""
+        assert "d_481" in err and "n=600" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_extremal_csv(capsys):
@@ -208,6 +209,22 @@ def test_profile_writes_two_column_files(capsys, tmp_path):
         lines = (tmp_path / f"prof.{suffix}.tsv").read_text().strip().splitlines()
         assert all(len(line.split()) == 2 for line in lines)
         assert len(lines) > 20
+
+
+def test_profile_rejects_format(capsys, tmp_path):
+    # the profile data go to two files of fixed layout
+    prefix = tmp_path / "prof"
+    code, out, err = run(
+        capsys,
+        [
+            "profile", "--n", "60", "--alpha", "1", "--beta", "0",
+            "--output", str(prefix), "--format", "json",
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert "--format" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_asymptotics(capsys):

@@ -11,14 +11,12 @@ from mblab import (
     bessel_j,
     convergence_study,
     ode_residual,
-    ode_residual_of,
-    predicted_constant,
     profile_compare,
     profile_y,
     root_condition_min_l,
+    sharp_constant,
     smallest_positive_zero,
 )
-from mblab.continuum import profile_values
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -85,26 +83,24 @@ def test_profile_domain():
 def test_ode_residual_grid(b, l):
     br = ProfileBranch(j=1, b=b, l=l)
     for t in (0.1, 0.5, 1.0):
-        residual = ode_residual(br, t)
-        assert residual < 1e-6
-        # One array evaluation gives the scalar calls' values exactly.
-        assert residual == ode_residual_of(lambda s: profile_y(br, s), b, t, l)
+        assert ode_residual(br, t) < 1e-6
 
 
 def test_ode_residual_examples_and_control():
     assert ode_residual(ProfileBranch(j=1, b=1.0, l=10.0), 0.5) < 1e-6
     assert ode_residual(ProfileBranch(j=1, b=0.0, l=4 * math.pi**2), 1.0) < 1e-6
-    # y = t is generically not a solution
-    assert ode_residual_of(lambda s: s, 1.0, 0.5, 10.0) > 0.1
+    # the profile of one l does not solve the ODE of another
+    br = ProfileBranch(j=1, b=1.0, l=10.0)
+    assert ode_residual(br, 0.5, l=2 * br.l) > 0.1
 
 
 def test_predicted_constant_values():
-    assert predicted_constant(P00, 10) == pytest.approx(100.0 / math.pi, rel=1e-13)
+    assert sharp_constant(P00, 10).predicted == pytest.approx(100.0 / math.pi, rel=1e-13)
     # the smaller of the two orders rules
-    assert predicted_constant(JacobiWeightParams(0.0, 2.0), 10) == pytest.approx(
+    assert sharp_constant(JacobiWeightParams(0.0, 2.0), 10).predicted == pytest.approx(
         100.0 / math.pi, rel=1e-13
     )
-    assert predicted_constant(P11, 10) == pytest.approx(
+    assert sharp_constant(P11, 10).predicted == pytest.approx(
         100.0 / (2.0 * 2.404825557695773), rel=1e-12
     )
 
@@ -153,12 +149,13 @@ def test_sup_defect_matches_50_digit_reference():
     assert len(cases) == 13
 
 
-def test_profile_values_match_profile_y():
+def test_profile_y_array_matches_scalar_calls():
     br = ProfileBranch(j=2, b=8.0, l=130.0)
     ts = np.linspace(0.05, 1.0, 30)
-    assert profile_values(br, ts).tolist() == [profile_y(br, t) for t in ts]
+    assert profile_y(br, ts).tolist() == [profile_y(br, t) for t in ts]
+    assert isinstance(profile_y(br, 0.5), float)
     with pytest.raises(ValueError):
-        profile_values(br, np.array([0.5, 0.0]))
+        profile_y(br, np.array([0.5, 0.0]))
 
 
 def test_profile_compare_l_star_near_root_condition():

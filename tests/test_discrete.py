@@ -9,7 +9,6 @@ from mblab import (
     JacobiWeightParams,
     bundle_matching_defect,
     particular_v,
-    particular_x,
     particular_x_sequence,
     residual_support,
     scaled_pencil,
@@ -73,10 +72,12 @@ def test_particular_v_values():
 
 
 def test_particular_x_values():
-    assert particular_x(P00, 1, 5) == pytest.approx(1.0, rel=1e-14)
-    for k in range(6):
-        assert particular_x(P00, 2, k) == pytest.approx((-1.0) ** k, rel=1e-14)
-    assert particular_x(P10, 1, 3) == pytest.approx(4.0, rel=1e-13)
+    assert particular_x_sequence(P00, 1, 6).values[5] == pytest.approx(1.0, rel=1e-14)
+    x2 = particular_x_sequence(P00, 2, 6).values
+    assert x2 == pytest.approx([(-1.0) ** k for k in range(6)], rel=1e-14)
+    assert particular_x_sequence(P10, 1, 4).values[3] == pytest.approx(4.0, rel=1e-13)
+    with pytest.raises(ValueError):
+        particular_x_sequence(P00, 3, 4)
 
 
 def test_sign_patterns():

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mblab
@@ -59,6 +60,27 @@ def test_guard_flags_private_imports(tmp_path):
     assert _private_cross_imports(sample) == [
         (2, "from pencil import _g"),
         (3, "eigensolver._solve"),
+    ]
+
+
+def test_public_names():
+    # One public function per quantity and one result type for the solver.
+    names = sorted(
+        name
+        for name, value in vars(mblab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "AccuracyWindowError", "CheckResult", "ConvergenceError", "JacobiWeightParams",
+        "ParticularSolution", "ProfileBranch", "ProfileComparison", "ScaledPencil",
+        "SharpConstantReport", "Solution", "bessel_j", "bessel_j_derivative",
+        "bundle_matching_defect", "convergence_study", "extremal_polynomial",
+        "gauss_jacobi_quadrature", "log_gamma", "log_norm_sequence", "monic_eval_table",
+        "norm_ratio", "norm_sequence", "ode_residual", "particular_v",
+        "particular_x_sequence", "profile_compare", "profile_y", "raising_coefficient",
+        "recurrence_coefficients", "residual_support", "root_condition_min_l",
+        "run_verification", "scaled_pencil", "sharp_constant", "smallest_eigenpair",
+        "smallest_positive_zero", "solve", "y_bundle",
     ]
 
 

@@ -3,12 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from mblab import (
     JacobiWeightParams,
     gauss_jacobi_quadrature,
     log_norm_sequence,
-    monic_eval,
     monic_eval_table,
     norm_ratio,
     norm_sequence,
@@ -100,19 +100,22 @@ def test_recurrence_matches_norm_ratio(alpha, beta):
 
 
 def test_monic_eval_basics():
-    assert monic_eval(P00, 0, 0.37) == 1.0
-    assert monic_eval(P00, 1, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert monic_eval_table(P00, 0, 0.37).tolist() == [[1.0]]
+    assert monic_eval_table(P00, 1, 0.0)[1, 0] == pytest.approx(0.0, abs=1e-15)
     # monic Legendre of degree 2 is x^2 - 1/3
-    assert monic_eval(P00, 2, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert monic_eval_table(P00, 2, 1.0)[2, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
     xs = np.linspace(-1, 1, 7)
-    assert monic_eval(P00, 2, xs) == pytest.approx(xs**2 - 1.0 / 3.0, abs=1e-14)
+    assert monic_eval_table(P00, 2, xs)[2] == pytest.approx(xs**2 - 1.0 / 3.0, abs=1e-14)
 
 
 def test_monic_eval_table_consistent():
+    # against scipy's Jacobi polynomials divided by their leading coefficient
     xs = np.linspace(-1, 1, 11)
-    table = monic_eval_table(P11, 6, xs)
-    for k in range(7):
-        assert table[k] == pytest.approx(monic_eval(P11, k, xs), abs=1e-13)
+    for p in (P11, JacobiWeightParams(2.5, -0.5)):
+        table = monic_eval_table(p, 6, xs)
+        for k in range(7):
+            poly = scipy.special.jacobi(k, p.alpha, p.beta)
+            assert table[k] == pytest.approx(poly(xs) / poly.coeffs[0], abs=1e-13)
 
 
 def test_raising_coefficient_values():
@@ -130,10 +133,11 @@ def test_raising_relation(alpha, beta):
     p = JacobiWeightParams(alpha, beta)
     up = JacobiWeightParams(alpha + 1.0, beta)
     xs = np.linspace(-1.0, 1.0, 25)
+    table, table_up = monic_eval_table(p, 12, xs), monic_eval_table(up, 12, xs)
     for k in range(1, 13):
         c = raising_coefficient(p, k)
-        lhs = monic_eval(p, k, xs)
-        rhs = monic_eval(up, k, xs) - c * monic_eval(up, k - 1, xs)
+        lhs = table[k]
+        rhs = table_up[k] - c * table_up[k - 1]
         scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
@@ -145,11 +149,13 @@ def test_differentiation_relation(alpha, beta):
     p = JacobiWeightParams(alpha, beta)
     up = JacobiWeightParams(alpha + 1.0, beta + 1.0)
     xs = np.linspace(-0.9, 0.9, 9)
+    table_up = monic_eval_table(up, 10, xs)
     for k in (1, 3, 6, 10):
-        want = k * monic_eval(up, k - 1, xs)
+        want = k * table_up[k - 1]
         best = np.inf
         for h in (1e-4, 5e-5, 2.5e-5):
-            fd = (monic_eval(p, k, xs + h) - monic_eval(p, k, xs - h)) / (2 * h)
+            plus, minus = monic_eval_table(p, k, xs + h)[k], monic_eval_table(p, k, xs - h)[k]
+            fd = (plus - minus) / (2 * h)
             best = min(best, np.max(np.abs(fd - want)) / max(1e-30, np.max(np.abs(want))))
         assert best < 1e-6
 

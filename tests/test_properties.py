@@ -1,7 +1,11 @@
 """Property tests: the solve entry points never return NaN or inf, near
 the edges of the weight range included; they return a certified value or
-raise a documented exception."""
+raise a documented exception.  The CLI's rows are finite, and a sweep row
+is the `constant` row of the same problem."""
 
+import contextlib
+import csv
+import io
 import math
 
 import numpy as np
@@ -19,7 +23,9 @@ from mblab import (
     scaled_pencil,
     sharp_constant,
     smallest_eigenpair,
+    solve,
 )
+from mblab.cli import main
 
 # Exponents anywhere in (-1, 50], and often just above -1, where the
 # weight is barely integrable and alpha + beta -> -2 when both are there.
@@ -60,7 +66,7 @@ def test_smallest_eigenpair_is_certified_or_raises(alpha, beta, n):
     assert math.isfinite(result.residual)
     assert result.multiplicity >= 1
     assert abs(math.sqrt(float(np.sum(result.w * result.w))) - 1.0) <= 1e-12
-    assert np.all(np.isfinite(result.eigenvector))
+    assert np.all(np.isfinite(result.w))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -112,3 +118,81 @@ def test_bessel_j_array_matches_scalar(nu, xs):
             bessel_j(nu, np.array(xs))
         return
     assert bessel_j(nu, np.array(xs)).tolist() == want
+
+
+# The CLI, run in process: exponents in (-1, 12], often just above -1,
+# and ascending degree lists in [2, 200].
+CLI_EXPONENT = st.one_of(
+    st.floats(min_value=-1.0, max_value=12.0, exclude_min=True),
+    st.floats(min_value=-1.0, max_value=-0.9, exclude_min=True),
+    st.integers(min_value=1, max_value=16).map(lambda k: -1.0 + 10.0**-k),
+)
+DEGREES = st.lists(
+    st.integers(min_value=2, max_value=200), min_size=1, max_size=4, unique=True
+).map(sorted)
+
+
+def _cli(argv):
+    """(exit code, stdout) of one in-process `mblab` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _weight_argv(alpha, beta):
+    # "--alpha=-0.5": argparse would read a separate "-0.5" as a flag.
+    return [f"--alpha={alpha!r}", f"--beta={beta!r}"]
+
+
+def _accepted(alpha, beta):
+    """False for the exponents next to -1 that JacobiWeightParams refuses
+    (exit 1)."""
+    try:
+        JacobiWeightParams(alpha, beta)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=CLI_EXPONENT, beta=CLI_EXPONENT, ns=DEGREES)
+@example(alpha=-0.9999999999999999, beta=0.3, ns=[2, 200])
+@example(alpha=-0.9999999999999998, beta=12.0, ns=[2, 3, 199, 200])
+def test_cli_asymptotics_rows_are_finite_and_positive(alpha, beta, ns):
+    code, out = _cli(
+        ["asymptotics", *_weight_argv(alpha, beta), "--n-list", ",".join(map(str, ns)),
+         "--format", "csv"]
+    )
+    if not _accepted(alpha, beta):
+        assert (code, out) == (1, "")
+        return
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(row["n"]) for row in rows] == ns
+    for row in rows:
+        for key in ("lambda_min", "ratio"):
+            value = float(row[key])
+            assert math.isfinite(value) and value > 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=CLI_EXPONENT, beta=CLI_EXPONENT, ns=DEGREES)
+@example(alpha=-0.9999999999999999, beta=0.3, ns=[2, 200])
+@example(alpha=-0.9999999999999998, beta=12.0, ns=[2, 3, 199, 200])
+def test_cli_sweep_rows_equal_constant_rows(alpha, beta, ns):
+    weight = _weight_argv(alpha, beta)
+    code, out = _cli(
+        ["sweep", *weight, "--n", ",".join(map(str, ns)), "--parallel", "1", "--format", "csv"]
+    )
+    if not _accepted(alpha, beta):
+        assert (code, out) == (1, "")
+        return
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == len(ns)
+    for n, row in zip(ns, rows):
+        solve.cache_clear()  # each command makes its own solve
+        code, out = _cli(["constant", *weight, "--n", str(n), "--format", "csv"])
+        assert code == 0
+        assert out.splitlines() == [header, row]

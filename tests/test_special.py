@@ -6,7 +6,6 @@ import pytest
 
 from mblab import (
     AccuracyWindowError,
-    BesselOrder,
     ConvergenceError,
     bessel_j,
     bessel_j_derivative,
@@ -48,13 +47,6 @@ def test_bessel_half_integer_closed_form():
     for x in np.linspace(0.05, 10.0, 80):
         want = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
         assert abs(bessel_j(0.5, x) - want) < 1e-12
-
-
-def test_bessel_order_object():
-    order = BesselOrder(0.5)
-    assert bessel_j(order, math.pi) == pytest.approx(0.0, abs=1e-13)
-    with pytest.raises(ValueError):
-        BesselOrder(-1.0)
 
 
 def test_bessel_domain_and_window():
@@ -103,7 +95,7 @@ def test_smallest_zero_closed_forms():
     assert abs(smallest_positive_zero(0.5) - math.pi) < 1e-12
 
 
-def test_smallest_zero_j0_against_bisection_oracle():
+def test_smallest_zero_j0_against_mpmath_oracle():
     j0 = smallest_positive_zero(0.0)
     assert abs(j0 - j0_oracle()) < 1e-12
     assert j0 == pytest.approx(2.404825557695773, abs=1e-12)
@@ -240,3 +232,16 @@ def test_zero_against_mpmath(nu):
         else:
             ref = float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), got))
     assert abs(got - ref) <= 1e-13 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("nu", [-0.9999999999999999, -0.9999999999999998])
+def test_least_orders_above_minus_one_against_mpmath(nu):
+    # mu = nu + 1 lies below ulp(2), where the Neumann coefficient ratio
+    # (mu + 2) mu / mu rounded to 0 / 0; alpha = -1 + 2^-52 has such an order.
+    xs = np.array([1e-3, 0.5, 2.0, 5.0])
+    with mpmath.workdps(40):
+        want = [float(mpmath.besselj(nu, x)) for x in xs]
+        zero = smallest_positive_zero(nu)
+        ref = float(mpmath.findroot(lambda x: mpmath.besselj(nu, x), zero))
+    assert bessel_j(nu, xs) == pytest.approx(want, rel=1e-14)
+    assert zero == pytest.approx(ref, rel=1e-13)

@@ -333,7 +333,8 @@ def main(argv=None):
         if "tol" in args:  # every subcommand but verify
             args.tol = _resolve_tol(args.tol)
         return _COMMANDS[args.command](args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # MemoryError: an --n whose arrays exceed what can be allocated.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

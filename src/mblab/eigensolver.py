@@ -423,9 +423,10 @@ def smallest_eigenpair(pencil, tol=1e-12):
 def sharp_constant(params, n, tol=1e-12):
     """Sharp derivative-to-function norm ratio M_n over polynomials of
     degree <= n, with the large-n prediction n^2 / (2 j) attached."""
+    # The zero first: outside its window it raises before a solve is spent.
+    j = smallest_positive_zero(params.nu_star)
     sol = solve(params, n, tol)
     m_n = sol.lambda_min ** -0.5
-    j = smallest_positive_zero(params.nu_star)
     predicted = float(n) ** 2 / (2.0 * j)
     return SharpConstantReport(
         n=n,

@@ -12,8 +12,10 @@ No sum cancels, so the values are good to ~1e-14 absolute (relative
 for large values) over the whole supported window.
 
 The smallest positive zero j_nu is found on the ratio J_nu / J_{nu+1}
-that the same recurrence gives: a march to a sign change over a grid
-evaluated in one array call, then Newton steps kept inside the bracket.
+that the same recurrence gives, run alone: no Neumann sum, and a start
+only _ZERO_MARGIN = 40 orders up, since the ratio settles to the last
+bit well before J does.  A march to a sign change over a grid evaluated
+in one array call, then Newton steps kept inside the bracket.
 """
 
 from __future__ import annotations
@@ -42,9 +44,12 @@ NU_WINDOW = 50.0
 _LN2 = math.log(2.0)
 _ZERO_STEPS = 100
 # Orders above max(x, nu) at which the backward recurrence starts (even).
-# On x in [100, 120] a margin of 40 leaves errors of 1.6e-6 against
+# On x in [100, 120] a margin of 40 leaves errors in J of 1.6e-6 against
 # 40-digit reference values, 60 leaves 5.6e-12 and 80 leaves 4.4e-15.
 _MARGIN = 80
+# The zero finder reads only the ratio J_nu / J_{nu+1}, at x < 60, and
+# that gives the same zeros to the last bit from a margin of 30 on.
+_ZERO_MARGIN = 40
 
 
 def _order(order) -> float:
@@ -62,18 +67,20 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
-def _backward(nu, x):
-    """(J_nu(x), J_nu(x) / J_{nu+1}(x)) at the points x > 0, an array of
-    any shape (0-d for one point, which runs on numpy scalars).
+def _backward(nu, x, margin, neumann):
+    """J_nu(x) if `neumann`, else the ratio J_nu(x) / J_{nu+1}(x), at the
+    points x > 0, an array of any shape (0-d for one point, which runs on
+    numpy scalars).
 
     At mu = nu + 1 the ratios r_m = J_{mu+m} / J_{mu+m-1} obey
     r_m = x / (2(mu+m) - x r_{m+1}).  Each point runs them from r = 0 at
-    its own even start m, _MARGIN orders above max(x, nu), down to r_1,
+    its own even start m, `margin` orders above max(x, nu), down to r_1,
     the direction in which J is the minimal solution, so the start error
     dies out; points above their start keep r = 0, so no point's
-    arithmetic depends on the others.  Alongside, the Neumann sum
+    arithmetic depends on the others.  The ratio J_nu / J_{nu+1} is
+    2mu/x - r_1.  For J itself the same loop also builds the Neumann sum
     (x/2)^mu = sum_k c_k J_{mu+2k}, c_k = (mu+2k) Gamma(mu+k) / k!
-    (DLMF 10.23.15), is built as the nested product
+    (DLMF 10.23.15), as the nested product
     t = 1 + (c_1/c_0) rho_1 (1 + (c_2/c_1) rho_2 (...)), rho_k =
     r_{2k-1} r_{2k}, so J_mu = (x/2)^mu / (Gamma(mu+1) t) and nothing
     overflows.  Normalising at mu rather than nu keeps the sum clear of
@@ -82,11 +89,12 @@ def _backward(nu, x):
     space so x/2 never underflows.
     """
     mu = nu + 1.0
-    # ln(x/2) as ln x - ln 2: x/2 underflows to 0 at the least subnormal.
-    lead = nu * (np.log(x) - _LN2) - log_gamma(mu)
-    if lead.max() > 708.0:
-        raise OverflowError(f"J_{nu}({x[lead > 708.0][0]}) overflows double precision")
-    tops = 2.0 * np.ceil(0.5 * np.maximum(x - nu, 0.0)) + _MARGIN
+    if neumann:
+        # ln(x/2) as ln x - ln 2: x/2 underflows to 0 at the least subnormal.
+        lead = nu * (np.log(x) - _LN2) - log_gamma(mu)
+        if lead.max() > 708.0:
+            raise OverflowError(f"J_{nu}({x[lead > 708.0][0]}) overflows double precision")
+    tops = 2.0 * np.ceil(0.5 * np.maximum(x - nu, 0.0)) + margin
     r = np.zeros_like(x)
     t = np.ones_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -96,17 +104,20 @@ def _backward(nu, x):
             q *= live
             r = x / (2.0 * (nu + 2 * k) - x * q)  # r_{2k-1}
             r *= live
-            # c_k / c_{k-1}.  At k = 1 it is (mu + 2) mu / mu, and for mu
-            # below ulp(2) the sums round mu / mu to 0 / 0: take mu + 2.
-            den = (mu + 2 * k - 2) * k
-            ratio = (mu + 2 * k) * (mu + k - 1) / den if den else mu + 2.0
-            t = 1.0 + ratio * (r * q) * t
+            if neumann:
+                # c_k / c_{k-1}.  At k = 1 it is (mu + 2) mu / mu, and for mu
+                # below ulp(2) the sums round mu / mu to 0 / 0: take mu + 2.
+                den = (mu + 2 * k - 2) * k
+                ratio = (mu + 2 * k) * (mu + k - 1) / den if den else mu + 2.0
+                t = 1.0 + ratio * (r * q) * t
+        if not neumann:
+            with np.errstate(over="ignore"):  # J_nu / J_{nu+1} -> inf as x -> 0
+                return 2.0 * mu / x - r
         value = np.exp(lead) * (1.0 - x * r / (2.0 * mu)) / t
     bad = ~np.isfinite(value)
     if bad.any():
         raise ConvergenceError(f"Bessel recurrence failed for nu={nu}, x={x[bad][0]}")
-    with np.errstate(over="ignore"):  # J_nu / J_{nu+1} -> inf as x -> 0
-        return value, 2.0 * mu / x - r
+    return value
 
 
 def _bessel_any(nu, x):
@@ -116,7 +127,7 @@ def _bessel_any(nu, x):
     out = xs.reshape(-1)  # a view: values replace the points in place
     zero = out == 0.0
     if not zero.all():
-        out[~zero] = _backward(nu, out[~zero])[0]
+        out[~zero] = _backward(nu, out[~zero], _MARGIN, True)
     out[zero] = 1.0 if nu == 0.0 else 0.0 if nu > 0.0 else math.inf
     return float(out[0]) if xs.ndim == 0 else xs
 
@@ -166,7 +177,7 @@ def _smallest_zero(nu):
     start = max(nu, 0.0) + 0.1
     bound = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
     grid = start + 0.25 * np.arange(2 + int((bound - start) / 0.25))
-    crossed = np.flatnonzero(_backward(nu, grid)[1] <= 0.0)
+    crossed = np.flatnonzero(_backward(nu, grid, _ZERO_MARGIN, False) <= 0.0)
     if not crossed.size:
         raise ConvergenceError(f"no sign change of J_{nu} found below {grid[-1]}")
     i = int(crossed[0])
@@ -182,7 +193,7 @@ def _smallest_zero(nu):
     # the point it reaches good to rounding.
     root = 0.5 * (a + b)
     for _ in range(_ZERO_STEPS):
-        g = float(_backward(nu, np.asarray(root))[1])
+        g = float(_backward(nu, np.asarray(root), _ZERO_MARGIN, False))
         if g == 0.0:
             break
         if g > 0.0:
@@ -197,7 +208,7 @@ def _smallest_zero(nu):
         root = root - step if a < root - step < b else 0.5 * (a + b)
     else:
         raise ConvergenceError(f"zero refinement did not converge for nu={nu}")
-    if abs(_backward(nu, np.asarray(root))[1]) >= 1e-12 * root:
+    if not abs(_backward(nu, np.asarray(root), _ZERO_MARGIN, False)) < 1e-12 * root:
         raise ConvergenceError(f"zero refinement stalled for nu={nu}")
     return root
 

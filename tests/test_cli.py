@@ -4,6 +4,7 @@ import math
 import pytest
 
 from mblab.cli import main
+from mblab.verification import run_verification
 
 
 def run(capsys, argv):
@@ -37,6 +38,14 @@ def test_invalid_arguments_exit_one(capsys):
     assert run(capsys, ["constant", "--n", "2", "--alpha", "-1", "--beta", "0"])[0] == 1
     assert run(capsys, ["sweep", "--alpha", "0,-1", "--beta", "0"])[0] == 1
     assert run(capsys, ["nope"])[0] == 1
+
+
+def test_unallocatable_n_exits_one(capsys):
+    # One int64 array of 2^55 entries is 256 PiB, beyond any address
+    # space, so numpy refuses at once and nothing is allocated.
+    code, out, err = run(capsys, ["constant", "--n", str(2**55), "--alpha", "0.3", "--beta", "1.7"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate")
 
 
 def test_sweep_empty_grid(capsys):
@@ -245,6 +254,16 @@ def test_verify_passes_and_is_seed_deterministic(capsys):
     assert "verification passed" in out1
     code, out2, _ = run(capsys, ["verify", "--seed", "7"])
     assert out1 == out2
+
+
+def test_verify_negative_seed_exits_one(capsys):
+    # The standard-library generator would accept -1; run_verification
+    # refuses it, as numpy's generator did.
+    code, out, err = run(capsys, ["verify", "--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be non-negative, got -1\n"
+    with pytest.raises(ValueError):
+        run_verification(seed=-1)
 
 
 def test_verify_perturbation_fails(capsys):

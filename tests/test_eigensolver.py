@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from mblab import (
+    AccuracyWindowError,
     ConvergenceError,
     JacobiWeightParams,
     convergence_study,
@@ -351,6 +352,13 @@ def test_one_solve_serves_every_entry_point(monkeypatch):
     # before the last evicts the earlier 1000.
     convergence_study(P37, [200, 1000])
     assert calls == [(1000, 1e-12), (200, 1e-12), (1000, 1e-12)]
+
+
+def test_zero_outside_window_raises_before_a_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(AccuracyWindowError, match="zero finder supports nu <= 50.0, got 74.5"):
+        sharp_constant(JacobiWeightParams(150.0, 160.0), 20000)
+    assert calls == []
 
 
 def test_memoised_results_equal_fresh_ones():

@@ -130,6 +130,18 @@ def test_zero_finder_loads_no_mpmath():
     assert _fresh(code) == "False"
 
 
+def test_verify_loads_no_numpy_random():
+    # The Rayleigh check draws its vectors from the standard library's
+    # generator; numpy.random alone would add about 5 MB to `mblab verify`.
+    code = (
+        "import sys\n"
+        "from mblab import run_verification\n"
+        "results = run_verification(seed=3)\n"
+        "print(all(r.passed for r in results), 'numpy.random' in sys.modules)"
+    )
+    assert _fresh(code) == "True False"
+
+
 def test_bessel_and_profile_load_no_mpmath():
     # J_25(30) and the (5, 8) profile points lie where the ascending series
     # cancels; the backward recurrence stays in float64.  In-process tests

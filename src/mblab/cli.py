@@ -40,16 +40,7 @@ def _fmt(x):
 
 
 def _report_row(report):
-    return [
-        report.n,
-        report.alpha,
-        report.beta,
-        report.lambda_min,
-        report.m_n,
-        report.predicted,
-        report.ratio,
-        report.residual,
-    ]
+    return [getattr(report, field) for field in _REPORT_FIELDS]
 
 
 def _json_number(x):
@@ -188,7 +179,8 @@ def build_parser():
         "--perturb",
         type=float,
         default=0.0,
-        help="scale the band h2 of H by (1+eps); the residual checks should fail",
+        help="scale the superdiagonal of H's factor K2 by (1+eps), which scales h2 by"
+        " (1+eps) and moves h1; the residual checks should fail",
     )
 
     return parser
@@ -207,44 +199,30 @@ def _cmd_constant(args):
 
 
 def _sweep_task(task):
+    """The report row of one sweep task, or None if its solve failed."""
     alpha, beta, n, tol = task
-    report = sharp_constant(JacobiWeightParams(alpha, beta), n, tol)
-    return _report_row(report)
+    try:
+        return _report_row(sharp_constant(JacobiWeightParams(alpha, beta), n, tol))
+    except (ConvergenceError, OverflowError):
+        return None
 
 
 def _cmd_sweep(args):
     ns = sorted(set(args.n) | set(args.n_range))
     tasks = [(a, b, n, args.tol) for a in sorted(set(args.alpha)) for b in sorted(set(args.beta)) for n in ns]
-    rows = {}
-    failed = False
     if args.parallel > 1 and len(tasks) > 1:
         # Imported here: it loads multiprocessing, which no other command
         # needs and every command would pay for at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            for task, outcome in zip(tasks, pool.map(_sweep_wrapped, tasks)):
-                rows[task] = outcome
+            rows = list(pool.map(_sweep_task, tasks))
     else:
-        for task in tasks:
-            rows[task] = _sweep_wrapped(task)
-    out_rows = []
-    for task in tasks:
-        row = rows[task]
-        if row is None:
-            failed = True
-            a, b, n, _ = task
-            row = [n, a, b, float("nan"), float("nan"), float("nan"), float("nan"), float("nan")]
-        out_rows.append(row)
+        rows = [_sweep_task(task) for task in tasks]
+    # A failed row keeps its n, alpha, beta and carries NaN elsewhere.
+    out_rows = [row or [n, a, b] + [float("nan")] * 5 for row, (a, b, n, _) in zip(rows, tasks)]
     _emit(_reports_text(out_rows, args.format), args.output)
-    return 2 if failed else 0
-
-
-def _sweep_wrapped(task):
-    try:
-        return _sweep_task(task)
-    except (ConvergenceError, OverflowError):
-        return None
+    return 2 if None in rows else 0
 
 
 def _cmd_extremal(args):

@@ -5,18 +5,17 @@ The solver works on the upper-triangular factor H of the symmetrized
 matrix B = H^T H (see the pencil module) and never forms B, so
 lambda_min = sigma_min(H)^2 keeps the relative accuracy of H's entries.
 Locally optimal block inverse iteration with two vectors finds the
-eigenpair: each step makes two banded triangular solves, H^T y = q and
-H z = y, and a Rayleigh-Ritz over the solves, the current vectors and the
-last change of the vectors (at most 6x6).  Each triangular solve is one
-partitioned solve, vectorised across blocks of rows and across the
-vectors, whose block couplings ("spikes") are computed once per solve.
-The certificate is an inertia count (negative pivots of an unpivoted
-LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
-eigenvalues are +-sigma_i(H) - tau: no singular value lies below
-sqrt(lambda (1 - tol)) and at least one lies below sqrt(lambda (1 + tol)).
-The count is a sequential scalar loop; at n = 1e4..4e4 its two passes
-take about 27% of a solve, about as much as the triangular solves of
-all the steps together.
+eigenpair: each step solves H^T y = q and H z = y through the
+bidiagonal factors H = K2 K1, four first-order recurrences, each one
+numpy cumulative sum over both vectors, and makes a Rayleigh-Ritz over
+the solves, the current vectors and the last change of the vectors (at
+most 6x6) on the bands of H.  The certificate is an inertia count
+(negative pivots of an unpivoted LDL^T) of the Golub-Kahan matrix
+[[0, H^T], [H, 0]] - tau I, whose eigenvalues are +-sigma_i(H) - tau: no
+singular value lies below sqrt(lambda (1 - tol)) and at least one lies
+below sqrt(lambda (1 + tol)).  The count is a sequential scalar loop; at
+n = 1e4..4e4 its two passes take roughly 35-40% of a solve, more than
+twice the scans of all the steps together.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .jacobi import log_norm_sequence
-from .pencil import ScaledPencil, g_bands, h_matvec, ht_matvec, scaled_pencil
+from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import smallest_positive_zero
 
 __all__ = [
@@ -106,88 +105,53 @@ def _combine(c, x):
     return np.einsum("ik,in->kn", c, x)
 
 
-class _Recurrence:
-    """Solves L x = r for L lower triangular with the diagonals d, a, b
-    (lengths n, n-1, n-2), that is the recurrence
-    x_k = (r_k - a_{k-1} x_{k-1} - b_{k-2} x_{k-2}) / d_k, by partition
-    (Wang's partition method, the SPIKE scheme for a banded system).
+# A scan restarts its running product P wherever |ln P| would pass this:
+# P, 1/P and one scan's P over the next one's d P then stay below e^630,
+# inside double range, for n up to 1e12.
+_SCAN_RANGE = 300.0
 
-    The n rows are cut into p blocks of m ~ sqrt(n/5) rows.  Every block
-    first runs the recurrence from a zero boundary, all blocks and right
-    hand sides at once, in m numpy steps.  A block's true solution is its
-    zero-boundary one plus x_{-1} S1 + x_{-2} S2, where the spikes S1, S2
-    answer the boundary values (1, 0) and (0, 1) of the previous block's
-    last two entries; they depend only on the bands and are computed once
-    here.  A p-step scalar recurrence then finds the true boundary values
-    and the spike corrections are added in place.  With p ~ 5m the m
-    numpy steps and the p scalar ones take about equal time at n = 1e4
-    and beyond.
-    """
 
-    def __init__(self, d, a, b):
-        n = len(d)
-        m = max(2, round(math.sqrt(n / 5)))
-        p = -(-n // m)
-        bands = np.zeros((3, p * m))
-        bands[0] = 1.0  # padding rows solve to 0 and couple to nothing
-        bands[0, :n] = d
-        bands[1, 1:n] = a
-        bands[2, 2:n] = b
-        # (3, m, p): step j of the sweep reads contiguous rows.
-        self._bands = np.ascontiguousarray(bands.reshape(3, p, m).transpose(0, 2, 1))
-        _, a, b = self._bands
-        # The spikes are zero-boundary solutions too: x_{-1} = 1 puts
-        # -a_{-1} into row 0 and -b_{-1} into row 1 of the right hand side,
-        # x_{-2} = 1 puts -b_{-2} into row 0.
-        spikes = np.zeros((2, p, m))
-        spikes[0, :, 0] = -a[0]
-        spikes[0, :, 1] = -b[1]
-        spikes[1, :, 0] = -b[0]
-        self._sweep(spikes)
-        # Blocks 1..p-1 take the corrections; the entries at the last two
-        # rows of blocks 0..p-2 carry the boundary values on.
-        self._spikes = spikes[:, 1:]
-        self._corners = [s[:-1, j].tolist() for j in (-1, -2) for s in spikes]
+def _scan_setup(d, e):
+    """(P, 1/(d P), blocks) of the lower bidiagonal L with diagonal d and
+    subdiagonal e: L x = r reads x_k = g_k x_{k-1} + r_k / d_k with
+    g_k = -e_{k-1} / d_k.  A block of rows [start, stop) restarts P at 1;
+    its `link` g_start P_{start-1} carries the block before in."""
+    gamma = -e / d[1:]
+    with np.errstate(divide="ignore"):  # a zero g_k forces a restart
+        logs = np.log(np.abs(gamma))  # of rows 1..n-1
+    p, blocks, start = np.ones(len(d)), [], 0
+    while start < len(d):
+        far = np.flatnonzero(np.abs(np.cumsum(logs[start:])) > _SCAN_RANGE)
+        stop = start + 1 + int(far[0]) if far.size else len(d)
+        np.cumprod(gamma[start : stop - 1], out=p[start + 1 : stop])
+        blocks.append((start, stop, gamma[start - 1] * p[start - 1] if start else 0.0))
+        start = stop
+    return p, 1.0 / (d * p), blocks
 
-    def _sweep(self, x):
-        """Zero-boundary recurrence in every block, in place on x of
-        shape (q, p, m), with the arithmetic of the scalar recurrence."""
-        d, a, b = self._bands
-        x = x.transpose(2, 0, 1)  # x[j]: row j of every block
-        tmp = np.empty(x.shape[1:])
-        for j, xj in enumerate(x):
-            if j > 0:
-                xj -= np.multiply(a[j], x[j - 1], out=tmp)
-            if j > 1:
-                xj -= np.multiply(b[j], x[j - 2], out=tmp)
-            xj /= d[j]
+
+class _Scans:
+    """Solves L1 L2 x = r for every row of r, L1 and L2 lower bidiagonal
+    (diagonal, subdiagonal) pairs: L1 u = r, then L2 x = u.  Each is a
+    first-order recurrence, x = P cumsum(r / (d P)): one numpy cumulative
+    sum between two scalings, made once per solve (the one after the first
+    sum and the one before the second as one product).  P restarts in
+    blocks where it would leave double range, e.g. at alpha = 300."""
+
+    def __init__(self, first, second):
+        p1, pre1, blocks1 = _scan_setup(*first)
+        p2, pre2, blocks2 = _scan_setup(*second)
+        self._pre, self._scans = pre1, ((blocks1, p1 * pre2), (blocks2, p2))
 
     def solve(self, r):
-        """The solution for every row of r, shape (q, n); a view into one
-        padded (q, p, m) buffer."""
-        q, n = r.shape
-        _, m, p = self._bands.shape
-        buf = np.zeros((q, p * m))
-        buf[:, :n] = r
-        x = buf.reshape(q, p, m)
-        self._sweep(x)
-        # True last two entries of blocks 0..p-2, which are the boundary
-        # values of blocks 1..p-1.
-        edges = []
-        for lasts, seconds in zip(x[:, :-1, -1].tolist(), x[:, :-1, -2].tolist()):
-            v = u = 0.0
-            last, second = [], []
-            for c1, c2, s11, s21, s12, s22 in zip(lasts, seconds, *self._corners):
-                v, u = c1 + s11 * v + s21 * u, c2 + s12 * v + s22 * u
-                last.append(v)
-                second.append(u)
-            edges += last, second
-        edges = np.array(edges).reshape(q, 2, p - 1, 1)
-        s1, s2 = self._spikes
-        tail = x[:, 1:]
-        tail += s1 * edges[:, 0]
-        tail += s2 * edges[:, 1]
-        return buf[:, :n]
+        t = r * self._pre
+        for blocks, scale in self._scans:
+            for start, stop, link in blocks:
+                seg = t[:, start:stop]
+                np.cumsum(seg, axis=1, out=seg)
+                if start:
+                    seg += link * t[:, start - 1 : start]
+            t *= scale
+        return t
 
 
 def _orthonormal_blocks(blocks, out):
@@ -294,21 +258,22 @@ def _iterate(pencil, tol):
     """Locally optimal block inverse iteration on B = H^T H from the bands
     of H; returns (lambda, w, residual, steps).
 
-    Each step makes Z = B^-1 Q with two partitioned triangular solves,
+    Each step makes Z = B^-1 Q = (K2 K1)^-1 (K2 K1)^-T Q with four scans,
     each over both vectors at once, and a Rayleigh-Ritz over
     span[Z, Q, P], P being the change of the Ritz vectors over the last
     step (LOBPCG with the exact inverse as preconditioner; Knyazev, SISC
-    23, 2001).  The spikes of both triangular factors are computed once
-    per call, before the first step.  The basis is one array, orthonormal
-    in n-space; one product H basis gives the small matrix, and the Ritz
+    23, 2001), which stalls when the inverse is of another matrix than the
+    H whose bands the step reads.  The basis is one array, orthonormal in
+    n-space; one product H basis gives the small matrix, and the Ritz
     vectors q and their products H q are combinations of the basis and of
     that product.
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
-    # H^T is lower triangular, and so is H with its rows and columns
-    # reversed: H z = y runs on the reversed bands.
-    solve_lower = _Recurrence(h0, h1, h2).solve
-    solve_upper = _Recurrence(h0[::-1], h1[::-1], h2[::-1]).solve
+    k1, k2 = (pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)
+    # H^T y = q is K1^T u = q, then K2^T y = u.  H z = y is K2 v = y, then
+    # K1 z = v, which with rows and columns reversed are lower bidiagonal.
+    solve_lower = _Scans(k1, k2).solve
+    solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in (k2, k1))).solve
 
     diag_b = h0 * h0
     diag_b[1:] += h1 * h1
@@ -411,12 +376,14 @@ solve.cache_clear = _memoised_solve.cache_clear
 
 
 def smallest_eigenpair(pencil, tol=1e-12):
-    """The Solution of the ScaledPencil factor H as given (so modified
-    bands are honored); never memoised.  `extremal_polynomial` maps w to
-    the eigenvector of (A, D)."""
+    """The Solution of the ScaledPencil factor H as given; never memoised.
+    Bands and factors must agree (pencil.check_factors; modify a pencil
+    with pencil.perturb_factor).  `extremal_polynomial` maps w to the
+    eigenvector of (A, D)."""
     _check_tol(tol)
     if not isinstance(pencil, ScaledPencil):
         raise TypeError(f"expected ScaledPencil, got {type(pencil)}")
+    check_factors(pencil)
     return _solve_core(pencil, tol)
 
 

@@ -9,10 +9,14 @@ C1, C2 are unit upper bidiagonal, N = diag(1..n) and D+ = diag(d_1..d_n).
 Every computation runs on the upper-triangular factor H of the
 symmetrized, ratio-scaled form
 
-    B = D^-1/2 A D^-1/2 = H^T H,    H = D+^1/2 (N^-1 C2 C1) D^-1/2,
+    B = D^-1/2 A D^-1/2 = H^T H,    H = D+^1/2 (N^-1 C2 C1) D^-1/2 = K2 K1,
 
-whose entries involve only the well-scaled ratios sqrt(d_{k+1}/d_k), so
-it works for any n; this module owns H's band layout and its products.
+whose entries involve only the well-scaled ratios r_k = d_{k+1}/d_k, so
+it works for any n.  H is the product of two upper bidiagonals,
+K1 = D+^1/2 C1 D^-1/2 (diagonal sqrt(r_k), superdiagonal c1_k) and
+K2 = D+^1/2 N^-1 C2 D+^-1/2 (diagonal 1/(k+1), superdiagonal
+c2_k / ((k+1) sqrt(r_{k+1}))); the solver inverts H through them.  This
+module owns H's band layout, its factors and its products.
 The raw pentadiagonal A and D, whose norms leave double range around
 n ~ 460-480, are assembled only for the independent dense oracle of
 `verify` and for `--dump-pencil`.
@@ -20,7 +24,7 @@ n ~ 460-480, are assembled only for the independent dense oracle of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +36,8 @@ __all__ = [
     "g_bands",
     "build_pencil",
     "scaled_pencil",
+    "check_factors",
+    "perturb_factor",
     "h_matvec",
     "ht_matvec",
     "symmetrized_bands",
@@ -63,11 +69,12 @@ class BandedPencil:
 @dataclass(frozen=True)
 class ScaledPencil:
     """Factor H of the symmetrized pencil B = H^T H, upper triangular with
-    bandwidth 2.
+    bandwidth 2, and its bidiagonal factors H = K2 K1.
 
-    h0/h1/h2 are the bands of H.  The squared singular values of H are
-    the eigenvalues of B, which equal the generalized eigenvalues of
-    (A, D).
+    h0/h1/h2 are the bands of H from their closed forms (h1 is exactly 0
+    at alpha = beta); k1_0/k1_1 and k2_0/k2_1 are the diagonals and
+    superdiagonals of K1 and K2.  The squared singular values of H are the
+    eigenvalues of B, which equal the generalized eigenvalues of (A, D).
     """
 
     n: int
@@ -75,6 +82,10 @@ class ScaledPencil:
     h0: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
+    k1_0: np.ndarray
+    k1_1: np.ndarray
+    k2_0: np.ndarray
+    k2_1: np.ndarray
 
 
 def _c1_entries(params, n):
@@ -133,13 +144,56 @@ def build_pencil(params, n):
 
 
 def scaled_pencil(params, n):
-    """Build the factor H directly from G and the norm ratios; never
-    forms the raw d_k, so it is safe for any n."""
+    """Build the factor H and its factors K1, K2 from the closed forms of
+    G, C1, C2 and the norm ratios; never forms the raw d_k, so it is safe
+    for any n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     sr = np.sqrt(norm_ratio(params, np.arange(n)))
     g0, g1, g2 = g_bands(params, n)
-    return ScaledPencil(n=n, params=params, h0=sr * g0, h1=g1, h2=g2 / sr[1 : n - 1])
+    k2_1 = _c2_entries(params, n) / (np.arange(1, n) * sr[1:])
+    return ScaledPencil(
+        n, params, sr * g0, g1, g2 / sr[1 : n - 1], sr, _c1_entries(params, n), g0, k2_1
+    )
+
+
+_FACTOR_BANDS = ("k1_0", "k1_1", "k2_0", "k2_1")
+
+
+def _factor_product(k1_0, k1_1, k2_0, k2_1):
+    """Bands of K2 K1, and the magnitude of the two terms of each entry of
+    its superdiagonal."""
+    first, second = k2_0[:-1] * k1_1, k2_1 * k1_0[1:]
+    return k2_0 * k1_0, first + second, k2_1[:-1] * k1_1[1:], abs(first) + abs(second)
+
+
+def check_factors(pencil):
+    """Raise ValueError unless the factors are finite with nonzero
+    diagonals and K2 K1 reproduces h0..h2 within 8 units of rounding of
+    each entry's terms (the closed forms stay within about 2): the solver
+    inverts H through its factors, so bands changed without them would be
+    solved with the inverse of another matrix."""
+    factors = [getattr(pencil, band) for band in _FACTOR_BANDS]
+    finite = all(np.all(np.isfinite(f)) for f in factors)
+    if not (finite and np.all(factors[0]) and np.all(factors[2])):
+        raise ValueError("the factors K1, K2 must be finite, with nonzero diagonals")
+    p0, p1, p2, scale1 = _factor_product(*factors)
+    bound = 8 * np.finfo(float).eps
+    for band, want, scale in ((pencil.h0, p0, p0), (pencil.h1, p1, scale1), (pencil.h2, p2, p2)):
+        if not np.all(abs(band - want) <= bound * abs(scale)):
+            raise ValueError("the bands of H disagree with the product K2 K1 of its factors")
+
+
+def perturb_factor(pencil, band, eps):
+    """The pencil with the factor band `band` (one of _FACTOR_BANDS)
+    scaled by (1 + eps) and h0..h2 rebuilt from the factors: the way to
+    make a modified pencil that the solver accepts.  Scaling k2_1 scales
+    h2 by exactly (1 + eps) and moves h1 with it."""
+    if band not in _FACTOR_BANDS:
+        raise ValueError(f"unknown factor band {band!r}")
+    factors = {b: getattr(pencil, b) * (1.0 + eps if b == band else 1.0) for b in _FACTOR_BANDS}
+    h0, h1, h2, _ = _factor_product(**factors)
+    return replace(pencil, h0=h0, h1=h1, h2=h2, **factors)
 
 
 def symmetrized_bands(pencil):

@@ -3,15 +3,16 @@
 Each check returns (name, passed, detail).  The residual checks run on
 the factor H of B = H^T H that every solve uses; only the small-n oracle
 builds the raw pencil, as an independent dense reference.  A nonzero
-`perturb` scales the band h2 of H by (1 + perturb) in all three residual
-checks (particular support, Rayleigh bound, oracle equivalence) and is
-expected to make them fail; it exists as a negative-control hook.
+`perturb` scales K2's superdiagonal, and so the band h2 of H = K2 K1, by
+(1 + perturb), h1 moving with it, in all three residual checks (particular
+support, Rayleigh bound, oracle equivalence) and is expected to make them
+fail; it exists as a negative-control hook.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +86,9 @@ def _check_norm_ratio():
 
 
 def _pencil_under_test(params, n, perturb):
-    """The factor H under test: its band h2 scaled by (1 + perturb)."""
+    """The factor H under test: K2's superdiagonal scaled by (1 + perturb)."""
     sp = pencil.scaled_pencil(params, n)
-    return replace(sp, h2=sp.h2 * (1.0 + perturb)) if perturb else sp
+    return pencil.perturb_factor(sp, "k2_1", perturb) if perturb else sp
 
 
 def _check_particular_support(perturb):

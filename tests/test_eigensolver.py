@@ -22,9 +22,9 @@ from mblab import (
     solve,
 )
 from mblab import eigensolver
-from mblab.eigensolver import _Recurrence
-from mblab.pencil import build_pencil
-from conftest import b_bands, dense_a, dense_d, mp_lambda_min, rayleigh_supremum
+from mblab.eigensolver import _Scans, _scan_setup
+from mblab.pencil import build_pencil, perturb_factor
+from conftest import b_bands, dense_a, dense_d, dense_h, mp_lambda_min, rayleigh_supremum
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -231,39 +231,68 @@ def test_extremal_derivative_linkage():
 
 
 def test_perturbed_bands_are_honored():
-    # the solver must consume the stored bands, not rebuild from params
+    # the solver must consume the stored bands, not rebuild from params;
+    # scaling K1's diagonal scales h0 by exactly 1 + 1e-3
     sp = scaled_pencil(JacobiWeightParams(0.5, 1.5), 12)
     res = smallest_eigenpair(sp)
-    res2 = smallest_eigenpair(dataclasses.replace(sp, h0=sp.h0 * (1.0 + 1e-3)))
+    perturbed = perturb_factor(sp, "k1_0", 1e-3)
+    assert np.allclose(perturbed.h0, sp.h0 * (1.0 + 1e-3), rtol=1e-15, atol=0.0)
+    res2 = smallest_eigenpair(perturbed)
     assert abs(res2.lambda_min - res.lambda_min) / res.lambda_min > 1e-4
 
 
-def _dense_h(sp):
-    n, k = sp.n, np.arange(sp.n)
-    h = np.zeros((n, n))
-    h[k, k] = sp.h0
-    h[k[:-1], k[:-1] + 1] = sp.h1
-    h[k[:-2], k[:-2] + 2] = sp.h2
-    return h
+def test_bands_that_disagree_with_the_factors_are_refused():
+    # H is inverted through K2 K1, so bands changed without their factors
+    # would be solved with the inverse of another matrix
+    sp = scaled_pencil(JacobiWeightParams(0.5, 1.5), 12)
+    with pytest.raises(ValueError, match="factors"):
+        smallest_eigenpair(dataclasses.replace(sp, h0=sp.h0 * (1.0 + 1e-3)))
+    with pytest.raises(ValueError, match="factors"):
+        smallest_eigenpair(dataclasses.replace(sp, h1=sp.h1 + 1e-12 * sp.h0[:-1]))
+    with pytest.raises(ValueError, match="factors"):
+        smallest_eigenpair(dataclasses.replace(sp, k2_0=np.zeros(12)))
+    with pytest.raises(ValueError, match="factor band"):
+        perturb_factor(sp, "h2", 1e-3)
 
 
-# 404, 405, 406 are m*p - 1, m*p and m*p + 1 for the m = 9, p = 45 blocks
-# of n = 405.
+# At alpha = 131.5 the scan of K1^T restarts its running product at row
+# 405 (ln|P| passes 300 there): n = 404, 405 and 406 lie on both sides.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 400, 404, 405, 406])
 @pytest.mark.parametrize("q", [1, 2])
 def test_partitioned_solve_matches_dense(n, q):
-    assert _Recurrence(np.ones(405), np.ones(404), np.ones(403))._bands.shape == (3, 9, 45)
-    for p in (JacobiWeightParams(0.3, 1.7), JacobiWeightParams(-0.95, -0.95)):
+    far = JacobiWeightParams(131.5, 0.0)
+    sp = scaled_pencil(far, 406)
+    assert [b[0] for b in _scan_setup(sp.k1_0, sp.k1_1)[2]] == [0, 405]
+    for p in (JacobiWeightParams(0.3, 1.7), JacobiWeightParams(-0.95, -0.95), far):
         sp = scaled_pencil(p, n)
-        h = _dense_h(sp)
+        h = dense_h(sp)
         r = np.random.default_rng(n).standard_normal((q, n))
-        # H^T y = r, and H z = r on the reversed bands
-        y = _Recurrence(sp.h0, sp.h1, sp.h2).solve(r)
-        z = _Recurrence(sp.h0[::-1], sp.h1[::-1], sp.h2[::-1]).solve(r[:, ::-1])[:, ::-1]
+        # H^T y = r by K1^T then K2^T; H z = r by K2 then K1, reversed
+        k1, k2 = (sp.k1_0, sp.k1_1), (sp.k2_0, sp.k2_1)
+        y = _Scans(k1, k2).solve(r)
+        z = _Scans(*((d[::-1], e[::-1]) for d, e in (k2, k1))).solve(r[:, ::-1])[:, ::-1]
         for got, mat in ((y, h.T), (z, h)):
-            want = np.linalg.solve(mat, r.T).T
+            want = scipy.linalg.solve_triangular(mat, r.T, lower=mat is not h).T
             assert got.shape == (q, n)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, n, lam",
+    [
+        # lambda from the partitioned triangular solves on the bands of H
+        # that the scans replaced; an unblocked scan underflows here
+        (300.0, 0.0, 2000, 4.655865987227533e-13),
+        (0.0, 300.0, 5000, 1.4043498598597071e-14),
+        (1000.0, 1000.0, 1000, 8.787920830750817e-08),
+    ],
+)
+def test_far_weights_solve_through_blocked_scans(alpha, beta, n, lam):
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    setups = [_scan_setup(d, e) for d, e in ((sp.k1_0, sp.k1_1), (sp.k2_0, sp.k2_1))]
+    assert max(len(blocks) for _, _, blocks in setups) > 1
+    got = solve(JacobiWeightParams(alpha, beta), n).lambda_min
+    assert abs(got - lam) <= 1e-12 * lam
 
 
 def test_lambda_matches_50_digit_reference():
@@ -393,7 +422,8 @@ def test_perturbed_pencil_is_never_memoised():
     p = JacobiWeightParams(0.5, 1.5)
     lam = sharp_constant(p, 400).lambda_min
     sp = scaled_pencil(p, 400)
-    perturbed = smallest_eigenpair(dataclasses.replace(sp, h2=sp.h2 * (1.0 + 1e-3)))
+    # K1's superdiagonal scaled: h2 moves by exactly 1 + 1e-3, and h1 with it
+    perturbed = smallest_eigenpair(perturb_factor(sp, "k1_1", 1e-3))
     assert abs(perturbed.lambda_min - lam) > 0.05 * lam
     assert sharp_constant(p, 400).lambda_min == lam
 

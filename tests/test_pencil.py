@@ -166,3 +166,39 @@ def test_scaled_pencil_large_n_no_overflow():
     b0 = b_bands(scaled_pencil(P00, 2000))[0]
     assert np.all(np.isfinite(b0))
     assert np.all(b0 > 0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.0, 0.0), (0.3, 1.7), (-0.95, -0.95), (-0.5, 0.5), (12.0, 6.5), (300.0, 0.0), (1000.0, 1000.0)],
+)
+@pytest.mark.parametrize("n", [3, 4000])
+def test_factors_reproduce_the_bands(alpha, beta, n):
+    # H = K2 K1: every entry of the product is within 4 units of rounding
+    # (eps times the magnitude of its terms) of the closed-form band
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    bound = 4 * np.finfo(float).eps
+    first, second = sp.k2_0[:-1] * sp.k1_1, sp.k2_1 * sp.k1_0[1:]
+    prod0, prod2 = sp.k2_0 * sp.k1_0, sp.k2_1[:-1] * sp.k1_1[1:]
+    assert np.all(np.abs(sp.h0 - prod0) <= bound * np.abs(prod0))
+    assert np.all(np.abs(sp.h1 - (first + second)) <= bound * (np.abs(first) + np.abs(second)))
+    assert np.all(np.abs(sp.h2 - prod2) <= bound * np.abs(prod2))
+    if alpha == beta:
+        # the parity split needs the closed form's exact zero
+        assert np.all(sp.h1 == 0.0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5), (-0.5, 2.0)])
+def test_factors_match_their_definition(alpha, beta):
+    # K1 = D+^1/2 C1 D^-1/2 and K2 = D+^1/2 N^-1 C2 D+^-1/2 as dense matrices
+    p = JacobiWeightParams(alpha, beta)
+    n = 12
+    sp = scaled_pencil(p, n)
+    d = norm_sequence(p, n)
+    c1 = unit_upper_bidiagonal(c1_superdiagonal(p, n))
+    c2 = unit_upper_bidiagonal(c2_superdiagonal(p, n))
+    k1 = np.diag(np.sqrt(d[1:])) @ c1 @ np.diag(d[:-1] ** -0.5)
+    k2 = np.diag(np.sqrt(d[1:]) / np.arange(1, n + 1)) @ c2 @ np.diag(d[1:] ** -0.5)
+    for dense, diag, sup in ((k1, sp.k1_0, sp.k1_1), (k2, sp.k2_0, sp.k2_1)):
+        assert np.allclose(dense, np.diag(diag) + np.diag(sup, 1), rtol=1e-13, atol=0.0)
+    assert np.allclose(k2 @ k1, dense_h(sp), rtol=1e-13, atol=1e-16)

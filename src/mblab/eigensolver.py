@@ -4,18 +4,18 @@ constant / extremal polynomial derived from it.
 The solver works on the upper-triangular factor H of the symmetrized
 matrix B = H^T H (see the pencil module) and never forms B, so
 lambda_min = sigma_min(H)^2 keeps the relative accuracy of H's entries.
-Locally optimal block inverse iteration with two vectors finds the
-eigenpair: each step solves H^T y = q and H z = y through the
-bidiagonal factors H = K2 K1, four first-order recurrences, each one
-numpy cumulative sum over both vectors, and makes a Rayleigh-Ritz over
-the solves, the current vectors and the last change of the vectors (at
-most 6x6) on the bands of H.  The certificate is an inertia count
-(negative pivots of an unpivoted LDL^T) of the Golub-Kahan matrix
-[[0, H^T], [H, 0]] - tau I, whose eigenvalues are +-sigma_i(H) - tau: no
-singular value lies below sqrt(lambda (1 - tol)) and at least one lies
-below sqrt(lambda (1 + tol)).  The count is a sequential scalar loop; at
-n = 1e4..4e4 its two passes take roughly 35-40% of a solve, more than
-twice the scans of all the steps together.
+Locally optimal block inverse iteration finds the eigenpair: each step
+solves H^T y = q and H z = y through the bidiagonal factors H = K2 K1,
+four first-order recurrences, each one numpy cumulative sum over all
+vectors, and makes a Rayleigh-Ritz over the solves, the current vectors
+and the last change of the vectors on the bands of H, with one vector
+where the large-n law puts the two smallest eigenvalues far apart and
+two otherwise.  The certificate: an inertia count (negative pivots of an
+unpivoted LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I,
+whose eigenvalues are +-sigma_i(H) - tau, finds no singular value below
+sqrt(lambda (1 - tol)), and the Rayleigh quotient of w, evaluated with
+error-free transformations, bounds lambda_min by lambda (1 + tol); where
+it does not, a second count finds a singular value below that root.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .exceptions import ConvergenceError
 from .jacobi import log_norm_sequence
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
-from .special import smallest_positive_zero
+from .special import NU_WINDOW, smallest_positive_zero
 
 __all__ = [
     "SharpConstantReport",
@@ -47,6 +47,15 @@ _MAX_STEPS = 200
 # A Rayleigh-Ritz direction whose part outside the earlier ones has a
 # relative squared norm below this is dropped from the basis.
 _DROP = 1e-14
+# Below _SMALL_N a solve keeps two vectors (at n = 4 one took 8-13 steps,
+# two took 2) and two inertia counts (at n = 25 one takes 10 us, the
+# Rayleigh bound 80 us).  One vector also needs alpha + beta above
+# _MIN_EXPONENT_SUM: with both exponents near -1 the scans' rounding stalls
+# it (4e-12 high at (-0.94, -0.92, 98235); each such case seen had
+# alpha + beta < -1.2).
+_SPLIT_RATIO = 1.2
+_SMALL_N = 200
+_MIN_EXPONENT_SUM = -1.0
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
 # as negative, the sign the pivot takes when the shift grows.
 _ZERO_PIVOT = -1e-300
@@ -62,16 +71,13 @@ class Solution:
     || (B - lambda I) w || / || w ||, which is the numerically meaningful
     certificate: the raw-coordinate residual is amplified by the ~4^n
     condition of the diagonal scaling for large n.  `iterations` counts
-    block inverse-iteration steps.  `multiplicity` is the number of
-    eigenvalues below lambda (1 + tol); it exceeds 1 for a numerically
-    multiple smallest eigenvalue.
+    block inverse-iteration steps.
     """
 
     lambda_min: float
     w: np.ndarray
     residual: float
     iterations: int
-    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -105,26 +111,29 @@ def _combine(c, x):
     return np.einsum("ik,in->kn", c, x)
 
 
-# A scan restarts its running product P wherever |ln P| would pass this:
+# A scan restarts its running product P wherever |P| would leave these:
 # P, 1/P and one scan's P over the next one's d P then stay below e^630,
 # inside double range, for n up to 1e12.
-_SCAN_RANGE = 300.0
+_SCAN_BOUNDS = math.exp(-300.0), math.exp(300.0)
 
 
 def _scan_setup(d, e):
     """(P, 1/(d P), blocks) of the lower bidiagonal L with diagonal d and
     subdiagonal e: L x = r reads x_k = g_k x_{k-1} + r_k / d_k with
-    g_k = -e_{k-1} / d_k.  A block of rows [start, stop) restarts P at 1;
-    its `link` g_start P_{start-1} carries the block before in."""
+    g_k = -e_{k-1} / d_k.  A block of rows [start, stop) restarts P at 1
+    (most weights need one block); its `link` g_start P_{start-1} carries
+    the block before in."""
     gamma = -e / d[1:]
-    with np.errstate(divide="ignore"):  # a zero g_k forces a restart
-        logs = np.log(np.abs(gamma))  # of rows 1..n-1
     p, blocks, start = np.ones(len(d)), [], 0
     while start < len(d):
-        far = np.flatnonzero(np.abs(np.cumsum(logs[start:])) > _SCAN_RANGE)
+        rest = p[start + 1 :]
+        with np.errstate(over="ignore", invalid="ignore"):  # beyond the block's end
+            np.cumprod(gamma[start:], out=rest)
+            size = abs(rest)
+        far = np.flatnonzero(~((_SCAN_BOUNDS[0] <= size) & (size <= _SCAN_BOUNDS[1])))
         stop = start + 1 + int(far[0]) if far.size else len(d)
-        np.cumprod(gamma[start : stop - 1], out=p[start + 1 : stop])
         blocks.append((start, stop, gamma[start - 1] * p[start - 1] if start else 0.0))
+        p[stop : stop + 1] = 1.0
         start = stop
     return p, 1.0 / (d * p), blocks
 
@@ -232,34 +241,101 @@ def _count_below(forward, tau):
     return neg - len(forward[0])
 
 
+# The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
+# temporaries stay small.
+_SPLITTER, _EFT_ROWS, _UNIT = 2.0**27 + 1.0, 8192, 2.0**-53
+
+
+def _two_product(a, b):
+    """p, e with p + e = a b exactly (Dekker's TwoProduct), barring underflow."""
+    p = a * b
+    a1, b1 = _SPLITTER * a, _SPLITTER * b
+    a1 -= a1 - a
+    b1 -= b1 - b
+    a2, b2 = a - a1, b - b1
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _rayleigh_bound(pencil, w):
+    """An upper bound on ||H w||^2 / ||w||^2 >= lambda_min for the float
+    bands and w.  (H w)_i by Dot2 (Ogita, Rump & Oishi, SISC 26, 2005) is
+    within u |(H w)_i| + gamma_3^2 (|H| |w|)_i, gamma_3 < 3.01 u; squares are
+    summed in blocks of b = ceil(sqrt(n)) in any order (gamma_b) and the
+    block sums by fsum, so gamma_(2b+16) covers the rest."""
+    n = pencil.n
+    b = math.isqrt(n - 1) + 1
+    blocks = np.zeros((-(-n // b), b))
+    flat = blocks.reshape(-1)
+    flat[:n] = w
+    ww = math.fsum(np.einsum("ij,ij->i", blocks, blocks))
+    size2 = 0.0  # ||(|H| |w|)||^2, roughly: its term is tiny
+    for start in range(0, n, _EFT_ROWS):
+        stop = min(start + _EFT_ROWS, n)
+        s, err, size = (np.zeros(stop - start) for _ in range(3))
+        for shift, band in enumerate((pencil.h0, pencil.h1, pencil.h2)):
+            k = max(min(stop, n - shift) - start, 0)
+            p, e = _two_product(band[start : start + k], w[start + shift : start + shift + k])
+            t = s[:k] + p
+            z = t - s[:k]
+            err[:k] += e + ((s[:k] - (t - z)) + (p - z))
+            s[:k] = t
+            size[:k] += abs(p)
+        flat[start:stop] = s + err
+        size2 += _dot(size, size)
+    hw = math.sqrt(math.fsum(np.einsum("ij,ij->i", blocks, blocks)))
+    hw += 2.0 * (3.01 * _UNIT) ** 2 * math.sqrt(size2)
+    k = 2 * b + 16
+    return hw * hw / ww * (1.0 + k * _UNIT / (1.0 - k * _UNIT))
+
+
+def _block_size(params, n):
+    """Vectors the iteration carries: one where the large-n law puts the
+    two smallest eigenvalues far apart, else two (small n, alpha = beta or
+    nearly, both exponents near -1, an order past the zero finder)."""
+    orders = params.nu_alpha, params.nu_beta
+    if n < _SMALL_N or params.alpha + params.beta <= _MIN_EXPONENT_SUM or max(orders) > NU_WINDOW:
+        return 2
+    low, high = sorted(map(smallest_positive_zero, orders))
+    return 1 if (high / low) ** 2 >= _SPLIT_RATIO else 2
+
+
 def _solve_core(pencil, tol):
     """Block inverse iteration on B = H^T H from the bands of H (see
-    _iterate), then the Golub-Kahan inertia certificate.  Returns the
-    Solution, w marked read-only.
+    _iterate), then the certificate.  Returns the Solution, w marked
+    read-only.
 
-    The relative accuracy of lambda rests on the inertia certificate
-    alone.  The iteration stops on an absolute residual target,
+    The relative accuracy of lambda rests on the certificate alone.  The
+    iteration stops on an absolute residual target,
     tol max(1, max diag B), which a tiny lambda meets at once: at
     alpha = beta = -1 + 2^-52 (lambda ~ 1e-23) the residual at n = 73 and
     200 is 0.8% and 2.6% of lambda, while tol lambda lies far below the
     rounding of B w itself.
     """
-    lam, w, residual, steps = _iterate(pencil, tol)
-    # Built only now, when the arrays of the steps are gone.
+    lam, w, residual, steps = _iterate(pencil, tol, _block_size(pencil.params, pencil.n))
+    upper = lam * (1.0 + tol)
+    # the bound before the bands, so that their arrays never coexist
+    bounded = pencil.n >= _SMALL_N and _rayleigh_bound(pencil, w) <= upper
     forward = _inertia_bands(pencil)
-    multiplicity = _count_below(forward, math.sqrt(lam * (1.0 + tol)))
-    if _count_below(forward, math.sqrt(lam * (1.0 - tol))) != 0 or multiplicity < 1:
+    if _count_below(forward, math.sqrt(lam * (1.0 - tol))) != 0 or not (
+        bounded or _count_below(forward, math.sqrt(upper)) >= 1
+    ):
         raise ConvergenceError("could not certify the eigenvalue bracket")
     w.flags.writeable = False
-    return Solution(lam, w, residual, steps, multiplicity)
+    return Solution(lam, w, residual, steps)
 
 
-def _iterate(pencil, tol):
+def _residual(pencil, w, hw, lam):
+    r = ht_matvec(pencil.h0, pencil.h1, pencil.h2, hw) - lam * w
+    return math.sqrt(_dot(r, r))
+
+
+def _iterate(pencil, tol, m):
     """Locally optimal block inverse iteration on B = H^T H from the bands
-    of H; returns (lambda, w, residual, steps).
+    of H with m vectors, and for m = 1 two smoothing solves B^-1 w of the
+    converged vector; returns (lambda, w, residual, steps).
 
     Each step makes Z = B^-1 Q = (K2 K1)^-1 (K2 K1)^-T Q with four scans,
-    each over both vectors at once, and a Rayleigh-Ritz over
+    each over all vectors at once, and a Rayleigh-Ritz over
     span[Z, Q, P], P being the change of the Ritz vectors over the last
     step (LOBPCG with the exact inverse as preconditioner; Knyazev, SISC
     23, 2001), which stalls when the inverse is of another matrix than the
@@ -281,12 +357,12 @@ def _iterate(pencil, tol):
     target = tol * max(1.0, float(np.max(diag_b)))
     del diag_b  # an n-vector the steps do not need
 
-    # Start from the even- and odd-index indicator vectors: at alpha =
-    # beta the problem splits by parity and each holds one class.
-    m = min(n, 2)
+    # Start from the indicators of the indices mod m: for m = 2 the even
+    # and odd ones, each holding one parity class at alpha = beta.
+    m = min(n, m)
     q = np.zeros((m, n))
     for row in range(m):
-        q[row, row::2] = 1.0 / math.sqrt(len(range(row, n, 2)))
+        q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
     p = np.empty((0, n))
     # The basis and its product with H are written into two buffers made
     # once per solve: new 3m-row arrays at every step raise the peak RSS
@@ -310,16 +386,23 @@ def _iterate(pencil, tol):
         norms = [_dot(row, row) for row in hq]
         i = norms.index(min(norms))
         w, hw, lam = q[i], hq[i], norms[i]
-        r = ht_matvec(h0, h1, h2, hw) - lam * w
-        residual = math.sqrt(_dot(r, r))
-        if abs(lam - lam_prev) <= 0.25 * tol * lam and residual <= target:
-            # A copy of the row, so a memoised Solution holds n doubles, not q.
-            return lam, w.copy(), residual, steps
+        # The residual (two n-long products) only once lambda has settled.
+        if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(pencil, w, hw, lam) <= target:
+            break
         lam_prev = lam
-    raise ConvergenceError(
-        f"block inverse iteration did not converge in {_MAX_STEPS} steps"
-        f" (residual {residual:.3e}, tolerance {target:.3e})"
-    )
+    else:
+        raise ConvergenceError(
+            f"block inverse iteration did not converge in {_MAX_STEPS} steps"
+            f" (residual {_residual(pencil, w, hw, lam):.3e}, tolerance {target:.3e})"
+        )
+    # Two solves smooth a single vector: without them the 50-digit sup
+    # defect at (2.5, -0.5, 4000) is 1.4e-9 off, with them 5.1e-12.  At
+    # alpha = beta = -1 + 2^-52 (two vectors) they raise the residual.
+    for _ in range(2 if m == 1 else 0):
+        z = solve_upper(solve_lower(w[None, :])[:, ::-1])[0, ::-1]
+        w = z / math.sqrt(_dot(z, z))
+    w = np.array(w)  # not a row of q, so a memoised Solution holds n doubles
+    return lam, w, _residual(pencil, w, h_matvec(h0, h1, h2, w), lam), steps
 
 
 def _check_tol(tol):

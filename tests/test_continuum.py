@@ -138,15 +138,26 @@ def test_profile_compare_converges():
     assert defects[200] < defects[100] < 0.1
 
 
+# Sup defects by perfbench/oracle.py (smallest_eigenpair, then
+# sup_defect) at 50 digits, outside the benchmark's reference table.
+# Without the smoothing solves one vector misses these by 1.1e-9,
+# 3.8e-10 and 3.7e-10.
+EXTRA_SUP_DEFECTS = {
+    "4.0,9.0,400": "0.106768014358351049151202872176",
+    "12.0,6.5,400": "0.194401907860996628128699621373",
+    "12.0,3.0,400": "0.111395603961756333484601625825",
+}
+
+
 def test_sup_defect_matches_50_digit_reference():
     # Sup defects recomputed from a 50-digit eigenpair that shares no code
-    # with mblab (measured worst difference 2.8e-11).
+    # with mblab (measured worst difference 3.0e-11).
     cases = json.loads(REFERENCE.read_text())["sup_defect"]
-    for key, value in cases.items():
+    assert len(cases) == 13
+    for key, value in {**cases, **EXTRA_SUP_DEFECTS}.items():
         alpha, beta, n = key.split(",")
         c = profile_compare(JacobiWeightParams(float(alpha), float(beta)), int(n))
         assert abs(c.sup_defect - float(value)) <= 1e-10, key
-    assert len(cases) == 13
 
 
 def test_profile_y_array_matches_scalar_calls():

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,7 +23,7 @@ from mblab import (
     solve,
 )
 from mblab import eigensolver
-from mblab.eigensolver import _Scans, _scan_setup
+from mblab.eigensolver import _Scans, _block_size, _rayleigh_bound, _scan_setup
 from mblab.pencil import build_pencil, perturb_factor
 from conftest import b_bands, dense_a, dense_d, dense_h, mp_lambda_min, rayleigh_supremum
 
@@ -78,9 +79,12 @@ def test_dense_oracle_small_n(alpha, beta):
 def test_eigen_result_certificate():
     p = JacobiWeightParams(0.5, 1.5)
     pen = build_pencil(p, 30)
-    res = smallest_eigenpair(scaled_pencil(p, 30), tol=1e-12)
+    sp = scaled_pencil(p, 30)
+    res = smallest_eigenpair(sp, tol=1e-12)
     assert res.residual <= 1e-12
-    assert res.multiplicity == 1
+    # a simple smallest eigenvalue: the second lies above the bracket
+    sigma = np.linalg.svd(dense_h(sp), compute_uv=False)
+    assert sigma[-2] ** 2 > res.lambda_min * (1 + 1e-12)
     _, v, _ = extremal_polynomial(p, 30, tol=1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
     # raw-space residual is meaningful at this size
@@ -321,7 +325,8 @@ def test_nearly_multiple_smallest_eigenvalue_is_certified(n):
     result = smallest_eigenpair(sp)
     h = np.diag(sp.h0) + np.diag(sp.h1, 1) + np.diag(sp.h2, 2)
     sigma = np.linalg.svd(h, compute_uv=False)[-1]
-    assert result.multiplicity >= 1
+    upper = math.sqrt(result.lambda_min * (1 + 1e-12))
+    assert eigensolver._count_below(eigensolver._inertia_bands(sp), upper) >= 1
     assert result.lambda_min == pytest.approx(sigma**2, rel=1e-6)
 
 
@@ -470,3 +475,129 @@ def test_signed_zero_exponent_shares_the_entry(monkeypatch, n, signed, plain):
     assert solve(JacobiWeightParams(*signed), n) is pos
     assert len(calls) == 2
     assert sharp_constant(JacobiWeightParams(*signed), n).alpha == signed[0]
+
+
+def _mp_quotient(sp, w):
+    """||H w||^2 / ||w||^2 of the float bands and the float w at 50 digits."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(v)) for v in w]
+        bands = [[mpmath.mpf(float(v)) for v in band] for band in (sp.h0, sp.h1, sp.h2)]
+        hw = [
+            mpmath.fsum(band[i] * x[i + k] for k, band in enumerate(bands) if i < len(band))
+            for i in range(sp.n)
+        ]
+        return mpmath.fsum(v * v for v in hw) / mpmath.fsum(v * v for v in x)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,n",
+    [
+        (0.0, 0.0, 500), (0.3, 1.7, 500), (-0.95, 11.5, 400), (-0.9, 2.0, 500),
+        (12.0, 6.5, 300), (12.0, 12.0, 500), (4.0, 9.0, 450), (EDGE, EDGE, 73),
+        (EDGE, 49.5, 120), (49.5, 20.0, 200), (2.5, -0.5, 500), (300.0, 0.0, 406),
+    ],
+)
+def test_rayleigh_bound_is_never_below_the_50_digit_quotient(alpha, beta, n):
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    w = smallest_eigenpair(sp).w
+    start = np.ones(n)
+    for x in (w, start, np.random.default_rng(n).standard_normal(n)):
+        exact = _mp_quotient(sp, x)
+        bound = _rayleigh_bound(sp, x)
+        assert bound >= exact
+        # the allowance at n = 500 is gamma_(2 * 23 + 16), about 7e-15
+        assert bound <= exact * (1 + 1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rayleigh_bound_at_the_smallest_degrees(n):
+    # h1 is empty at n = 1 and h2 at n <= 2
+    for p in (P00, P37, JacobiWeightParams(EDGE, EDGE)):
+        sp = scaled_pencil(p, n)
+        for x in (smallest_eigenpair(sp).w, np.arange(1.0, n + 1.0)):
+            exact = _mp_quotient(sp, x)
+            assert exact <= _rayleigh_bound(sp, x) <= exact * (1 + 1e-14)
+
+
+def _count_passes(monkeypatch):
+    """Record the shift of every inertia count from here on."""
+    shifts = []
+    count = eigensolver._count_below
+
+    def counting(forward, tau):
+        shifts.append(tau)
+        return count(forward, tau)
+
+    monkeypatch.setattr(eigensolver, "_count_below", counting)
+    return shifts
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,n,tol,lam",
+    [
+        # The float w's own quotient lies 4e-11 above lambda here.
+        (EDGE, EDGE, 73, 1e-12, 6.08950333689939e-23),
+        # At n = 1e4 the allowance, about 2.4e-14, exceeds tol.
+        (12.0, 12.0, 10000, 1e-14, 3.48240994547101e-14),
+        (12.0, 6.5, 10000, 1e-14, 1.469244125816185e-14),
+    ],
+)
+def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n, tol, lam):
+    # lam is what the two inertia passes certified before the bound
+    shifts = _count_passes(monkeypatch)
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    got = smallest_eigenpair(sp, tol=tol)
+    assert _rayleigh_bound(sp, got.w) > got.lambda_min * (1 + tol)
+    assert len(shifts) == 2
+    if alpha == beta:
+        assert got.lambda_min == lam
+    else:
+        assert got.lambda_min == pytest.approx(lam, rel=tol)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, 1.7), (12.0, 12.0), (EDGE, 49.5)])
+def test_rayleigh_bound_replaces_the_upper_count(monkeypatch, alpha, beta):
+    shifts = _count_passes(monkeypatch)
+    for n in (199, 200, 1000):
+        got = solve(JacobiWeightParams(alpha, beta), n)
+        lower, upper = (math.sqrt(got.lambda_min * (1 + s * 1e-12)) for s in (-1, 1))
+        # below n = 200 the second count is cheaper than the bound
+        assert shifts == ([lower, upper] if n < 200 else [lower])
+        shifts.clear()
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,m,lam",
+    [
+        # lambda at n = 2000 from two vectors and two inertia counts
+        (0.5, 0.8, 1, 1.0029910069462275e-12),  # ratio of the limits 1.256
+        (0.5, 0.7, 2, 1.003089145548638e-12),  # 1.169, below 1.2
+        (-0.6, -0.35, 1, 2.1917110927860147e-13),  # alpha + beta = -0.95
+        (-0.6, -0.45, 2, 2.1919280625407164e-13),  # alpha + beta = -1.05
+        (300.0, 0.0, 2, 4.65586598722752e-13),  # nu_alpha outside the zero finder
+        (1.0, 1.0, 2, None),
+        (0.5, 0.5 + 1e-6, 2, None),
+    ],
+)
+def test_block_size_rule(alpha, beta, m, lam):
+    p = JacobiWeightParams(alpha, beta)
+    assert _block_size(p, 2000) == m
+    assert _block_size(p, 199) == 2
+    if lam is not None:
+        assert abs(solve(p, 2000).lambda_min - lam) <= 1e-13 * lam
+
+
+@pytest.mark.parametrize("alpha,beta,steps", [(0.3, 1.7, 7), (12.0, 6.5, 12), (4.0, 9.0, 7)])
+def test_one_vector_step_counts(alpha, beta, steps):
+    # two vectors took 6, 8 and 7 steps
+    p = JacobiWeightParams(alpha, beta)
+    assert _block_size(p, 4000) == 1
+    assert solve(p, 4000).iterations == steps
+
+
+def test_scan_setup_takes_one_product_inside_the_range():
+    sp = scaled_pencil(P37, 4000)
+    for d, e in ((sp.k1_0, sp.k1_1), (sp.k2_0, sp.k2_1)):
+        p, pre, blocks = _scan_setup(d, e)
+        assert blocks == [(0, 4000, 0.0)]
+        assert np.array_equal(p[1:], np.cumprod(-e / d[1:]))

@@ -22,8 +22,9 @@ def test_every_check_passes(seed):
     "check", ["particular_support", "rayleigh_bound", "small_n_oracle_equivalence"]
 )
 def test_residual_checks_fail_under_perturbation(check, perturb):
-    # h2 of H scaled by 1 +- 1e-3: every case's support leaks (worst head
-    # row 2e-4 or more against 1e-8), the extremal vector's quotient moves
-    # by about 0.6% while random vectors stay far below M_n^2, and the
-    # oracle defect is about 2.6e-3 against 1e-10
+    # K2's superdiagonal scaled by 1 +- 1e-3 (h2 of H with it, h1 moving
+    # too): the support leaks on branch 2 of every case, the extremal
+    # vector's quotient is off M_n^2 by about 0.08% while random vectors
+    # stay far below it, and the oracle defect is about 2e-3 (1.99e-3 at
+    # +1e-3) against 1e-10
     assert not _outcomes(perturb=perturb)[check]

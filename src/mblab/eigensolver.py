@@ -15,7 +15,8 @@ unpivoted LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I,
 whose eigenvalues are +-sigma_i(H) - tau, finds no singular value below
 sqrt(lambda (1 - tol)), and the Rayleigh quotient of w, evaluated with
 error-free transformations, bounds lambda_min by lambda (1 + tol); where
-it does not, a second count finds a singular value below that root.
+it does not, and for small n, a second count finds a singular value
+below that root.
 """
 
 from __future__ import annotations
@@ -47,12 +48,13 @@ _MAX_STEPS = 200
 # A Rayleigh-Ritz direction whose part outside the earlier ones has a
 # relative squared norm below this is dropped from the basis.
 _DROP = 1e-14
-# Below _SMALL_N a solve keeps two vectors (at n = 4 one took 8-13 steps,
-# two took 2) and two inertia counts (at n = 25 one takes 10 us, the
-# Rayleigh bound 80 us).  One vector also needs alpha + beta above
-# _MIN_EXPONENT_SUM: with both exponents near -1 the scans' rounding stalls
-# it (4e-12 high at (-0.94, -0.92, 98235); each such case seen had
-# alpha + beta < -1.2).
+# One vector needs the predicted limits of the two smallest eigenvalues
+# _SPLIT_RATIO apart, alpha + beta above _MIN_EXPONENT_SUM (with both
+# exponents near -1 the scans' rounding stalls it: 4e-12 high at
+# (-0.94, -0.92, 98235); each such case seen had alpha + beta < -1.2) and
+# n >= _SMALL_N (at n = 4 one vector took 8-13 steps, two took 2).  Below
+# _SMALL_N the second inertia count always runs (at n = 25 a count takes
+# 10 us, the Rayleigh bound 80 us).
 _SPLIT_RATIO = 1.2
 _SMALL_N = 200
 _MIN_EXPONENT_SUM = -1.0

@@ -180,7 +180,8 @@ def build_parser():
         type=float,
         default=0.0,
         help="scale the superdiagonal of H's factor K2 by (1+eps), which scales h2 by"
-        " (1+eps) and moves h1; the residual checks should fail",
+        " (1+eps) and moves h1; the residual checks should fail.  Write a negative"
+        " value with '=', as --perturb=-1e-3",
     )
 
     return parser

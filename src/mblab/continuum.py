@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import log_scale_factors, y_bundle
+from .discrete import log_w_scale, y_bundle
 from .eigensolver import sharp_constant, solve
-from .jacobi import log_norm_sequence
 from .special import bessel_j, log_gamma, smallest_positive_zero
 
 __all__ = [
@@ -144,10 +143,9 @@ def profile_compare(params, n, tol=1e-12):
     sol = solve(params, n, tol)
     l_star = sol.lambda_min * float(n) ** 4
 
-    # x_k = w_k / (sqrt(d_k) * scale_k); the combined factor is only
-    # polynomially large, so the bundle is formed without over/underflow.
-    g = 0.5 * log_norm_sequence(params, n)[:n] + log_scale_factors(params, n)
-    x = sol.w * np.exp(-g)
+    # The factor from x to w is only polynomially large, so the bundle is
+    # formed without over/underflow.
+    x = sol.w * np.exp(-log_w_scale(params, n, "x"))
 
     degenerate = params.alpha == params.beta
     if degenerate:

@@ -1,11 +1,13 @@
 """Closed-form objects of the discrete boundary-value problem.
 
-The eigenvector coordinates v_k admit the rescaling
+The solver's symmetrized vector w, the monic coefficients
+v_k = w_k / sqrt(d_k) and the rescaled x_k = v_k / f_k,
 
-    v_k = x_k (2k+a+b+1)! / (2^k (k+a)! (k+b)!),
+    f_k = (2k+a+b+1)! / (2^k (k+a)! (k+b)!),
 
-under which the two zero-spectral-parameter particular solutions with
-vanishing left boundary data become pure gamma ratios
+are tied by one map, `log_w_scale`.  In x the two zero-spectral-parameter
+particular solutions with vanishing left boundary data become pure gamma
+ratios
 
     x_k^(1) = (k+a)!/k!,          x_k^(2) = (-1)^k (k+b)!/k!.
 
@@ -30,6 +32,7 @@ from .special import log_gamma
 __all__ = [
     "ParticularSolution",
     "log_scale_factors",
+    "log_w_scale",
     "particular_v",
     "particular_x_sequence",
     "y_bundle",
@@ -70,53 +73,54 @@ def log_scale_factors(params, n):
     return lead + np.cumsum(np.r_[0.0, steps])[:n] + math.log(2.0) * np.arange(n)
 
 
-def particular_v(params, j, n):
-    """Particular solution v^(j), j in {1, 2}, by its ratio recurrence.
-
-    Values grow like 2^k times a power, so an OverflowError names the
-    first k past the representable range.
-    """
-    if j not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {j}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    a, b = params.alpha, params.beta
-    s = a + b
-    low = b if j == 1 else a  # order parameter in the denominator factorial
-    values = np.empty(n)
-    values[0] = math.exp(log_gamma(s + 2.0) - log_gamma(low + 1.0))
-    sign = 1.0 if j == 1 else -1.0
-    for k in range(n - 1):
-        ratio = (2 * k + s + 2.0) * (2 * k + s + 3.0) / (2.0 * (k + 1) * (k + 1 + low))
-        values[k + 1] = sign * values[k] * ratio
-        if not abs(values[k + 1]) < _V_MAX:
-            raise OverflowError(f"particular solution component {k + 1} overflows")
-    return ParticularSolution(
-        branch=j,
-        exponent=params.alpha if j == 1 else params.beta,
-        variable="v",
-        values=values,
-    )
+def log_w_scale(params, n, variable):
+    """ln of the factor that takes the coordinates `variable` of a vector
+    to the solver's symmetrized w, for k = 0..n-1: w_k = sqrt(d_k) v_k
+    and v_k = f_k x_k, so 1/2 ln d_k for "v" and 1/2 ln d_k + ln f_k
+    for "x"."""
+    g = 0.5 * log_norm_sequence(params, n)[:n]
+    if variable == "x":
+        g = g + log_scale_factors(params, n)
+    elif variable != "v":
+        raise ValueError(f"variable must be 'v' or 'x', got {variable!r}")
+    return g
 
 
-def particular_x_sequence(params, j, n):
-    """x_0^(j)..x_{n-1}^(j) as a ParticularSolution.
-
-    ln x_k = ln Gamma(e+1) + sum_{i=1..k} ln(1 + e/i), e the branch's
-    exponent: a cumulative sum of the log ratios x_i / x_{i-1} = (i+e)/i,
-    as in `log_scale_factors`, whose small terms keep the rounding of
-    large log-gammas out of x_k.
-    """
+def _x_values(params, j, n):
+    """The exponent e of branch j in {1, 2} and x_0^(j)..x_{n-1}^(j) (inf
+    past the double range), ln x_k = ln Gamma(e+1) + sum_{i<=k} ln(1 + e/i):
+    as in `log_scale_factors`, summing the small log ratios keeps the
+    rounding of large log-gammas out of x_k."""
     if j not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {j}")
     e = params.alpha if j == 1 else params.beta
     steps = np.log1p(e / np.arange(1.0, n))
     with np.errstate(over="ignore"):
         values = np.exp(log_gamma(e + 1.0) + np.cumsum(np.r_[0.0, steps])[:n])
-    if not np.isfinite(values).all():
-        raise OverflowError(f"particular solution x^({j}) overflows before k = {n}")
     if j == 2:
         values[1::2] *= -1.0
+    return e, values
+
+
+def particular_v(params, j, n):
+    """Particular solution v^(j) = f x^(j), j in {1, 2}.  Values grow like
+    2^k times a power; an OverflowError names the first k past 1e290."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    e, x = _x_values(params, j, n)
+    with np.errstate(over="ignore"):
+        values = x * np.exp(log_scale_factors(params, n))
+    past = ~(np.abs(values) < _V_MAX)
+    if past.any():
+        raise OverflowError(f"particular solution component {int(np.argmax(past))} overflows")
+    return ParticularSolution(branch=j, exponent=e, variable="v", values=values)
+
+
+def particular_x_sequence(params, j, n):
+    """x_0^(j)..x_{n-1}^(j) as a ParticularSolution (see `_x_values`)."""
+    e, values = _x_values(params, j, n)
+    if not np.isfinite(values).all():
+        raise OverflowError(f"particular solution x^({j}) overflows before k = {n}")
     return ParticularSolution(branch=j, exponent=e, variable="x", values=values)
 
 
@@ -147,16 +151,13 @@ def bundle_matching_defect(params, j, k):
     Branch 2 carries the alternating factor (-1)^k of x^(2), which the
     limiting vector absorbs, so the comparison is made on (-1)^k Y_k.
     """
-    xs = particular_x_sequence(params, j, k + 2).values
-    y = y_bundle(xs, k)
+    x = particular_x_sequence(params, j, k + 2)
+    y = y_bundle(x.values, k)
     if j == 2 and k % 2 == 1:
         y = -y
-    b_j = params.alpha if j == 1 else params.beta
-    if j == 1:
-        c0 = np.array([2.0, 0.0, 4.0 * params.alpha, 0.0])
-    else:
-        c0 = np.array([0.0, 2.0, 0.0, 4.0 * params.beta])
-    return float(np.linalg.norm(y / float(k) ** b_j - c0))
+    c0 = np.zeros(4)
+    c0[j - 1], c0[j + 1] = 2.0, 4.0 * x.exponent
+    return float(np.linalg.norm(y / float(k) ** x.exponent - c0))
 
 
 def residual_support(pencil, solution, rel_tol=1e-8):
@@ -164,8 +165,7 @@ def residual_support(pencil, solution, rel_tol=1e-8):
     particular solution and check that only the last two components
     survive.
 
-    The solution is mapped to w_k = sqrt(d_k) v_k (for x-coordinates,
-    v_k = f_k x_k with the `log_scale_factors` f_k), in log space and
+    The solution is mapped to w through `log_w_scale`, in log space and
     divided by its largest factor: w grows only polynomially, so any n
     works.  The support statement is invariant under this diagonal
     scaling.  Each row of r = H^T H w is measured against the magnitudes
@@ -181,9 +181,7 @@ def residual_support(pencil, solution, rel_tol=1e-8):
         )
     if n < 3:
         raise ValueError("support check needs n >= 3")
-    g = 0.5 * log_norm_sequence(pencil.params, n)[:n]
-    if solution.variable == "x":
-        g = g + log_scale_factors(pencil.params, n)
+    g = log_w_scale(pencil.params, n, solution.variable)
     w = values * np.exp(g - np.max(g))
     bands = (pencil.h0, pencil.h1, pencil.h2)
     abs_bands = [np.abs(h) for h in bands]

@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .discrete import log_w_scale
 from .exceptions import ConvergenceError
-from .jacobi import log_norm_sequence
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import NU_WINDOW, smallest_positive_zero
 
@@ -414,12 +414,12 @@ def _check_tol(tol):
 
 def _eigvec_original(params, n, w):
     """Map the symmetrized eigenvector w to the unit eigenvector of
-    (A, D) through v_k = w_k / sqrt(d_k), in log space so the ~2^k
-    dynamic range cannot overflow."""
-    logd = log_norm_sequence(params, n)[:n]
+    (A, D) through v_k = w_k / sqrt(d_k) (`log_w_scale`), in log space so
+    the ~2^k dynamic range cannot overflow."""
+    g = log_w_scale(params, n, "v")
     t = np.full(n, -math.inf)
     nz = w != 0.0
-    t[nz] = np.log(np.abs(w[nz])) - 0.5 * logd[nz]
+    t[nz] = np.log(np.abs(w[nz])) - g[nz]
     shift = np.max(t)
     v = np.where(nz, np.sign(w) * np.exp(t - shift), 0.0)
     v /= math.sqrt(_dot(v, v))

@@ -88,30 +88,36 @@ class ScaledPencil:
     k2_1: np.ndarray
 
 
-def _c1_entries(params, n):
+def _two_k_plus_s(params, k):
+    """2k + alpha + beta with the rounding error of s = alpha + beta (TwoSum's
+    low part) added back, which counts where both exponents near -1 make it tiny."""
     a, b = params.alpha, params.beta
     s = a + b
+    b_rounded = s - a
+    return (2 * k + s) + ((a - (s - b_rounded)) + (b - b_rounded))
+
+
+def _c1_entries(params, n):
     k = np.arange(1, n, dtype=float)
-    return -2.0 * k * (k + b) / ((2 * k + s) * (2 * k + s + 1))
+    t = _two_k_plus_s(params, k)
+    return -2.0 * k * (k + params.beta) / (t * (t + 1))
 
 
 def _c2_entries(params, n):
-    a, b = params.alpha, params.beta
-    s = a + b
     k = np.arange(1, n, dtype=float)
-    return 2.0 * k * (k + a + 1) / ((2 * k + s + 1) * (2 * k + s + 2))
+    t = _two_k_plus_s(params, k)
+    return 2.0 * k * (k + params.alpha + 1) / ((t + 1) * (t + 2))
 
 
 def g_bands(params, n):
     """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2), which maps
     the monic coefficients of Q' to those of Q."""
-    s = params.alpha + params.beta
     rows = np.arange(1, n + 1, dtype=float)
-    k = rows[:-1]
+    t = _two_k_plus_s(params, rows[:-1])
     g0 = 1.0 / rows
     # (c1 + c2)_k = 2k(alpha - beta) / ((2k+s)(2k+s+2)) exactly; the closed
     # form has no cancellation and is exactly 0 at alpha = beta.
-    g1 = 2.0 * (params.alpha - params.beta) / ((2 * k + s) * (2 * k + s + 2))
+    g1 = 2.0 * (params.alpha - params.beta) / (t * (t + 2))
     g2 = _c2_entries(params, n)[:-1] * _c1_entries(params, n)[1:] / rows[:-2]
     return g0, g1, g2
 

@@ -272,6 +272,17 @@ def test_verify_perturbation_fails(capsys):
     assert "FAIL" in out
 
 
+def test_verify_negative_perturbation(capsys):
+    # argparse reads a separate "-1e-3" as an option, so a negative factor
+    # is written with "="
+    code, out, _ = run(capsys, ["verify", "--perturb=-1e-3"])
+    assert code == 3
+    assert "FAIL" in out
+    code, out, err = run(capsys, ["verify", "--perturb", "-1e-3"])
+    assert (code, out) == (1, "")
+    assert "--perturb: expected one argument" in err
+
+
 def test_env_tolerance_override(capsys, monkeypatch):
     monkeypatch.setenv("MB_LAB_TOL", "1e-8")
     code, out, _ = run(

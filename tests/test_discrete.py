@@ -8,13 +8,14 @@ import pytest
 from mblab import (
     JacobiWeightParams,
     bundle_matching_defect,
+    log_norm_sequence,
     particular_v,
     particular_x_sequence,
     residual_support,
     scaled_pencil,
     y_bundle,
 )
-from mblab.discrete import ParticularSolution, log_scale_factors
+from mblab.discrete import ParticularSolution, log_scale_factors, log_w_scale
 from mblab.pencil import _c1_entries, _c2_entries
 
 P00 = JacobiWeightParams(0.0, 0.0)
@@ -59,6 +60,16 @@ def test_particular_x_sequence_matches_mpmath(alpha, beta):
         assert particular_x_sequence(p, j, 0).values.shape == (0,)
 
 
+def test_log_w_scale():
+    # w = sqrt(d) v and v = f x
+    p = JacobiWeightParams(0.3, 1.7)
+    g_v, g_x = log_w_scale(p, 50, "v"), log_w_scale(p, 50, "x")
+    assert np.array_equal(g_v, 0.5 * log_norm_sequence(p, 50)[:50])
+    assert np.array_equal(g_x, g_v + log_scale_factors(p, 50))
+    with pytest.raises(ValueError):
+        log_w_scale(p, 50, "w")
+
+
 def test_particular_v_values():
     v1 = particular_v(P00, 1, 3).values
     assert v1 == pytest.approx([1.0, 3.0, 7.5], rel=1e-13)
@@ -69,6 +80,9 @@ def test_particular_v_values():
         particular_v(P00, 3, 4)
     with pytest.raises(OverflowError):
         particular_v(P00, 1, 1200)
+    # x^(1) itself leaves double range before k = 900; v_0 is already past 1e290
+    with pytest.raises(OverflowError, match="component 0 overflows"):
+        particular_v(JacobiWeightParams(160.0, 3.0), 1, 900)
 
 
 def test_particular_x_values():
@@ -110,13 +124,34 @@ def test_homogeneous_annihilation(alpha, beta):
         assert abs(h[i] + c2[i] * h[i + 1]) < 1e-12 * abs(h[i])
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5), (-0.5, 2.0)])
-def test_v_to_x_consistency(alpha, beta):
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.0, 0.0), (-0.95, -0.95), (0.3, 1.7), (49.5, 0.0)]
+)
+def test_particular_v_matches_mpmath(alpha, beta, j):
+    # v_k = f_k x_k = (-1)^{k(j-1)} Gamma(2k+s+2) / (2^k k! Gamma(k+c+1)) at
+    # 40 digits, c = beta for branch 1 and alpha for branch 2; past 1e290
+    # particular_v raises, naming the first such k.  exp of ln f_k carries
+    # about |ln f_k| units of rounding: 1.5e-13 at (49.5, 0), k = 400.
     p = JacobiWeightParams(alpha, beta)
-    for j in (1, 2):
-        xs = particular_v(p, j, 20).values / np.exp(log_scale_factors(p, 20))
-        want = particular_x_sequence(p, j, 20).values
-        assert np.max(np.abs(xs - want) / np.abs(want)) < 1e-12
+    lg = mpmath.loggamma
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        c = b if j == 1 else a
+        exact = [
+            (-1) ** (k * (j - 1))
+            * mpmath.exp(lg(2 * k + a + b + 2) - k * mpmath.log(2) - lg(k + 1) - lg(k + c + 1))
+            for k in range(801)
+        ]
+        past = [k for k, v in enumerate(exact) if abs(v) >= 1e290]
+    n = past[0] if past else 801
+    if past:
+        with pytest.raises(OverflowError, match=f"component {n} overflows"):
+            particular_v(p, j, 801)
+    v = particular_v(p, j, n).values
+    for k in (0, 1, 2, 10, 100, 400, 800):
+        if k < n:
+            assert abs(v[k] / float(exact[k]) - 1.0) <= 4e-13, k
 
 
 @pytest.mark.parametrize("n", [6, 20])

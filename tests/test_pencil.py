@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,8 +8,19 @@ from mblab import (
     raising_coefficient,
     scaled_pencil,
     sharp_constant,
+    smallest_eigenpair,
+    solve,
 )
-from mblab.pencil import build_pencil, h_matvec, ht_matvec, symmetrized_bands
+from mblab.pencil import (
+    _c1_entries,
+    _c2_entries,
+    build_pencil,
+    check_factors,
+    g_bands,
+    h_matvec,
+    ht_matvec,
+    symmetrized_bands,
+)
 from conftest import b_bands, dense_a, dense_d, dense_h
 
 P00 = JacobiWeightParams(0.0, 0.0)
@@ -202,3 +214,39 @@ def test_factors_match_their_definition(alpha, beta):
     for dense, diag, sup in ((k1, sp.k1_0, sp.k1_1), (k2, sp.k2_0, sp.k2_1)):
         assert np.allclose(dense, np.diag(diag) + np.diag(sup, 1), rtol=1e-13, atol=0.0)
     assert np.allclose(k2 @ k1, dense_h(sp), rtol=1e-13, atol=1e-16)
+
+
+# Both exponents near -1 and unequal, so alpha + beta is rounded.
+NEAR_MINUS_ONE = [
+    (-0.9998911284669925, -0.9998911453236693, 4074),
+    (-0.9999994934650505, -0.9999994908776558, 25),
+    (-0.9999911065227076, -0.9999911061881602, 10),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,n", NEAR_MINUS_ONE)
+def test_closed_forms_keep_the_rounding_of_alpha_plus_beta(alpha, beta, n):
+    # 2k + alpha + beta is 2e-4 to 1e-6 at k = 1, where the rounding of
+    # alpha + beta alone is up to 1e-10 of it; 40-digit mpmath
+    p = JacobiWeightParams(alpha, beta)
+    got = (_c1_entries(p, 4), _c2_entries(p, 4), g_bands(p, 4)[1])
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        for k in (1, 2, 3):
+            t = 2 * k + a + b
+            want = (
+                -2 * k * (k + b) / (t * (t + 1)),
+                2 * k * (k + a + 1) / ((t + 1) * (t + 2)),
+                2 * (a - b) / (t * (t + 2)),
+            )
+            for band, exact in zip(got, want):
+                assert abs(band[k - 1] / float(exact) - 1.0) <= 1e-14, k
+
+
+@pytest.mark.parametrize("alpha,beta,n", NEAR_MINUS_ONE)
+def test_near_minus_one_pencil_passes_check_factors(alpha, beta, n):
+    # the closed-form h1 agrees with K2 K1, so the pencil solves as given
+    p = JacobiWeightParams(alpha, beta)
+    sp = scaled_pencil(p, n)
+    check_factors(sp)
+    assert smallest_eigenpair(sp).lambda_min == solve(p, n).lambda_min

@@ -23,10 +23,12 @@ print(f"M_2 (flat weight)      = {report.m_n:.15f}   (sqrt(15) = {math.sqrt(15):
 report = sharp_constant(JacobiWeightParams(1.0, 1.0), 1)
 print(f"M_1 (weight 1 - x^2)   = {report.m_n:.15f}   (sqrt(5)  = {math.sqrt(5):.15f})")
 
-# The solver also certifies its answer: the residual is the relative
-# defect of the eigenpair in the symmetrized problem.
+# The solver brackets lambda by an inertia count and a compensated
+# Rayleigh bound.  The residual ||B w - lambda w|| of the unit eigenvector
+# w of B = H^T H is reported alongside; it is an absolute number, not a
+# certificate.
 report = sharp_constant(legendre, 40)
-print(f"\nM_40 = {report.m_n:.12f}, certificate residual = {report.residual:.2e}")
+print(f"\nM_40 = {report.m_n:.12f}, eigenpair residual = {report.residual:.2e}")
 
 # The eigenvector doubles as the extremal polynomial: v holds the
 # coefficients of Q' in the monic basis, u those of Q one degree up.

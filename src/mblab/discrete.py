@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import log_norm_sequence
+from .jacobi import exponent_sum, log_norm_sequence
 from .pencil import h_matvec, ht_matvec
 from .special import log_gamma
 
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _V_MAX = 1e290
+_SUPPORT_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,11 @@ def log_scale_factors(params, n):
     s = a + b.  The ratios tend to 2, so the sum runs over ln(f_{k+1} /
     (2 f_k)), which stay small, and k ln 2 is added afterwards."""
     a, b = params.alpha, params.beta
-    s = a + b
+    s, lo = exponent_sum(params)
     k = np.arange(n - 1.0)
-    steps = np.log((2 * k + s + 2) * (2 * k + s + 3) / (4 * (k + a + 1) * (k + b + 1)))
-    lead = log_gamma(s + 2.0) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
+    t = 2 * k + s
+    steps = np.log(((t + 2) + lo) * ((t + 3) + lo) / (4 * (k + a + 1) * (k + b + 1)))
+    lead = log_gamma((s + 2.0) + lo) - log_gamma(a + 1.0) - log_gamma(b + 1.0)
     return lead + np.cumsum(np.r_[0.0, steps])[:n] + math.log(2.0) * np.arange(n)
 
 
@@ -160,7 +162,7 @@ def bundle_matching_defect(params, j, k):
     return float(np.linalg.norm(y / float(k) ** x.exponent - c0))
 
 
-def residual_support(pencil, solution, rel_tol=1e-8):
+def residual_support(pencil, solution):
     """Apply B = H^T H of a ScaledPencil (zero spectral parameter) to a
     particular solution and check that only the last two components
     survive.
@@ -170,8 +172,8 @@ def residual_support(pencil, solution, rel_tol=1e-8):
     works.  The support statement is invariant under this diagonal
     scaling.  Each row of r = H^T H w is measured against the magnitudes
     it cancels, |r_k| / (|H|^T |H| |w|)_k, and the check passes when every
-    row k < n-2 is below `rel_tol`.  Returns (support_ok, (rel_{n-2},
-    rel_{n-1})), the two tail rows' relative residuals.
+    row k < n-2 is below 1e-8 (_SUPPORT_REL_TOL).  Returns (support_ok,
+    (rel_{n-2}, rel_{n-1})), the two tail rows' relative residuals.
     """
     n = pencil.n
     values = np.asarray(solution.values, dtype=float)
@@ -188,5 +190,5 @@ def residual_support(pencil, solution, rel_tol=1e-8):
     r = ht_matvec(*bands, h_matvec(*bands, w))
     scale = ht_matvec(*abs_bands, h_matvec(*abs_bands, np.abs(w)))
     rel = np.divide(np.abs(r), scale, out=np.zeros(n), where=scale > 0)
-    support_ok = bool(np.all(rel[: n - 2] < rel_tol))
+    support_ok = bool(np.all(rel[: n - 2] < _SUPPORT_REL_TOL))
     return support_ok, (float(rel[n - 2]), float(rel[n - 1]))

@@ -69,11 +69,11 @@ class Solution:
     unit eigenvector w (read-only).  The sharp constant, the extremal
     polynomial and the profile comparison all derive from it.
 
-    `residual` is the relative residual of the symmetrized problem,
-    || (B - lambda I) w || / || w ||, which is the numerically meaningful
-    certificate: the raw-coordinate residual is amplified by the ~4^n
-    condition of the diagonal scaling for large n.  `iterations` counts
-    block inverse-iteration steps.
+    `residual` is || H^T (H w) - lambda w || for the unit w, an absolute
+    number (0.8% of lambda at alpha = beta = -1 + 2^-52, n = 73), not a
+    certificate: lambda rests on the inertia count below it and, above
+    it, the compensated Rayleigh bound or a second count.  `iterations`
+    counts block inverse-iteration steps.
     """
 
     lambda_min: float

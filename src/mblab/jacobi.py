@@ -17,6 +17,7 @@ from .special import log_gamma
 
 __all__ = [
     "JacobiWeightParams",
+    "exponent_sum",
     "norm_ratio",
     "norm_sequence",
     "log_norm_sequence",
@@ -64,6 +65,17 @@ class JacobiWeightParams:
         return min(self.nu_alpha, self.nu_beta)
 
 
+def exponent_sum(params):
+    """(s, lo): s = alpha + beta rounded and lo its rounding error (TwoSum's
+    low part).  The closed forms take 2k + alpha + beta as (2k + s + c) + lo,
+    lo added after the integer shift c, which is exact where the sum is tiny:
+    added before it, lo would round away."""
+    a, b = params.alpha, params.beta
+    s = a + b
+    b_rounded = s - a
+    return s, (a - (s - b_rounded)) + (b - b_rounded)
+
+
 def norm_ratio(params, k):
     """d_{k+1} / d_k for an integer k or an integer array k.
 
@@ -71,13 +83,12 @@ def norm_ratio(params, k):
     which keeps the value finite when alpha + beta = -1.
     """
     a, b = params.alpha, params.beta
-    s = a + b
+    s, lo = exponent_sum(params)
     # Float scalars square by pow(), arrays by x*x: one path for both.
     kf = np.array(k, dtype=float, ndmin=1)
-    out = 4.0 * (kf + 1) * (kf + 1 + a) * (kf + 1 + b) / (
-        (2 * kf + s + 2) ** 2 * (2 * kf + s + 3)
-    )
-    out = out * np.divide(kf + 1 + s, 2 * kf + s + 1, out=np.ones_like(kf), where=kf != 0)
+    t = 2 * kf + s
+    out = 4.0 * (kf + 1) * (kf + 1 + a) * (kf + 1 + b) / (((t + 2) + lo) ** 2 * ((t + 3) + lo))
+    out = out * np.divide((kf + 1 + s) + lo, (t + 1) + lo, out=np.ones_like(kf), where=kf != 0)
     return float(out[0]) if np.ndim(k) == 0 else out
 
 
@@ -91,8 +102,7 @@ def norm_sequence(params, n):
     """
     if n < 1:
         raise ValueError(f"norm_sequence requires n >= 1, got {n}")
-    a, b = params.alpha, params.beta
-    d0 = math.exp(log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
+    d0 = math.exp(log_norm_sequence(params, 0)[0])
     values = np.cumprod(np.r_[d0, norm_ratio(params, np.arange(n))])
     outside = np.flatnonzero(~((values > _D_MIN) & (values < _D_MAX)))
     if outside.size:
@@ -110,9 +120,10 @@ def log_norm_sequence(params, n):
     the sum runs over ln(4 d_{k+1}/d_k), which stay small, and k ln 4 is
     taken off afterwards."""
     a, b = params.alpha, params.beta
+    s, lo = exponent_sum(params)
     ln4 = math.log(4.0)
     out = np.empty(n + 1)
-    out[0] = log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0)
+    out[0] = log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma((s + 2.0) + lo)
     steps = np.log(norm_ratio(params, np.arange(n))) + ln4
     out[1:] = out[0] + np.cumsum(steps) - ln4 * np.arange(1, n + 1)
     return out
@@ -164,12 +175,14 @@ def monic_eval_table(params, kmax, x):
 
 
 def raising_coefficient(params, k):
-    """Coefficient c_k in P_k^(alpha,beta) = P_k^(alpha+1,beta) - c_k P_{k-1}^(alpha+1,beta)."""
-    if k < 1:
+    """Coefficient c_k in P_k^(alpha,beta) = P_k^(alpha+1,beta) - c_k P_{k-1}^(alpha+1,beta),
+    for an integer k >= 1 or an integer array of them."""
+    kf = np.array(k, dtype=float, ndmin=1)
+    if not np.all(kf >= 1):
         raise ValueError("raising coefficient defined for k >= 1")
-    a, b = params.alpha, params.beta
-    s = a + b
-    return 2.0 * k * (k + b) / ((2 * k + s) * (2 * k + s + 1))
+    s, lo = exponent_sum(params)
+    out = 2.0 * kf * (kf + params.beta) / (((2 * kf + s) + lo) * ((2 * kf + s + 1) + lo))
+    return float(out[0]) if np.ndim(k) == 0 else out
 
 
 def gauss_jacobi_quadrature(params, m):

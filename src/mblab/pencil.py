@@ -28,7 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .jacobi import JacobiWeightParams, norm_ratio, norm_sequence
+from .jacobi import (
+    JacobiWeightParams,
+    exponent_sum,
+    norm_ratio,
+    norm_sequence,
+    raising_coefficient,
+)
 
 __all__ = [
     "BandedPencil",
@@ -88,56 +94,36 @@ class ScaledPencil:
     k2_1: np.ndarray
 
 
-def _two_k_plus_s(params, k):
-    """2k + alpha + beta with the rounding error of s = alpha + beta (TwoSum's
-    low part) added back, which counts where both exponents near -1 make it tiny."""
-    a, b = params.alpha, params.beta
-    s = a + b
-    b_rounded = s - a
-    return (2 * k + s) + ((a - (s - b_rounded)) + (b - b_rounded))
-
-
-def _c1_entries(params, n):
-    k = np.arange(1, n, dtype=float)
-    t = _two_k_plus_s(params, k)
-    return -2.0 * k * (k + params.beta) / (t * (t + 1))
-
-
 def _c2_entries(params, n):
     k = np.arange(1, n, dtype=float)
-    t = _two_k_plus_s(params, k)
-    return 2.0 * k * (k + params.alpha + 1) / ((t + 1) * (t + 2))
+    s, lo = exponent_sum(params)
+    t = 2 * k + s
+    return 2.0 * k * (k + params.alpha + 1) / (((t + 1) + lo) * ((t + 2) + lo))
 
 
 def g_bands(params, n):
     """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2), which maps
     the monic coefficients of Q' to those of Q."""
     rows = np.arange(1, n + 1, dtype=float)
-    t = _two_k_plus_s(params, rows[:-1])
+    s, lo = exponent_sum(params)
+    t = 2 * rows[:-1] + s
     g0 = 1.0 / rows
     # (c1 + c2)_k = 2k(alpha - beta) / ((2k+s)(2k+s+2)) exactly; the closed
     # form has no cancellation and is exactly 0 at alpha = beta.
-    g1 = 2.0 * (params.alpha - params.beta) / (t * (t + 2))
-    g2 = _c2_entries(params, n)[:-1] * _c1_entries(params, n)[1:] / rows[:-2]
+    g1 = 2.0 * (params.alpha - params.beta) / ((t + lo) * ((t + 2) + lo))
+    g2 = _c2_entries(params, n)[:-1] * -raising_coefficient(params, rows[1:-1]) / rows[:-2]
     return g0, g1, g2
 
 
 def _gram_bands(f0, f1, f2, weights):
     """Bands of F^T diag(weights) F for F upper triangular with bands
     f0, f1, f2."""
-    n = len(f0)
     diag = weights * f0 ** 2
-    if n > 1:
-        diag[1:] += weights[:-1] * f1 ** 2
-    if n > 2:
-        diag[2:] += weights[:-2] * f2 ** 2
-    super1 = np.empty(max(n - 1, 0))
-    if n > 1:
-        super1[:] = weights[:-1] * f0[:-1] * f1
-        if n > 2:
-            super1[1:] += weights[:-2] * f1[:-1] * f2
-    super2 = weights[:-2] * f0[:-2] * f2 if n > 2 else np.empty(0)
-    return diag, super1, super2
+    diag[1:] += weights[:-1] * f1 ** 2
+    diag[2:] += weights[:-2] * f2 ** 2
+    super1 = weights[:-1] * f0[:-1] * f1
+    super1[1:] += weights[:-2] * f1[:-1] * f2
+    return diag, super1, weights[:-2] * f0[:-2] * f2
 
 
 def build_pencil(params, n):
@@ -157,9 +143,10 @@ def scaled_pencil(params, n):
         raise ValueError("n must be >= 1")
     sr = np.sqrt(norm_ratio(params, np.arange(n)))
     g0, g1, g2 = g_bands(params, n)
-    k2_1 = _c2_entries(params, n) / (np.arange(1, n) * sr[1:])
+    k = np.arange(1, n)
+    k2_1 = _c2_entries(params, n) / (k * sr[1:])
     return ScaledPencil(
-        n, params, sr * g0, g1, g2 / sr[1 : n - 1], sr, _c1_entries(params, n), g0, k2_1
+        n, params, sr * g0, g1, g2 / sr[1 : n - 1], sr, -raising_coefficient(params, k), g0, k2_1
     )
 
 
@@ -207,10 +194,7 @@ def symmetrized_bands(pencil):
     stored raw bands (so any modification of A flows through)."""
     d = pencil.d
     sd = np.sqrt(d)
-    b0 = pencil.diag / d
-    b1 = pencil.super1 / (sd[:-1] * sd[1:]) if pencil.n > 1 else np.empty(0)
-    b2 = pencil.super2 / (sd[:-2] * sd[2:]) if pencil.n > 2 else np.empty(0)
-    return b0, b1, b2
+    return pencil.diag / d, pencil.super1 / (sd[:-1] * sd[1:]), pencil.super2 / (sd[:-2] * sd[2:])
 
 
 def h_matvec(h0, h1, h2, x, out=None):

@@ -18,6 +18,16 @@ def _empty_solve_memo():
     solve.cache_clear()
 
 
+# Both exponents within 2e-6 of -1 and unequal, so 2 + alpha + beta is
+# about 1e-6 while the rounding of alpha + beta is up to 1e-16; lambda at
+# n from the 50-digit perfbench/oracle.py.
+UNEQUAL_NEAR_MINUS_ONE = [
+    (-0.9999996372309563, -0.9999996582336216, 35, 1.7641786938783955e-12),
+    (-0.9999994934650505, -0.9999994908776558, 25, 9.644946406009387e-12),
+    (-0.9999983741112694, -0.9999983844072016, 50, 1.995295313523305e-12),
+]
+
+
 def j0_oracle():
     """Smallest positive zero of J_0 from mpmath, which shares no code
     with the library's recurrence or zero finder."""

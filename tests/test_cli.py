@@ -145,24 +145,25 @@ def test_sweep_n_range(capsys):
 
 
 def test_constant_output_file_and_dump(capsys, tmp_path):
-    out_path = tmp_path / "report.csv"
-    dump_path = tmp_path / "bands.txt"
-    code, _, _ = run(
-        capsys,
-        [
-            "constant", "--n", "4", "--alpha", "0.5", "--beta", "1.5",
-            "--format", "csv", "--output", str(out_path),
-            "--dump-pencil", str(dump_path),
-        ],
-    )
-    assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == "n,alpha,beta,lambda_min,m_n,predicted,ratio,residual"
-    assert len(lines) == 2
-    bands = dump_path.read_text().splitlines()
-    assert len(bands) == 4  # three bands of A, then the diagonal of D
-    assert len(bands[0].split()) == 4
-    assert len(bands[1].split()) == 3
+    # at n = 1 both off-diagonal bands of A are empty, at n = 2 the second
+    for n in (1, 2, 4):
+        out_path = tmp_path / f"report{n}.csv"
+        dump_path = tmp_path / f"bands{n}.txt"
+        code, _, _ = run(
+            capsys,
+            [
+                "constant", "--n", str(n), "--alpha", "0.5", "--beta", "1.5",
+                "--format", "csv", "--output", str(out_path),
+                "--dump-pencil", str(dump_path),
+            ],
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "n,alpha,beta,lambda_min,m_n,predicted,ratio,residual"
+        assert len(lines) == 2
+        bands = dump_path.read_text().splitlines()
+        # three bands of A, then the diagonal of D
+        assert [len(band.split()) for band in bands] == [n, n - 1, max(n - 2, 0), n]
 
 
 def test_dump_pencil_past_raw_range_writes_nothing(capsys, tmp_path):

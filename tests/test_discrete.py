@@ -11,12 +11,14 @@ from mblab import (
     log_norm_sequence,
     particular_v,
     particular_x_sequence,
+    raising_coefficient,
     residual_support,
     scaled_pencil,
     y_bundle,
 )
 from mblab.discrete import ParticularSolution, log_scale_factors, log_w_scale
-from mblab.pencil import _c1_entries, _c2_entries
+from mblab.pencil import _c2_entries
+from conftest import UNEQUAL_NEAR_MINUS_ONE
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P10 = JacobiWeightParams(1.0, 0.0)
@@ -42,6 +44,19 @@ def test_log_scale_factors_match_mpmath(alpha, beta):
             exact = lg(2 * k + a + b + 2) - k * mpmath.log(2) - lg(k + a + 1) - lg(k + b + 1)
             assert abs(logf[k] - float(exact)) <= 1e-9, k
     assert log_scale_factors(JacobiWeightParams(alpha, beta), 0).shape == (0,)
+
+
+@pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)
+def test_log_scale_factors_keep_the_rounding_of_alpha_plus_beta(alpha, beta, n, lam):
+    # lnG(2k+s+2) at k = 0 and the first ratios read 2 + alpha + beta, about
+    # 1e-6 here; rounded from a float alpha + beta they were 1.6e-10 off
+    logf = log_scale_factors(JacobiWeightParams(alpha, beta), 5)
+    lg = mpmath.loggamma
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        for k in range(5):
+            exact = lg(2 * k + a + b + 2) - k * mpmath.log(2) - lg(k + a + 1) - lg(k + b + 1)
+            assert abs(logf[k] - float(exact)) <= 1e-14, k
 
 
 @pytest.mark.parametrize(
@@ -109,7 +124,7 @@ def test_homogeneous_annihilation(alpha, beta):
     p = JacobiWeightParams(alpha, beta)
     n = 18
     v = particular_v(p, 1, n).values
-    c1 = _c1_entries(p, n)
+    c1 = -raising_coefficient(p, np.arange(1, n))
     for i in range(n - 1):
         assert abs(v[i] + c1[i] * v[i + 1]) < 1e-12 * abs(v[i])
     s = alpha + beta

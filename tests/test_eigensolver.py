@@ -25,7 +25,15 @@ from mblab import (
 from mblab import eigensolver
 from mblab.eigensolver import _Scans, _block_size, _rayleigh_bound, _scan_setup
 from mblab.pencil import build_pencil, perturb_factor
-from conftest import b_bands, dense_a, dense_d, dense_h, mp_lambda_min, rayleigh_supremum
+from conftest import (
+    UNEQUAL_NEAR_MINUS_ONE,
+    b_bands,
+    dense_a,
+    dense_d,
+    dense_h,
+    mp_lambda_min,
+    rayleigh_supremum,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -313,6 +321,32 @@ def test_lambda_matches_50_digit_reference():
         assert lam == pytest.approx(float(value), rel=rel), key
         checked[size] += 1
     assert checked == {"small": 58, "large": 27}
+
+
+@pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)
+def test_lambda_near_minus_one_with_unequal_exponents(alpha, beta, n, lam):
+    # the norm ratio at k = 0 rounded alpha + beta away, and the certified
+    # lambda of that float H lay 3.4e-11 to 1.4e-10 from the oracle
+    assert abs(solve(JacobiWeightParams(alpha, beta), n).lambda_min / lam - 1.0) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError)
+@pytest.mark.parametrize(
+    "alpha,n,lam",
+    [
+        # lambda at alpha = beta certified by the triangular solves that the
+        # bidiagonal scans replaced; the scans do not converge or certify
+        (-1.0 + 2.0**-52, 300, 2.178533942749289e-25),
+        (-1.0 + 2.0**-52, 1000, 1.7728129897792884e-27),
+        (-1.0 + 2.0**-52, 4000, 6.93542662427592e-30),
+        (-1.0 + 1e-9, 1000, 7.984039696327434e-21),
+        (-1.0 + 1e-9, 20000, 4.9994999223475933e-26),
+        (-1.0 + 1e-12, 20000, 4.999389464952083e-29),
+    ],
+)
+def test_equal_exponents_near_minus_one_at_large_n(alpha, n, lam):
+    got = solve(JacobiWeightParams(alpha, alpha), n).lambda_min
+    assert abs(got / lam - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [73, 200])

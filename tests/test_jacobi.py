@@ -15,6 +15,7 @@ from mblab import (
     raising_coefficient,
     recurrence_coefficients,
 )
+from conftest import UNEQUAL_NEAR_MINUS_ONE
 
 P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
@@ -126,6 +127,26 @@ def test_raising_coefficient_values():
     )
     with pytest.raises(ValueError):
         raising_coefficient(P00, 0)
+
+
+@pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)
+def test_closed_forms_keep_the_rounding_of_alpha_plus_beta(alpha, beta, n, lam):
+    # norm_ratio's 2k + s + 2 and 2k + s + 3 are about 1e-6 and 1 at k = 0;
+    # rounded from a float alpha + beta, the ratio was 3e-10 off
+    p = JacobiWeightParams(alpha, beta)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        s = a + b
+        for k in (0, 1, 2, 10):
+            exact = 4 * (k + 1) * (k + 1 + a) * (k + 1 + b) / (
+                (2 * k + s + 2) ** 2 * (2 * k + s + 3)
+            )
+            if k:
+                exact *= (k + 1 + s) / (2 * k + s + 1)
+            assert abs(norm_ratio(p, k) / float(exact) - 1.0) <= 1e-14, k
+        for k in (1, 2, 10, 100):
+            exact = 2 * k * (k + b) / ((2 * k + s) * (2 * k + s + 1))
+            assert abs(raising_coefficient(p, k) / float(exact) - 1.0) <= 1e-14, k
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5), (2.5, -0.5)])

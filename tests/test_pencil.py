@@ -12,7 +12,6 @@ from mblab import (
     solve,
 )
 from mblab.pencil import (
-    _c1_entries,
     _c2_entries,
     build_pencil,
     check_factors,
@@ -42,12 +41,6 @@ def c2_superdiagonal(p, n):
 
 def unit_upper_bidiagonal(sup):
     return np.eye(len(sup) + 1) + np.diag(sup, 1)
-
-
-def test_c1_entries():
-    assert c1_superdiagonal(P00, 2) == pytest.approx([-1.0 / 3.0], rel=1e-15)
-    assert c1_superdiagonal(P00, 3) == pytest.approx([-1.0 / 3.0, -2.0 / 5.0], rel=1e-15)
-    assert c1_superdiagonal(P11, 1).size == 0
 
 
 def test_c2_entries():
@@ -229,7 +222,7 @@ def test_closed_forms_keep_the_rounding_of_alpha_plus_beta(alpha, beta, n):
     # 2k + alpha + beta is 2e-4 to 1e-6 at k = 1, where the rounding of
     # alpha + beta alone is up to 1e-10 of it; 40-digit mpmath
     p = JacobiWeightParams(alpha, beta)
-    got = (_c1_entries(p, 4), _c2_entries(p, 4), g_bands(p, 4)[1])
+    got = (scaled_pencil(p, 4).k1_1, _c2_entries(p, 4), g_bands(p, 4)[1])
     with mpmath.workdps(40):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         for k in (1, 2, 3):

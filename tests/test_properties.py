@@ -20,6 +20,7 @@ from mblab import (
     extremal_polynomial,
     norm_ratio,
     profile_compare,
+    raising_coefficient,
     scaled_pencil,
     sharp_constant,
     smallest_eigenpair,
@@ -105,6 +106,10 @@ def test_norm_ratio_array_matches_scalar(alpha, beta, n):
     params = JacobiWeightParams(alpha, beta)
     ratios = norm_ratio(params, np.arange(n))
     assert ratios.tolist() == [norm_ratio(params, k) for k in range(n)]
+    coeffs = raising_coefficient(params, np.arange(1, n))
+    assert coeffs.tolist() == [raising_coefficient(params, k) for k in range(1, n)]
+    with pytest.raises(ValueError):
+        raising_coefficient(params, np.arange(n))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -10,9 +10,10 @@ four first-order recurrences, each one numpy cumulative sum over all
 vectors, and makes a Rayleigh-Ritz over the solves, the current vectors
 and the last change of the vectors on the bands of H, with one vector
 where the large-n law puts the two smallest eigenvalues far apart and
-two otherwise.  The certificate: an inertia count (negative pivots of an
-unpivoted LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I,
-whose eigenvalues are +-sigma_i(H) - tau, finds no singular value below
+two otherwise.  The iteration ends on the first settled step that the
+certificate accepts: an inertia count (negative pivots of an unpivoted
+LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
+eigenvalues are +-sigma_i(H) - tau, finds no singular value below
 sqrt(lambda (1 - tol)), and the Rayleigh quotient of w, evaluated with
 error-free transformations, bounds lambda_min by lambda (1 + tol); where
 it does not, and for small n, a second count finds a singular value
@@ -49,15 +50,11 @@ _MAX_STEPS = 200
 # relative squared norm below this is dropped from the basis.
 _DROP = 1e-14
 # One vector needs the predicted limits of the two smallest eigenvalues
-# _SPLIT_RATIO apart, alpha + beta above _MIN_EXPONENT_SUM (with both
-# exponents near -1 the scans' rounding stalls it: 4e-12 high at
-# (-0.94, -0.92, 98235); each such case seen had alpha + beta < -1.2) and
-# n >= _SMALL_N (at n = 4 one vector took 8-13 steps, two took 2).  Below
-# _SMALL_N the second inertia count always runs (at n = 25 a count takes
-# 10 us, the Rayleigh bound 80 us).
+# _SPLIT_RATIO apart and n >= _SMALL_N (at n = 4 one vector took 8-13
+# steps, two took 2).  Below _SMALL_N the second inertia count always runs
+# (at n = 25 a count takes 10 us, the Rayleigh bound 80 us).
 _SPLIT_RATIO = 1.2
 _SMALL_N = 200
-_MIN_EXPONENT_SUM = -1.0
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
 # as negative, the sign the pivot takes when the shift grows.
 _ZERO_PIVOT = -1e-300
@@ -73,7 +70,8 @@ class Solution:
     number (0.8% of lambda at alpha = beta = -1 + 2^-52, n = 73), not a
     certificate: lambda rests on the inertia count below it and, above
     it, the compensated Rayleigh bound or a second count.  `iterations`
-    counts block inverse-iteration steps.
+    counts block inverse-iteration steps, the last one the first that the
+    certificate accepted.
     """
 
     lambda_min: float
@@ -201,14 +199,17 @@ def _orthonormal_blocks(blocks, out):
 
 
 def _inertia_bands(pencil):
-    """The bands _count_below reads, as plain double arrays built from the
-    raw bytes (array("d", ndarray) would convert entry by entry)."""
+    """The bands _count_below reads, as plain double arrays that numpy
+    fills in place (array("d", ndarray) would convert entry by entry)."""
     h0, h1, h2 = pencil.h0, pencil.h1, pencil.h2
-    h2_row = np.r_[0.0, 0.0, h2]
-    return [
-        array("d", b.tobytes())
-        for b in (np.r_[0.0, h0[:-1]], h0 * h0, np.r_[0.0, h1], h2_row, h2_row * h2_row)
-    ]
+    bands = [array("d", [0.0]) * pencil.n for _ in range(5)]
+    d_prev, d2, a, b, b2 = map(np.frombuffer, bands)
+    d_prev[1:] = h0[:-1]
+    np.multiply(h0, h0, out=d2)
+    a[1:] = h1
+    b[2:] = h2
+    np.multiply(b, b, out=b2)
+    return bands
 
 
 def _count_below(forward, tau):
@@ -293,37 +294,25 @@ def _rayleigh_bound(pencil, w):
 def _block_size(params, n):
     """Vectors the iteration carries: one where the large-n law puts the
     two smallest eigenvalues far apart, else two (small n, alpha = beta or
-    nearly, both exponents near -1, an order past the zero finder)."""
+    nearly, an order past the zero finder)."""
     orders = params.nu_alpha, params.nu_beta
-    if n < _SMALL_N or params.alpha + params.beta <= _MIN_EXPONENT_SUM or max(orders) > NU_WINDOW:
+    if n < _SMALL_N or max(orders) > NU_WINDOW:
         return 2
     low, high = sorted(map(smallest_positive_zero, orders))
     return 1 if (high / low) ** 2 >= _SPLIT_RATIO else 2
 
 
-def _solve_core(pencil, tol):
-    """Block inverse iteration on B = H^T H from the bands of H (see
-    _iterate), then the certificate.  Returns the Solution, w marked
-    read-only.
-
-    The relative accuracy of lambda rests on the certificate alone.  The
-    iteration stops on an absolute residual target,
-    tol max(1, max diag B), which a tiny lambda meets at once: at
-    alpha = beta = -1 + 2^-52 (lambda ~ 1e-23) the residual at n = 73 and
-    200 is 0.8% and 2.6% of lambda, while tol lambda lies far below the
-    rounding of B w itself.
-    """
-    lam, w, residual, steps = _iterate(pencil, tol, _block_size(pencil.params, pencil.n))
+def _certified(pencil, lam, w, tol):
+    """Whether lambda_min lies in [lambda (1 - tol), lambda (1 + tol)]: an
+    inertia count finds no singular value of H below the lower root, and
+    the Rayleigh bound of w, or a second count, one below the upper."""
     upper = lam * (1.0 + tol)
     # the bound before the bands, so that their arrays never coexist
     bounded = pencil.n >= _SMALL_N and _rayleigh_bound(pencil, w) <= upper
     forward = _inertia_bands(pencil)
-    if _count_below(forward, math.sqrt(lam * (1.0 - tol))) != 0 or not (
+    return _count_below(forward, math.sqrt(lam * (1.0 - tol))) == 0 and (
         bounded or _count_below(forward, math.sqrt(upper)) >= 1
-    ):
-        raise ConvergenceError("could not certify the eigenvalue bracket")
-    w.flags.writeable = False
-    return Solution(lam, w, residual, steps)
+    )
 
 
 def _residual(pencil, w, hw, lam):
@@ -331,10 +320,10 @@ def _residual(pencil, w, hw, lam):
     return math.sqrt(_dot(r, r))
 
 
-def _iterate(pencil, tol, m):
+def _solve_core(pencil, tol):
     """Locally optimal block inverse iteration on B = H^T H from the bands
-    of H with m vectors, and for m = 1 two smoothing solves B^-1 w of the
-    converged vector; returns (lambda, w, residual, steps).
+    of H, with the vectors of _block_size, until the certificate holds.
+    Returns the Solution, w marked read-only.
 
     Each step makes Z = B^-1 Q = (K2 K1)^-1 (K2 K1)^-T Q with four scans,
     each over all vectors at once, and a Rayleigh-Ritz over
@@ -345,6 +334,13 @@ def _iterate(pencil, tol, m):
     n-space; one product H basis gives the small matrix, and the Ritz
     vectors q and their products H q are combinations of the basis and of
     that product.
+
+    A step ends the iteration when lambda has settled, the residual meets
+    tol max(1, max diag B) and _certified holds; a refused step is iterated
+    on.  The accuracy of lambda rests on the certificate alone: a tiny
+    lambda meets the absolute target at once (0.8% of lambda ~ 1e-23 at
+    alpha = beta = -1 + 2^-52, n = 73), but without it w lies 5 and 28 times
+    further from the 80-digit eigenvector at (49.5, 20, 50) and (10, 10, 30).
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
     k1, k2 = (pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)
@@ -361,7 +357,7 @@ def _iterate(pencil, tol, m):
 
     # Start from the indicators of the indices mod m: for m = 2 the even
     # and odd ones, each holding one parity class at alpha = beta.
-    m = min(n, m)
+    m = min(n, _block_size(pencil.params, n))
     q = np.zeros((m, n))
     for row in range(m):
         q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
@@ -372,6 +368,7 @@ def _iterate(pencil, tol, m):
     basis_buf = np.empty((3 * m, n))
     hbasis_buf = np.empty((3 * m, n))
     lam_prev = math.inf
+    refused = 0
     for steps in range(1, _MAX_STEPS + 1):
         z = solve_upper(solve_lower(q)[:, ::-1])[:, ::-1]
         basis = _orthonormal_blocks((z, q, p), basis_buf)
@@ -390,21 +387,23 @@ def _iterate(pencil, tol, m):
         w, hw, lam = q[i], hq[i], norms[i]
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(pencil, w, hw, lam) <= target:
-            break
+            # Two solves smooth a single vector: the 50-digit sup defect at
+            # (2.5, -0.5, 4000) is 1.4e-9 off without, 5.1e-12 with them (at
+            # alpha = beta = -1 + 2^-52, two vectors, they raise the residual).
+            x = w
+            for _ in range(2 if m == 1 else 0):
+                x = solve_upper(solve_lower(x[None, :])[:, ::-1])[0, ::-1]
+                x /= math.sqrt(_dot(x, x))
+            x = np.array(x)  # not a row of q, so a memoised Solution holds n doubles
+            if _certified(pencil, lam, x, tol):
+                x.flags.writeable = False
+                return Solution(lam, x, _residual(pencil, x, h_matvec(h0, h1, h2, x), lam), steps)
+            refused += 1
         lam_prev = lam
-    else:
-        raise ConvergenceError(
-            f"block inverse iteration did not converge in {_MAX_STEPS} steps"
-            f" (residual {_residual(pencil, w, hw, lam):.3e}, tolerance {target:.3e})"
-        )
-    # Two solves smooth a single vector: without them the 50-digit sup
-    # defect at (2.5, -0.5, 4000) is 1.4e-9 off, with them 5.1e-12.  At
-    # alpha = beta = -1 + 2^-52 (two vectors) they raise the residual.
-    for _ in range(2 if m == 1 else 0):
-        z = solve_upper(solve_lower(w[None, :])[:, ::-1])[0, ::-1]
-        w = z / math.sqrt(_dot(z, z))
-    w = np.array(w)  # not a row of q, so a memoised Solution holds n doubles
-    return lam, w, _residual(pencil, w, h_matvec(h0, h1, h2, w), lam), steps
+    raise ConvergenceError(
+        f"did not certify lambda in {_MAX_STEPS} steps ({refused} settled steps failed the"
+        f" certificate; last residual {_residual(pencil, w, hw, lam):.3e}, target {target:.3e})"
+    )
 
 
 def _check_tol(tol):

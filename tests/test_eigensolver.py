@@ -330,16 +330,33 @@ def test_lambda_near_minus_one_with_unequal_exponents(alpha, beta, n, lam):
     assert abs(solve(JacobiWeightParams(alpha, beta), n).lambda_min / lam - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,n,lam",
+    [
+        # 80-digit perfbench/oracle.py values; each of these settled on a
+        # lambda the certificate refused, and the solve raised
+        (-0.9999999999998386, -0.9999999999998387, 13, 3.940679976081554e-17),
+        (-0.9999999999142298, -0.9999999999142579, 34, 4.852791428256683e-16),
+        (-0.999999998227946, -0.9999999982270296, 698, 5.956768640171505e-20),
+        (-0.9999999999999882, -0.9999999999999882, 1078, 6.958672824012218e-26),
+        # certified by the triangular solves that the scans replaced
+        (-1.0 + 1e-9, -1.0 + 1e-9, 1000, 7.984039696327434e-21),
+    ],
+)
+def test_iteration_goes_on_until_the_certificate_holds(alpha, beta, n, lam):
+    got = solve(JacobiWeightParams(alpha, beta), n).lambda_min
+    assert abs(got / lam - 1.0) <= 1e-12
+
+
 @pytest.mark.xfail(strict=True, raises=ConvergenceError)
 @pytest.mark.parametrize(
     "alpha,n,lam",
     [
         # lambda at alpha = beta certified by the triangular solves that the
-        # bidiagonal scans replaced; the scans do not converge or certify
+        # bidiagonal scans replaced; the scans do not certify it
         (-1.0 + 2.0**-52, 300, 2.178533942749289e-25),
         (-1.0 + 2.0**-52, 1000, 1.7728129897792884e-27),
         (-1.0 + 2.0**-52, 4000, 6.93542662427592e-30),
-        (-1.0 + 1e-9, 1000, 7.984039696327434e-21),
         (-1.0 + 1e-9, 20000, 4.9994999223475933e-26),
         (-1.0 + 1e-12, 20000, 4.999389464952083e-29),
     ],
@@ -485,6 +502,20 @@ def test_failures_are_raised_again_and_not_memoised(monkeypatch):
     assert len(calls) == 3
 
 
+def test_failure_says_whether_lambda_settled(monkeypatch):
+    sp = scaled_pencil(P37, 400)
+    first = smallest_eigenpair(sp).iterations  # the first settled step
+    monkeypatch.setattr(eigensolver, "_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match=r"in 1 steps \(0 settled steps failed"):
+        smallest_eigenpair(sp)
+    # every step from the first settled one on reaches the certificate
+    monkeypatch.setattr(eigensolver, "_MAX_STEPS", 20)
+    monkeypatch.setattr(eigensolver, "_certified", lambda *args: False)
+    refused = 20 - first + 1
+    with pytest.raises(ConvergenceError, match=rf"in 20 steps \({refused} settled steps failed.*residual"):
+        smallest_eigenpair(sp)
+
+
 def test_degree_is_checked_before_the_memo(monkeypatch):
     calls = _count_solves(monkeypatch)
     one = extremal_polynomial(P37, 1)
@@ -607,7 +638,7 @@ def test_rayleigh_bound_replaces_the_upper_count(monkeypatch, alpha, beta):
         (0.5, 0.8, 1, 1.0029910069462275e-12),  # ratio of the limits 1.256
         (0.5, 0.7, 2, 1.003089145548638e-12),  # 1.169, below 1.2
         (-0.6, -0.35, 1, 2.1917110927860147e-13),  # alpha + beta = -0.95
-        (-0.6, -0.45, 2, 2.1919280625407164e-13),  # alpha + beta = -1.05
+        (-0.6, -0.45, 1, 2.1919280625407164e-13),  # alpha + beta = -1.05
         (300.0, 0.0, 2, 4.65586598722752e-13),  # nu_alpha outside the zero finder
         (1.0, 1.0, 2, None),
         (0.5, 0.5 + 1e-6, 2, None),
@@ -619,6 +650,22 @@ def test_block_size_rule(alpha, beta, m, lam):
     assert _block_size(p, 199) == 2
     if lam is not None:
         assert abs(solve(p, 2000).lambda_min - lam) <= 1e-13 * lam
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,n,lam",
+    [
+        # lambda from two vectors; one vector settled 4e-12 to 6e-10 high
+        # here while the certificate ran only after the iteration
+        (-0.9996, -0.9998, 3462, 1.1138666038509244e-17),
+        (-0.98, -0.96, 36215, 9.34817999448107e-20),
+        (-0.94, -0.92, 98235, 5.2312984974167865e-21),
+    ],
+)
+def test_one_vector_with_both_exponents_near_minus_one(alpha, beta, n, lam):
+    p = JacobiWeightParams(alpha, beta)
+    assert _block_size(p, n) == 1
+    assert abs(solve(p, n).lambda_min - lam) <= 1e-13 * lam
 
 
 @pytest.mark.parametrize("alpha,beta,steps", [(0.3, 1.7, 7), (12.0, 6.5, 12), (4.0, 9.0, 7)])

@@ -89,6 +89,8 @@ def _positive_int(text):
 
 def _weight_param(text):
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"weight exponents must be finite, got {text}")
     if not value > -1.0:
         raise argparse.ArgumentTypeError(f"weight exponents must exceed -1, got {text}")
     return value

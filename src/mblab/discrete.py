@@ -95,6 +95,8 @@ def _x_values(params, j, n):
     rounding of large log-gammas out of x_k."""
     if j not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {j}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     e = params.alpha if j == 1 else params.beta
     steps = np.log1p(e / np.arange(1.0, n))
     with np.errstate(over="ignore"):
@@ -107,8 +109,6 @@ def _x_values(params, j, n):
 def particular_v(params, j, n):
     """Particular solution v^(j) = f x^(j), j in {1, 2}.  Values grow like
     2^k times a power; an OverflowError names the first k past 1e290."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     e, x = _x_values(params, j, n)
     with np.errstate(over="ignore"):
         values = x * np.exp(log_scale_factors(params, n))

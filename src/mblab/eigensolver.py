@@ -16,17 +16,16 @@ LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
 eigenvalues are +-sigma_i(H) - tau, finds no singular value below
 sqrt(lambda (1 - tol)), and the Rayleigh quotient of w, evaluated with
 error-free transformations, bounds lambda_min by lambda (1 + tol); where
-it does not, and for small n, a second count finds a singular value
-below that root.
+it does not, a second count finds a singular value below that root.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -51,8 +50,7 @@ _MAX_STEPS = 200
 _DROP = 1e-14
 # One vector needs the predicted limits of the two smallest eigenvalues
 # _SPLIT_RATIO apart and n >= _SMALL_N (at n = 4 one vector took 8-13
-# steps, two took 2).  Below _SMALL_N the second inertia count always runs
-# (at n = 25 a count takes 10 us, the Rayleigh bound 80 us).
+# steps, two took 2).
 _SPLIT_RATIO = 1.2
 _SMALL_N = 200
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
@@ -198,21 +196,7 @@ def _orthonormal_blocks(blocks, out):
     return out[:rows]
 
 
-def _inertia_bands(pencil):
-    """The bands _count_below reads, as plain double arrays that numpy
-    fills in place (array("d", ndarray) would convert entry by entry)."""
-    h0, h1, h2 = pencil.h0, pencil.h1, pencil.h2
-    bands = [array("d", [0.0]) * pencil.n for _ in range(5)]
-    d_prev, d2, a, b, b2 = map(np.frombuffer, bands)
-    d_prev[1:] = h0[:-1]
-    np.multiply(h0, h0, out=d2)
-    a[1:] = h1
-    b[2:] = h2
-    np.multiply(b, b, out=b2)
-    return bands
-
-
-def _count_below(forward, tau):
+def _count_below(pencil, tau):
     """Number of singular values of H below tau.
 
     Streams the unpivoted LDL^T of the Golub-Kahan matrix
@@ -220,28 +204,31 @@ def _count_below(forward, tau):
     y_1, ... (bandwidth 3); n of its eigenvalues, -sigma_i - tau, are
     always negative, so the negative pivots beyond n count sigma_i < tau.
     Row x_j couples to y_{j-2}, y_{j-1} through h2[j-2], h1[j-1], and
-    row y_j to x_j through h0[j]; the state is the last three pivots and
-    the fill-in factor l_j = L[x_j, y_{j-1}].  `forward` (_inertia_bands)
-    holds, at row j, h0[j-1], h0[j]^2, h1[j-1], h2[j-2] and h2[j-2]^2
-    (zero before row 0), so each square and each quotient is formed once.
+    row y_j to x_j through h0[j]; the state is the last three pivots,
+    h0[j-1] and the fill-in factor l_j = L[x_j, y_{j-1}].  The bands are
+    read in place, as Python floats through memoryviews (zero before
+    row 0).
     """
     neg = 0
     dx = dy = dy2 = 1.0  # pivots before row 0; they meet only zero bands
-    l = 0.0
+    l = d_prev = 0.0
     minus_tau = -tau
-    for d_prev, d2, a, b, b2 in zip(*forward):
+    h1 = chain((0.0,), memoryview(pencil.h1))
+    h2 = chain((0.0, 0.0), memoryview(pencil.h2))
+    for d, a, b in zip(memoryview(pencil.h0), h1, h2):
         t = b * l
         u = t / dx
         num = a + u * d_prev
         l = num / dy
-        dx = (minus_tau - b2 / dy2 - t * u - num * l) or _ZERO_PIVOT
+        dx = (minus_tau - b * b / dy2 - t * u - num * l) or _ZERO_PIVOT
         if dx < 0.0:
             neg += 1
         dy2 = dy
-        dy = (minus_tau - d2 / dx) or _ZERO_PIVOT
+        dy = (minus_tau - d * d / dx) or _ZERO_PIVOT
         if dy < 0.0:
             neg += 1
-    return neg - len(forward[0])
+        d_prev = d
+    return neg - pencil.n
 
 
 # The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
@@ -305,13 +292,11 @@ def _block_size(params, n):
 def _certified(pencil, lam, w, tol):
     """Whether lambda_min lies in [lambda (1 - tol), lambda (1 + tol)]: an
     inertia count finds no singular value of H below the lower root, and
-    the Rayleigh bound of w, or a second count, one below the upper."""
+    the Rayleigh bound of w, or where it fails a second count, one below
+    the upper."""
     upper = lam * (1.0 + tol)
-    # the bound before the bands, so that their arrays never coexist
-    bounded = pencil.n >= _SMALL_N and _rayleigh_bound(pencil, w) <= upper
-    forward = _inertia_bands(pencil)
-    return _count_below(forward, math.sqrt(lam * (1.0 - tol))) == 0 and (
-        bounded or _count_below(forward, math.sqrt(upper)) >= 1
+    return _count_below(pencil, math.sqrt(lam * (1.0 - tol))) == 0 and (
+        _rayleigh_bound(pencil, w) <= upper or _count_below(pencil, math.sqrt(upper)) >= 1
     )
 
 

@@ -39,6 +39,9 @@ class JacobiWeightParams:
     beta: float
 
     def __post_init__(self):
+        for name, x in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(x):
+                raise ValueError(f"Jacobi weight needs a finite {name}, got {x!r}")
         if not (self.alpha > -1.0 and self.beta > -1.0):
             raise ValueError(
                 f"Jacobi weight needs alpha, beta > -1, got ({self.alpha}, {self.beta})"
@@ -77,7 +80,7 @@ def exponent_sum(params):
 
 
 def norm_ratio(params, k):
-    """d_{k+1} / d_k for an integer k or an integer array k.
+    """d_{k+1} / d_k for an integer k >= 0 or an integer array of them.
 
     At k = 0 the factor (1+alpha+beta)/(1+alpha+beta) cancels exactly,
     which keeps the value finite when alpha + beta = -1.
@@ -86,6 +89,8 @@ def norm_ratio(params, k):
     s, lo = exponent_sum(params)
     # Float scalars square by pow(), arrays by x*x: one path for both.
     kf = np.array(k, dtype=float, ndmin=1)
+    if not np.all((kf >= 0) & (kf == np.floor(kf))):
+        raise ValueError("norm ratio defined for integers k >= 0")
     t = 2 * kf + s
     out = 4.0 * (kf + 1) * (kf + 1 + a) * (kf + 1 + b) / (((t + 2) + lo) ** 2 * ((t + 3) + lo))
     out = out * np.divide((kf + 1 + s) + lo, (t + 1) + lo, out=np.ones_like(kf), where=kf != 0)

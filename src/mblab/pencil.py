@@ -138,16 +138,23 @@ def build_pencil(params, n):
 def scaled_pencil(params, n):
     """Build the factor H and its factors K1, K2 from the closed forms of
     G, C1, C2 and the norm ratios; never forms the raw d_k, so it is safe
-    for any n."""
+    for any n.  Raises OverflowError where an exponent is so large that
+    the cube of 2k + alpha + beta leaves double range (from about 1e103):
+    the norm ratios then come out 0 or NaN."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sr = np.sqrt(norm_ratio(params, np.arange(n)))
-    g0, g1, g2 = g_bands(params, n)
-    k = np.arange(1, n)
-    k2_1 = _c2_entries(params, n) / (k * sr[1:])
-    return ScaledPencil(
-        n, params, sr * g0, g1, g2 / sr[1 : n - 1], sr, -raising_coefficient(params, k), g0, k2_1
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sr = np.sqrt(norm_ratio(params, np.arange(n)))
+        g0, g1, g2 = g_bands(params, n)
+        k = np.arange(1, n)
+        k2_1 = _c2_entries(params, n) / (k * sr[1:])
+        bands = sr * g0, g1, g2 / sr[1 : n - 1], sr, -raising_coefficient(params, k), g0, k2_1
+    if not (all(np.isfinite(band).all() for band in bands) and sr.all()):
+        raise OverflowError(
+            f"the bands of H leave double range at alpha = {params.alpha!r},"
+            f" beta = {params.beta!r}, n = {n}"
+        )
+    return ScaledPencil(n, params, *bands)
 
 
 _FACTOR_BANDS = ("k1_0", "k1_1", "k2_0", "k2_1")

@@ -40,6 +40,15 @@ def test_invalid_arguments_exit_one(capsys):
     assert run(capsys, ["nope"])[0] == 1
 
 
+@pytest.mark.parametrize("alpha", ["inf", "1e999", "nan", "1e200"])
+def test_exponent_past_double_range_exits_one(capsys, alpha):
+    # inf and 1e999 parse to inf and are refused as arguments; 1e200 is
+    # refused where H is formed: both name the exponent
+    code, out, err = run(capsys, ["constant", f"--alpha={alpha}", "--beta=0.5", "--n", "10"])
+    assert (code, out) == (1, "")
+    assert "alpha" in err and "empty sequence" not in err
+
+
 def test_unallocatable_n_exits_one(capsys):
     # One int64 array of 2^55 entries is 256 PiB, beyond any address
     # space, so numpy refuses at once and nothing is allocated.

@@ -72,7 +72,16 @@ def test_particular_x_sequence_matches_mpmath(alpha, beta):
                 exact = mpmath.gamma(k + mpmath.mpf(e) + 1) / mpmath.factorial(k)
                 exact *= (-1) ** (k * (j - 1))
                 assert abs(xs[k] / float(exact) - 1.0) <= 1e-10, (j, k)
-        assert particular_x_sequence(p, j, 0).values.shape == (0,)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            particular_x_sequence(p, j, 0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_particular_solutions_refuse_an_empty_range(n):
+    # an empty solution would pass for a valid one downstream
+    for particular in (particular_x_sequence, particular_v):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            particular(P00, 1, n)
 
 
 def test_log_w_scale():

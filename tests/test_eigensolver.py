@@ -126,15 +126,38 @@ def test_inertia_count_matches_dense_svd(alpha, beta, n):
     h = np.diag(sp.h0) + np.diag(sp.h1, 1)[:n, :n] + np.diag(sp.h2, 2)[:n, :n]
     sigma = np.sort(np.linalg.svd(h, compute_uv=False))
     margin = 1e3 * np.finfo(float).eps * sigma[-1]
-    forward = eigensolver._inertia_bands(sp)
     checked = 0
     for below, (lo, hi) in enumerate(zip([0.0, *sigma], [*sigma, 4.0 * sigma[-1]])):
         tau = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         if tau - lo > margin and hi - tau > margin:
-            assert eigensolver._count_below(forward, tau) == below, (below, tau)
+            assert eigensolver._count_below(sp, tau) == below, (below, tau)
             checked += 1
     # the bracket above the spectrum always counts, and most gaps do
     assert checked >= max(1, n // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 120])
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(EDGE, EDGE), (EDGE, 49.5), (49.5, 49.5), (12.0, 12.0), (0.0, 0.0), (-0.95, 11.5), (0.3, 1.7)],
+)
+def test_inertia_count_reads_strided_read_only_bands(alpha, beta, n):
+    # The count reads the bands in place: every other entry of a
+    # read-only buffer counts as a contiguous copy does, at every shift.
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    copies, views = {}, {}
+    for name in ("h0", "h1", "h2"):
+        band = getattr(sp, name)
+        copies[name] = np.ascontiguousarray(band)
+        views[name] = np.repeat(band, 2)[::2]
+        views[name].flags.writeable = False
+    contiguous, strided = dataclasses.replace(sp, **copies), dataclasses.replace(sp, **views)
+    assert n < 2 or not strided.h0.flags.c_contiguous
+    h = np.diag(sp.h0) + np.diag(sp.h1, 1)[:n, :n] + np.diag(sp.h2, 2)[:n, :n]
+    sigma = np.sort(np.linalg.svd(h, compute_uv=False))
+    for lo, hi in zip([0.0, *sigma], [*sigma, 4.0 * sigma[-1]]):
+        tau = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        assert eigensolver._count_below(strided, tau) == eigensolver._count_below(contiguous, tau)
 
 
 def test_tolerance_validation():
@@ -377,7 +400,7 @@ def test_nearly_multiple_smallest_eigenvalue_is_certified(n):
     h = np.diag(sp.h0) + np.diag(sp.h1, 1) + np.diag(sp.h2, 2)
     sigma = np.linalg.svd(h, compute_uv=False)[-1]
     upper = math.sqrt(result.lambda_min * (1 + 1e-12))
-    assert eigensolver._count_below(eigensolver._inertia_bands(sp), upper) >= 1
+    assert eigensolver._count_below(sp, upper) >= 1
     assert result.lambda_min == pytest.approx(sigma**2, rel=1e-6)
 
 
@@ -589,9 +612,9 @@ def _count_passes(monkeypatch):
     shifts = []
     count = eigensolver._count_below
 
-    def counting(forward, tau):
+    def counting(pencil, tau):
         shifts.append(tau)
-        return count(forward, tau)
+        return count(pencil, tau)
 
     monkeypatch.setattr(eigensolver, "_count_below", counting)
     return shifts
@@ -623,12 +646,29 @@ def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n,
 @pytest.mark.parametrize("alpha,beta", [(0.3, 1.7), (12.0, 12.0), (EDGE, 49.5)])
 def test_rayleigh_bound_replaces_the_upper_count(monkeypatch, alpha, beta):
     shifts = _count_passes(monkeypatch)
-    for n in (199, 200, 1000):
+    for n in (1, 2, 8, 199, 200, 1000):
         got = solve(JacobiWeightParams(alpha, beta), n)
-        lower, upper = (math.sqrt(got.lambda_min * (1 + s * 1e-12)) for s in (-1, 1))
-        # below n = 200 the second count is cheaper than the bound
-        assert shifts == ([lower, upper] if n < 200 else [lower])
+        # one rule at every n: the bound holds, so only the lower count runs
+        assert shifts == [math.sqrt(got.lambda_min * (1 - 1e-12))]
         shifts.clear()
+
+
+def test_refused_lower_count_skips_the_rayleigh_bound(monkeypatch):
+    sp = scaled_pencil(P37, 400)
+    got = smallest_eigenpair(sp)
+    bounds = []
+    bound = eigensolver._rayleigh_bound
+
+    def bounding(pencil, w):
+        bounds.append(w)
+        return bound(pencil, w)
+
+    monkeypatch.setattr(eigensolver, "_rayleigh_bound", bounding)
+    # at twice lambda_min the lower count finds a singular value below
+    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12)
+    assert bounds == []
+    assert eigensolver._certified(sp, got.lambda_min, got.w, 1e-12)
+    assert len(bounds) == 1
 
 
 @pytest.mark.parametrize(

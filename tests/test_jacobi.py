@@ -33,6 +33,13 @@ def test_params_validation_and_orders():
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_exponents(name, x):
+    with pytest.raises(ValueError, match=f"finite {name}"):
+        JacobiWeightParams(**{"alpha": 0.5, "beta": 0.5, name: x})
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
 def test_params_reject_exponent_whose_bessel_order_rounds_to_minus_one(name):
     # refused when the weight is built, so before any solve
     x = -0.9999999999999999
@@ -127,6 +134,14 @@ def test_raising_coefficient_values():
     )
     with pytest.raises(ValueError):
         raising_coefficient(P00, 0)
+
+
+@pytest.mark.parametrize("k", [-1, -2, 2.5, [0, 1, -1], np.array([0.0, 0.5])])
+def test_norm_ratio_refuses_indices_outside_the_integers_from_zero(k):
+    # d_{k+1} / d_k exists only for integers k >= 0; the closed form
+    # would return a number for any k
+    with pytest.raises(ValueError, match="k >= 0"):
+        norm_ratio(P00, k)
 
 
 @pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -171,6 +173,19 @@ def test_scaled_pencil_large_n_no_overflow():
     b0 = b_bands(scaled_pencil(P00, 2000))[0]
     assert np.all(np.isfinite(b0))
     assert np.all(b0 > 0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1e200, 0.5), (0.5, 1e200), (1e103, 1e103)])
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_scaled_pencil_refuses_bands_past_double_range(recwarn, alpha, beta, n):
+    # 2k + alpha + beta cubed overflows, so the norm ratios come out 0 or
+    # NaN: refused with the exponents named, and without warnings
+    named = re.escape(f"alpha = {alpha!r}, beta = {beta!r}, n = {n}")
+    with pytest.raises(OverflowError, match=named):
+        scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    with pytest.raises(OverflowError):
+        solve(JacobiWeightParams(alpha, beta), n)
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize(

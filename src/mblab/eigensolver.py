@@ -10,7 +10,10 @@ four first-order recurrences, each one numpy cumulative sum over all
 vectors, and makes a Rayleigh-Ritz over the solves, the current vectors
 and the last change of the vectors on the bands of H, with one vector
 where the large-n law puts the two smallest eigenvalues far apart and
-two otherwise.  The iteration ends on the first settled step that the
+two otherwise.  At alpha = beta, where h1 = 0 splits H into two upper
+bidiagonals on the even and the odd indices, it runs with one vector on
+the half that holds index n - 1, two recurrences on that half's own
+bands.  The iteration ends on the first settled step that the
 certificate accepts: an inertia count (negative pivots of an unpivoted
 LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
 eigenvalues are +-sigma_i(H) - tau, finds no singular value below
@@ -138,16 +141,19 @@ def _scan_setup(d, e):
 
 class _Scans:
     """Solves L1 L2 x = r for every row of r, L1 and L2 lower bidiagonal
-    (diagonal, subdiagonal) pairs: L1 u = r, then L2 x = u.  Each is a
-    first-order recurrence, x = P cumsum(r / (d P)): one numpy cumulative
-    sum between two scalings, made once per solve (the one after the first
-    sum and the one before the second as one product).  P restarts in
-    blocks where it would leave double range, e.g. at alpha = 300."""
+    (diagonal, subdiagonal) pairs: L1 u = r, then L2 x = u; or L1 x = r
+    for one factor.  Each is a first-order recurrence,
+    x = P cumsum(r / (d P)): one numpy cumulative sum between two
+    scalings, made once per solve (the one after a sum and the one before
+    the next as one product).  P restarts in blocks where it would leave
+    double range, e.g. at alpha = 300."""
 
-    def __init__(self, first, second):
-        p1, pre1, blocks1 = _scan_setup(*first)
-        p2, pre2, blocks2 = _scan_setup(*second)
-        self._pre, self._scans = pre1, ((blocks1, p1 * pre2), (blocks2, p2))
+    def __init__(self, *factors):
+        setups = [_scan_setup(d, e) for d, e in factors]
+        scales = [p * after[1] for (p, _, _), after in zip(setups, setups[1:])]
+        scales.append(setups[-1][0])
+        self._pre = setups[0][1]
+        self._scans = [(blocks, scale) for (_, _, blocks), scale in zip(setups, scales)]
 
     def solve(self, r):
         t = r * self._pre
@@ -173,6 +179,8 @@ def _orthonormal_blocks(blocks, out):
     rows = 0
     for i, block in enumerate(blocks):
         norms = np.sqrt(np.einsum("in,in->i", block, block))
+        if not np.isfinite(norms).all():  # ||B^-1 q|| where lambda_min < ~1e-154
+            raise OverflowError("a squared norm leaves double range")
         # A P row vanishes when the Ritz vectors did not move.
         moved = norms > 0.0
         x = out[rows : rows + np.count_nonzero(moved)]
@@ -279,9 +287,11 @@ def _rayleigh_bound(pencil, w):
 
 
 def _block_size(params, n):
-    """Vectors the iteration carries: one where the large-n law puts the
-    two smallest eigenvalues far apart, else two (small n, alpha = beta or
-    nearly, an order past the zero finder)."""
+    """Vectors the iteration on all of H carries: one where the large-n law
+    puts the two smallest eigenvalues far apart, else two (small n, nearly
+    equal exponents, an order past the zero finder; at alpha = beta, where
+    the pair is split by the parity classes, only if the half does not
+    certify)."""
     orders = params.nu_alpha, params.nu_beta
     if n < _SMALL_N or max(orders) > NU_WINDOW:
         return 2
@@ -300,39 +310,76 @@ def _certified(pencil, lam, w, tol):
     )
 
 
-def _residual(pencil, w, hw, lam):
-    r = ht_matvec(pencil.h0, pencil.h1, pencil.h2, hw) - lam * w
+def _residual(bands, w, hw, lam):
+    r = ht_matvec(*bands, hw) - lam * w
     return math.sqrt(_dot(r, r))
 
 
 def _solve_core(pencil, tol):
-    """Locally optimal block inverse iteration on B = H^T H from the bands
-    of H, with the vectors of _block_size, until the certificate holds.
-    Returns the Solution, w marked read-only.
+    """The Solution of the pencil: inverse iteration (_iterate) until the
+    certificate holds.  Returns the Solution, w marked read-only.
 
-    Each step makes Z = B^-1 Q = (K2 K1)^-1 (K2 K1)^-T Q with four scans,
-    each over all vectors at once, and a Rayleigh-Ritz over
-    span[Z, Q, P], P being the change of the Ritz vectors over the last
-    step (LOBPCG with the exact inverse as preconditioner; Knyazev, SISC
-    23, 2001), which stalls when the inverse is of another matrix than the
-    H whose bands the step reads.  The basis is one array, orthonormal in
-    n-space; one product H basis gives the small matrix, and the Ritz
-    vectors q and their products H q are combinations of the basis and of
-    that product.
+    At alpha = beta, h1 is exactly 0 and H splits into two upper
+    bidiagonals, on the even and on the odd indices.  The iteration then
+    runs with one vector on the half that holds index n - 1, which held
+    lambda_min at every alpha = beta and n measured; the certificate on
+    all of H proves it.  Where the half does not certify (odd n with
+    alpha + 1 below about 5e-8, where its Ritz value jitters by about
+    1e-9), the iteration on all of H runs instead.
+    """
+    n = pencil.n
+    try:
+        if n >= 2 and not pencil.h1.any():
+            try:
+                return _iterate(pencil, tol, (n - 1) % 2)
+            except ConvergenceError:
+                pass
+        return _iterate(pencil, tol, None)
+    except OverflowError:
+        raise OverflowError(
+            f"the inverse iteration leaves double range at alpha = {pencil.params.alpha!r},"
+            f" beta = {pencil.params.beta!r}, n = {n} (lambda_min below about 1e-154)"
+        ) from None
+
+
+def _iterate(pencil, tol, parity):
+    """Locally optimal block inverse iteration on B = H^T H, on all of H
+    with the vectors of _block_size (parity None), or with one vector on
+    the upper bidiagonal of H's rows and columns parity::2.
+
+    Each step makes Z = B^-1 Q with scans over all vectors at once: four,
+    (K2 K1)^-1 (K2 K1)^-T Q, on all of H, and two on the half, through
+    its own bands.  Then a Rayleigh-Ritz over span[Z, Q, P], P being the
+    change of the Ritz vectors over the last step (LOBPCG with the exact
+    inverse as preconditioner; Knyazev, SISC 23, 2001), which stalls
+    when the inverse is of another matrix than the H whose bands the step
+    reads.  The basis is one array, orthonormal in n-space; one product
+    H basis gives the small matrix, and the Ritz vectors q and their
+    products H q are combinations of the basis and of that product.
 
     A step ends the iteration when lambda has settled, the residual meets
-    tol max(1, max diag B) and _certified holds; a refused step is iterated
-    on.  The accuracy of lambda rests on the certificate alone: a tiny
-    lambda meets the absolute target at once (0.8% of lambda ~ 1e-23 at
-    alpha = beta = -1 + 2^-52, n = 73), but without it w lies 5 and 28 times
-    further from the 80-digit eigenvector at (49.5, 20, 50) and (10, 10, 30).
+    tol max(1, max diag B) and _certified holds for w, zero off the half;
+    a refused step is iterated on.  The accuracy of lambda rests on the
+    certificate alone: a tiny lambda meets the absolute target at once
+    (0.8% of lambda ~ 1e-23 at alpha = beta = -1 + 2^-52, n = 73), but
+    without it w lies 5 and 28 times further from the 80-digit
+    eigenvector at (49.5, 20, 50) and (10, 10, 30).
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
-    k1, k2 = (pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)
+    if parity is None:
+        rows, bands = slice(None), (h0, h1, h2)
+        factors = (pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)
+        m = min(n, _block_size(pencil.params, n))
+    else:
+        rows = slice(parity, None, 2)
+        # The half ends at index n - 1, so its h2 has one entry fewer.
+        d, e = np.ascontiguousarray(h0[rows]), np.ascontiguousarray(h2[rows])
+        bands, factors, m = (d, e, None), ((d, e),), 1
+    size = len(bands[0])
     # H^T y = q is K1^T u = q, then K2^T y = u.  H z = y is K2 v = y, then
     # K1 z = v, which with rows and columns reversed are lower bidiagonal.
-    solve_lower = _Scans(k1, k2).solve
-    solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in (k2, k1))).solve
+    solve_lower = _Scans(*factors).solve
+    solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in reversed(factors))).solve
 
     diag_b = h0 * h0
     diag_b[1:] += h1 * h1
@@ -341,24 +388,28 @@ def _solve_core(pencil, tol):
     del diag_b  # an n-vector the steps do not need
 
     # Start from the indicators of the indices mod m: for m = 2 the even
-    # and odd ones, each holding one parity class at alpha = beta.
-    m = min(n, _block_size(pencil.params, n))
-    q = np.zeros((m, n))
+    # and odd ones, each holding one parity class at alpha = beta.  One
+    # vector takes the sign pattern of w: with S = I for alpha <= beta and
+    # S = diag((-1)^k) for alpha > beta (sign h1 = sign(alpha - beta),
+    # h0 > 0 > h2), S H S is an upper triangular M-matrix, so S B^-1 S > 0.
+    q = np.zeros((m, size))
     for row in range(m):
-        q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
-    p = np.empty((0, n))
+        q[row, row::m] = 1.0 / math.sqrt(len(range(row, size, m)))
+    if m == 1 and pencil.params.alpha > pencil.params.beta:
+        q[0, 1::2] *= -1.0
+    p = np.empty((0, size))
     # The basis and its product with H are written into two buffers made
     # once per solve: new 3m-row arrays at every step raise the peak RSS
     # of a long run through the allocator's reuse of freed blocks.
-    basis_buf = np.empty((3 * m, n))
-    hbasis_buf = np.empty((3 * m, n))
+    basis_buf = np.empty((3 * m, size))
+    hbasis_buf = np.empty((3 * m, size))
     lam_prev = math.inf
     refused = 0
     for steps in range(1, _MAX_STEPS + 1):
         z = solve_upper(solve_lower(q)[:, ::-1])[:, ::-1]
         basis = _orthonormal_blocks((z, q, p), basis_buf)
         del z, p  # the basis spans them: the product below peaks without them
-        hbasis = h_matvec(h0, h1, h2, basis, out=hbasis_buf[: len(basis)])
+        hbasis = h_matvec(*bands, basis, out=hbasis_buf[: len(basis)])
         c = np.linalg.eigh(_gram(hbasis, hbasis))[1][:, :m]
         q_new = _combine(c, basis)
         p = q_new - _combine(_gram(q_new, q).T, q)
@@ -371,7 +422,7 @@ def _solve_core(pencil, tol):
         i = norms.index(min(norms))
         w, hw, lam = q[i], hq[i], norms[i]
         # The residual (two n-long products) only once lambda has settled.
-        if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(pencil, w, hw, lam) <= target:
+        if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
             # Two solves smooth a single vector: the 50-digit sup defect at
             # (2.5, -0.5, 4000) is 1.4e-9 off without, 5.1e-12 with them (at
             # alpha = beta = -1 + 2^-52, two vectors, they raise the residual).
@@ -379,15 +430,17 @@ def _solve_core(pencil, tol):
             for _ in range(2 if m == 1 else 0):
                 x = solve_upper(solve_lower(x[None, :])[:, ::-1])[0, ::-1]
                 x /= math.sqrt(_dot(x, x))
-            x = np.array(x)  # not a row of q, so a memoised Solution holds n doubles
-            if _certified(pencil, lam, x, tol):
-                x.flags.writeable = False
-                return Solution(lam, x, _residual(pencil, x, h_matvec(h0, h1, h2, x), lam), steps)
+            # Not a row of q, so a memoised Solution holds n doubles.
+            full = np.zeros(n)
+            full[rows] = x
+            if _certified(pencil, lam, full, tol):
+                full.flags.writeable = False
+                return Solution(lam, full, _residual(bands, x, h_matvec(*bands, x), lam), steps)
             refused += 1
         lam_prev = lam
     raise ConvergenceError(
         f"did not certify lambda in {_MAX_STEPS} steps ({refused} settled steps failed the"
-        f" certificate; last residual {_residual(pencil, w, hw, lam):.3e}, target {target:.3e})"
+        f" certificate; last residual {_residual(bands, w, hw, lam):.3e}, target {target:.3e})"
     )
 
 

@@ -79,6 +79,16 @@ def exponent_sum(params):
     return s, (a - (s - b_rounded)) + (b - b_rounded)
 
 
+def _indices(k, low, name):
+    """k as a float array of at least one dimension; raises ValueError
+    unless every entry is a finite integer >= low (the closed forms would
+    return a number, or NaN, for any k)."""
+    kf = np.array(k, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(kf) & (kf >= low) & (kf == np.floor(kf))):
+        raise ValueError(f"{name} defined for integers k >= {low}")
+    return kf
+
+
 def norm_ratio(params, k):
     """d_{k+1} / d_k for an integer k >= 0 or an integer array of them.
 
@@ -88,9 +98,7 @@ def norm_ratio(params, k):
     a, b = params.alpha, params.beta
     s, lo = exponent_sum(params)
     # Float scalars square by pow(), arrays by x*x: one path for both.
-    kf = np.array(k, dtype=float, ndmin=1)
-    if not np.all((kf >= 0) & (kf == np.floor(kf))):
-        raise ValueError("norm ratio defined for integers k >= 0")
+    kf = _indices(k, 0, "norm ratio")
     t = 2 * kf + s
     out = 4.0 * (kf + 1) * (kf + 1 + a) * (kf + 1 + b) / (((t + 2) + lo) ** 2 * ((t + 3) + lo))
     out = out * np.divide((kf + 1 + s) + lo, (t + 1) + lo, out=np.ones_like(kf), where=kf != 0)
@@ -182,9 +190,7 @@ def monic_eval_table(params, kmax, x):
 def raising_coefficient(params, k):
     """Coefficient c_k in P_k^(alpha,beta) = P_k^(alpha+1,beta) - c_k P_{k-1}^(alpha+1,beta),
     for an integer k >= 1 or an integer array of them."""
-    kf = np.array(k, dtype=float, ndmin=1)
-    if not np.all(kf >= 1):
-        raise ValueError("raising coefficient defined for k >= 1")
+    kf = _indices(k, 1, "raising coefficient")
     s, lo = exponent_sum(params)
     out = 2.0 * kf * (kf + params.beta) / (((2 * kf + s) + lo) * ((2 * kf + s + 1) + lo))
     return float(out[0]) if np.ndim(k) == 0 else out

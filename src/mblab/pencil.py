@@ -206,18 +206,21 @@ def symmetrized_bands(pencil):
 
 def h_matvec(h0, h1, h2, x, out=None):
     """H x for every row x of a 1-D or 2-D array, H upper triangular with
-    bands h0, h1, h2; written into `out` when given."""
+    bands h0, h1, h2 (h2 None for an upper bidiagonal H); written into
+    `out` when given."""
     out = np.multiply(h0, x, out=out)
     out[..., :-1] += h1 * x[..., 1:]
-    out[..., :-2] += h2 * x[..., 2:]
+    if h2 is not None:
+        out[..., :-2] += h2 * x[..., 2:]
     return out
 
 
 def ht_matvec(h0, h1, h2, y):
-    """H^T y for y of shape (n,)."""
+    """H^T y for y of shape (n,), H as for h_matvec."""
     out = h0 * y
     out[1:] += h1 * y[:-1]
-    out[2:] += h2 * y[:-2]
+    if h2 is not None:
+        out[2:] += h2 * y[:-2]
     return out
 
 

@@ -40,10 +40,11 @@ def test_invalid_arguments_exit_one(capsys):
     assert run(capsys, ["nope"])[0] == 1
 
 
-@pytest.mark.parametrize("alpha", ["inf", "1e999", "nan", "1e200"])
+@pytest.mark.parametrize("alpha", ["inf", "1e999", "nan", "1e200", "1e78"])
 def test_exponent_past_double_range_exits_one(capsys, alpha):
     # inf and 1e999 parse to inf and are refused as arguments; 1e200 is
-    # refused where H is formed: both name the exponent
+    # refused where H is formed, and 1e78, whose H is finite, where
+    # ||B^-1 q||^2 overflows: all name the exponent
     code, out, err = run(capsys, ["constant", f"--alpha={alpha}", "--beta=0.5", "--n", "10"])
     assert (code, out) == (1, "")
     assert "alpha" in err and "empty sequence" not in err

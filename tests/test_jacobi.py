@@ -136,12 +136,20 @@ def test_raising_coefficient_values():
         raising_coefficient(P00, 0)
 
 
-@pytest.mark.parametrize("k", [-1, -2, 2.5, [0, 1, -1], np.array([0.0, 0.5])])
+@pytest.mark.parametrize("k", [-1, -2, 2.5, math.inf, [0, 1, -1], np.array([0.0, 0.5])])
 def test_norm_ratio_refuses_indices_outside_the_integers_from_zero(k):
     # d_{k+1} / d_k exists only for integers k >= 0; the closed form
-    # would return a number for any k
+    # would return a number for any k (NaN at k = inf)
     with pytest.raises(ValueError, match="k >= 0"):
         norm_ratio(P00, k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, math.inf, math.nan, [1, 2.5], np.array([1.0, np.inf])])
+def test_raising_coefficient_refuses_indices_outside_the_integers_from_one(k):
+    # c_k exists only for integers k >= 1; the closed form gave 0.4167 at
+    # k = 2.5 and NaN at k = inf
+    with pytest.raises(ValueError, match="k >= 1"):
+        raising_coefficient(P00, k)
 
 
 @pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)

@@ -12,8 +12,10 @@ and the last change of the vectors on the bands of H, with one vector
 where the large-n law puts the two smallest eigenvalues far apart and
 two otherwise.  At alpha = beta, where h1 = 0 splits H into two upper
 bidiagonals on the even and the odd indices, it runs with one vector on
-the half that holds index n - 1, two recurrences on that half's own
-bands.  The iteration ends on the first settled step that the
+the half that holds index n - 1 (at n = 1, H itself), two recurrences on
+that half's own bands.  Two more solves smooth the vector it returns,
+except where the half does not certify and all of H takes over.  The
+iteration ends on the first settled step that the
 certificate accepts: an inertia count (negative pivots of an unpivoted
 LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
 eigenvalues are +-sigma_i(H) - tau, finds no singular value below
@@ -52,8 +54,9 @@ _MAX_STEPS = 200
 # relative squared norm below this is dropped from the basis.
 _DROP = 1e-14
 # One vector needs the predicted limits of the two smallest eigenvalues
-# _SPLIT_RATIO apart and n >= _SMALL_N (at n = 4 one vector took 8-13
-# steps, two took 2).
+# _SPLIT_RATIO apart and n >= _SMALL_N.  Below it, on 8 such weights, a
+# solve took 3.0 ms with one vector and 1.6 ms with two at n = 4, as long
+# with either at n = 8, and 6-16% less with one at n = 20-150.
 _SPLIT_RATIO = 1.2
 _SMALL_N = 200
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
@@ -68,9 +71,10 @@ class Solution:
     polynomial and the profile comparison all derive from it.
 
     `residual` is || H^T (H w) - lambda w || for the unit w, an absolute
-    number (0.8% of lambda at alpha = beta = -1 + 2^-52, n = 73), not a
-    certificate: lambda rests on the inertia count below it and, above
-    it, the compensated Rayleigh bound or a second count.  `iterations`
+    number (2.4e-15, about 4e7 lambda, at alpha = beta = -1 + 2^-52,
+    n = 73), not a certificate: lambda rests on the inertia count below
+    it and, above it, the compensated Rayleigh bound or a second count.
+    `iterations`
     counts block inverse-iteration steps, the last one the first that the
     certificate accepted.
     """
@@ -288,10 +292,13 @@ def _rayleigh_bound(pencil, w):
 
 def _block_size(params, n):
     """Vectors the iteration on all of H carries: one where the large-n law
-    puts the two smallest eigenvalues far apart, else two (small n, nearly
-    equal exponents, an order past the zero finder; at alpha = beta, where
-    the pair is split by the parity classes, only if the half does not
-    certify)."""
+    puts the two smallest eigenvalues far apart, else two: below
+    _SMALL_N; at nearly equal exponents, where on 480 seeded weights near
+    alpha, beta = -1 one vector failed 12 that two certify and certified
+    11 that two fail, and took 505 steps over the 85 reference cases
+    instead of 499; for an order past the zero finder; and at alpha =
+    beta, where the parity classes split the pair and all of H runs only
+    where the half does not certify."""
     orders = params.nu_alpha, params.nu_beta
     if n < _SMALL_N or max(orders) > NU_WINDOW:
         return 2
@@ -299,15 +306,20 @@ def _block_size(params, n):
     return 1 if (high / low) ** 2 >= _SPLIT_RATIO else 2
 
 
-def _certified(pencil, lam, w, tol):
+def _certified(pencil, lam, w, tol, below):
     """Whether lambda_min lies in [lambda (1 - tol), lambda (1 + tol)]: an
     inertia count finds no singular value of H below the lower root, and
     the Rayleigh bound of w, or where it fails a second count, one below
-    the upper."""
+    the upper.  The lower count reads lambda alone, so a lambda in the set
+    `below`, which it refused before, is refused without a count; one it
+    refuses now is added."""
+    if lam in below:
+        return False
+    if _count_below(pencil, math.sqrt(lam * (1.0 - tol))):
+        below.add(lam)
+        return False
     upper = lam * (1.0 + tol)
-    return _count_below(pencil, math.sqrt(lam * (1.0 - tol))) == 0 and (
-        _rayleigh_bound(pencil, w) <= upper or _count_below(pencil, math.sqrt(upper)) >= 1
-    )
+    return _rayleigh_bound(pencil, w) <= upper or _count_below(pencil, math.sqrt(upper)) >= 1
 
 
 def _residual(bands, w, hw, lam):
@@ -320,16 +332,20 @@ def _solve_core(pencil, tol):
     certificate holds.  Returns the Solution, w marked read-only.
 
     At alpha = beta, h1 is exactly 0 and H splits into two upper
-    bidiagonals, on the even and on the odd indices.  The iteration then
-    runs with one vector on the half that holds index n - 1, which held
-    lambda_min at every alpha = beta and n measured; the certificate on
-    all of H proves it.  Where the half does not certify (odd n with
-    alpha + 1 below about 5e-8, where its Ritz value jitters by about
-    1e-9), the iteration on all of H runs instead.
+    bidiagonals, on the even and on the odd indices (at n = 1, h1 is
+    empty and the half is H itself).  The iteration then runs with one
+    vector on the half that holds index n - 1, which held lambda_min at
+    every alpha = beta and n measured; the certificate on all of H
+    proves it.  Where the half does not certify, the iteration on all of
+    H runs instead: at odd n with alpha + 1 below about 5e-8, where the
+    half also holds index 0, whose row has |h2[0]| from 2.6e3 to 1.7e7
+    against h0[0] ~ 1, so that it cancels.  At 7 such weights its Ritz
+    value jitters by 3e-9 to 3e-3 over the last 20 steps; at one it
+    settles 1.2e-10 above lambda_min.
     """
     n = pencil.n
     try:
-        if n >= 2 and not pencil.h1.any():
+        if not pencil.h1.any():
             try:
                 return _iterate(pencil, tol, (n - 1) % 2)
             except ConvergenceError:
@@ -345,7 +361,10 @@ def _solve_core(pencil, tol):
 def _iterate(pencil, tol, parity):
     """Locally optimal block inverse iteration on B = H^T H, on all of H
     with the vectors of _block_size (parity None), or with one vector on
-    the upper bidiagonal of H's rows and columns parity::2.
+    the upper bidiagonal of H's rows and columns parity::2.  Three
+    configurations: the half; all of H off alpha = beta; and all of H at
+    alpha = beta, where the half did not certify, without the smoothing
+    solves.
 
     Each step makes Z = B^-1 Q with scans over all vectors at once: four,
     (K2 K1)^-1 (K2 K1)^-T Q, on all of H, and two on the half, through
@@ -361,7 +380,8 @@ def _iterate(pencil, tol, parity):
     tol max(1, max diag B) and _certified holds for w, zero off the half;
     a refused step is iterated on.  The accuracy of lambda rests on the
     certificate alone: a tiny lambda meets the absolute target at once
-    (0.8% of lambda ~ 1e-23 at alpha = beta = -1 + 2^-52, n = 73), but
+    (the residual of the Ritz vector, before the smoothing solves, is
+    0.4% of lambda ~ 6e-23 at alpha = beta = -1 + 2^-52, n = 73), but
     without it w lies 5 and 28 times further from the 80-digit
     eigenvector at (49.5, 20, 50) and (10, 10, 30).
     """
@@ -387,16 +407,15 @@ def _iterate(pencil, tol, parity):
     target = tol * max(1.0, float(np.max(diag_b)))
     del diag_b  # an n-vector the steps do not need
 
-    # Start from the indicators of the indices mod m: for m = 2 the even
-    # and odd ones, each holding one parity class at alpha = beta.  One
-    # vector takes the sign pattern of w: with S = I for alpha <= beta and
-    # S = diag((-1)^k) for alpha > beta (sign h1 = sign(alpha - beta),
-    # h0 > 0 > h2), S H S is an upper triangular M-matrix, so S B^-1 S > 0.
+    # Start from the indicators of the indices mod m with the sign pattern
+    # of w: with S = I for alpha <= beta and S = diag((-1)^k) for alpha >
+    # beta (sign h1 = sign(alpha - beta), h0 > 0 > h2), S H S is an upper
+    # triangular M-matrix, so S B^-1 S > 0.  For m = 2 the odd row flips.
     q = np.zeros((m, size))
     for row in range(m):
         q[row, row::m] = 1.0 / math.sqrt(len(range(row, size, m)))
-    if m == 1 and pencil.params.alpha > pencil.params.beta:
-        q[0, 1::2] *= -1.0
+    if pencil.params.alpha > pencil.params.beta:
+        q[:, 1::2] *= -1.0
     p = np.empty((0, size))
     # The basis and its product with H are written into two buffers made
     # once per solve: new 3m-row arrays at every step raise the peak RSS
@@ -404,7 +423,7 @@ def _iterate(pencil, tol, parity):
     basis_buf = np.empty((3 * m, size))
     hbasis_buf = np.empty((3 * m, size))
     lam_prev = math.inf
-    refused = 0
+    refused, below = 0, set()
     for steps in range(1, _MAX_STEPS + 1):
         z = solve_upper(solve_lower(q)[:, ::-1])[:, ::-1]
         basis = _orthonormal_blocks((z, q, p), basis_buf)
@@ -423,17 +442,18 @@ def _iterate(pencil, tol, parity):
         w, hw, lam = q[i], hq[i], norms[i]
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
-            # Two solves smooth a single vector: the 50-digit sup defect at
-            # (2.5, -0.5, 4000) is 1.4e-9 off without, 5.1e-12 with them (at
-            # alpha = beta = -1 + 2^-52, two vectors, they raise the residual).
+            # Two solves smooth w (50-digit sup defect at (12, 3, 199) 1.0e-9
+            # off without, 1.3e-11 with), but not the rescue on all of H at
+            # alpha = beta: K2 K1 pulls it off its parity (residual 5e6 ->
+            # 3e14 lambda at (-0.999999999999984, same, 445)).
             x = w
-            for _ in range(2 if m == 1 else 0):
+            for _ in range(0 if parity is None and not h1.any() else 2):
                 x = solve_upper(solve_lower(x[None, :])[:, ::-1])[0, ::-1]
                 x /= math.sqrt(_dot(x, x))
             # Not a row of q, so a memoised Solution holds n doubles.
             full = np.zeros(n)
             full[rows] = x
-            if _certified(pencil, lam, full, tol):
+            if _certified(pencil, lam, full, tol, below):
                 full.flags.writeable = False
                 return Solution(lam, full, _residual(bands, x, h_matvec(*bands, x), lam), steps)
             refused += 1

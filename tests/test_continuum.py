@@ -146,6 +146,7 @@ EXTRA_SUP_DEFECTS = {
     "4.0,9.0,400": "0.106768014358351049151202872176",
     "12.0,6.5,400": "0.194401907860996628128699621373",
     "12.0,3.0,400": "0.111395603961756333484601625825",
+    "12.0,3.0,199": "0.206433160413585961247838028702",
 }
 
 

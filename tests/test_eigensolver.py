@@ -662,11 +662,17 @@ def test_refused_lower_count_skips_the_rayleigh_bound(monkeypatch):
         return bound(pencil, w)
 
     monkeypatch.setattr(eigensolver, "_rayleigh_bound", bounding)
+    shifts = _count_passes(monkeypatch)
+    below = set()
     # at twice lambda_min the lower count finds a singular value below
-    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12)
+    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12, below)
     assert bounds == []
-    assert eigensolver._certified(sp, got.lambda_min, got.w, 1e-12)
-    assert len(bounds) == 1
+    assert below == {2.0 * got.lambda_min} and len(shifts) == 1
+    # the count reads lambda alone: a refused lambda is not counted again
+    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12, below)
+    assert len(shifts) == 1
+    assert eigensolver._certified(sp, got.lambda_min, got.w, 1e-12, below)
+    assert len(bounds) == 1 and len(shifts) == 2
 
 
 @pytest.mark.parametrize(
@@ -728,11 +734,13 @@ def test_one_vector_follows_the_perron_sign_pattern(alpha, beta):
     assert signs in ({1.0}, {-1.0})
 
 
-@pytest.mark.parametrize("alpha,n", [(0.0, 2), (0.0, 1000), (12.0, 4001), (-0.95, 4000), (EDGE, 73)])
+@pytest.mark.parametrize(
+    "alpha,n", [(0.0, 1), (EDGE, 1), (0.0, 2), (0.0, 1000), (12.0, 4001), (-0.95, 4000), (EDGE, 73)]
+)
 def test_equal_exponents_iterate_on_the_parity_half_of_the_last_index(monkeypatch, alpha, n):
     # h1 = 0 splits H into its even and odd halves; one vector on the half
-    # that holds index n - 1, and the count over all of H shows that the
-    # other half holds no smaller value
+    # that holds index n - 1 (at n = 1, H itself), and the count over all
+    # of H shows that the other half holds no smaller value
     calls = _record_halves(monkeypatch)
     sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
     got = smallest_eigenpair(sp)
@@ -763,6 +771,21 @@ def test_iteration_on_all_of_h_takes_over_where_the_half_does_not_certify(monkey
     got = solve(JacobiWeightParams(alpha, alpha), 445)
     assert calls == [0, None]
     assert abs(got.lambda_min / 3.2469630463728775e-24 - 1.0) <= 1e-12
+    # unsmoothed: the smoothing solves through K2 K1 would raise the
+    # residual from 5e6 lambda to 3e14 lambda
+    assert got.residual <= 1e8 * got.lambda_min
+
+
+def test_a_lambda_the_lower_count_refused_is_not_counted_again(monkeypatch):
+    # The half settles 194 times here on a few lambdas 1.2e-10 above
+    # lambda_min, and all of H then certifies; a count over all of H at
+    # each settled step would make about 196 counts.
+    calls = _record_halves(monkeypatch)
+    shifts = _count_passes(monkeypatch)
+    alpha = -0.999999950836762
+    solve(JacobiWeightParams(alpha, alpha), 7939)
+    assert calls == [0, None]
+    assert len(shifts) < 10
 
 
 def test_inverse_iteration_past_double_range_names_the_weight():

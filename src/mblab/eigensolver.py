@@ -4,18 +4,13 @@ constant / extremal polynomial derived from it.
 The solver works on the upper-triangular factor H of the symmetrized
 matrix B = H^T H (see the pencil module) and never forms B, so
 lambda_min = sigma_min(H)^2 keeps the relative accuracy of H's entries.
-Locally optimal block inverse iteration finds the eigenpair: each step
-solves H^T y = q and H z = y through the bidiagonal factors H = K2 K1,
-four first-order recurrences, each one numpy cumulative sum over all
-vectors, and makes a Rayleigh-Ritz over the solves, the current vectors
-and the last change of the vectors on the bands of H, with one vector
-where the large-n law puts the two smallest eigenvalues far apart and
-two otherwise.  At alpha = beta, where h1 = 0 splits H into two upper
-bidiagonals on the even and the odd indices, it runs with one vector on
-the half that holds index n - 1 (at n = 1, H itself), two recurrences on
-that half's own bands.  Two more solves smooth the vector it returns,
-except where the half does not certify and all of H takes over.  The
-iteration ends on the first settled step that the
+B^-1 runs through upper bidiagonal factors of H, as first-order
+recurrences that are each one numpy cumulative sum over all vectors.  At
+alpha = beta, h1 = 0 splits H into two upper bidiagonals on the even and
+the odd indices, and power steps on both bracket lambda_min between
+Collatz-Wielandt bounds.  Elsewhere, or where that fails, locally optimal
+block inverse iteration runs on the half that holds index n - 1 at
+alpha = beta, else on all of H = K2 K1, until a settled step that the
 certificate accepts: an inertia count (negative pivots of an unpivoted
 LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
 eigenvalues are +-sigma_i(H) - tau, finds no singular value below
@@ -31,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,6 +55,10 @@ _DROP = 1e-14
 # with either at n = 8, and 6-16% less with one at n = 20-150.
 _SPLIT_RATIO = 1.2
 _SMALL_N = 200
+# _bracket runs where nu_alpha <= _BRACKET_NU, the measured crossover: at
+# n = 1e3-4e4 it took 0.47-0.58 times as long as the iteration on the half
+# at alpha = beta = 12, 0.75-1.12 times at 49.5 and 0.98-1.69 times at 100.
+_BRACKET_NU = 24.0
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
 # as negative, the sign the pivot takes when the shift grows.
 _ZERO_PIVOT = -1e-300
@@ -72,11 +72,11 @@ class Solution:
 
     `residual` is || H^T (H w) - lambda w || for the unit w, an absolute
     number (2.4e-15, about 4e7 lambda, at alpha = beta = -1 + 2^-52,
-    n = 73), not a certificate: lambda rests on the inertia count below
-    it and, above it, the compensated Rayleigh bound or a second count.
-    `iterations`
-    counts block inverse-iteration steps, the last one the first that the
-    certificate accepted.
+    n = 73), not a certificate.  From _bracket lambda lies in a closed
+    Collatz-Wielandt bracket and `iterations` counts power steps; else
+    lambda rests on the inertia count below it and the Rayleigh bound or
+    a second count above it, and `iterations` counts block
+    inverse-iteration steps, the last the first certified.
     """
 
     lambda_min: float
@@ -144,9 +144,9 @@ def _scan_setup(d, e):
 
 
 class _Scans:
-    """Solves L1 L2 x = r for every row of r, L1 and L2 lower bidiagonal
-    (diagonal, subdiagonal) pairs: L1 u = r, then L2 x = u; or L1 x = r
-    for one factor.  Each is a first-order recurrence,
+    """Solves L1 L2 x = r for a vector r or each row of r, L1 and L2
+    lower bidiagonal (diagonal, subdiagonal) pairs: L1 u = r, then
+    L2 x = u; or L1 x = r for one factor.  Each is a first-order recurrence,
     x = P cumsum(r / (d P)): one numpy cumulative sum between two
     scalings, made once per solve (the one after a sum and the one before
     the next as one product).  P restarts in blocks where it would leave
@@ -163,10 +163,10 @@ class _Scans:
         t = r * self._pre
         for blocks, scale in self._scans:
             for start, stop, link in blocks:
-                seg = t[:, start:stop]
-                np.cumsum(seg, axis=1, out=seg)
+                seg = t[..., start:stop]
+                seg.cumsum(axis=-1, out=seg)
                 if start:
-                    seg += link * t[:, start - 1 : start]
+                    seg += link * t[..., start - 1 : start]
             t *= scale
         return t
 
@@ -246,6 +246,7 @@ def _count_below(pencil, tau):
 # The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
 # temporaries stay small.
 _SPLITTER, _EFT_ROWS, _UNIT = 2.0**27 + 1.0, 8192, 2.0**-53
+_WIDEN = 4.0 * _UNIT  # _bracket widens both of its ends outward by this
 
 
 def _two_product(a, b):
@@ -296,9 +297,7 @@ def _block_size(params, n):
     _SMALL_N; at nearly equal exponents, where on 480 seeded weights near
     alpha, beta = -1 one vector failed 12 that two certify and certified
     11 that two fail, and took 505 steps over the 85 reference cases
-    instead of 499; for an order past the zero finder; and at alpha =
-    beta, where the parity classes split the pair and all of H runs only
-    where the half does not certify."""
+    instead of 499; and for an order past the zero finder."""
     orders = params.nu_alpha, params.nu_beta
     if n < _SMALL_N or max(orders) > NU_WINDOW:
         return 2
@@ -328,28 +327,13 @@ def _residual(bands, w, hw, lam):
 
 
 def _solve_core(pencil, tol):
-    """The Solution of the pencil: inverse iteration (_iterate) until the
-    certificate holds.  Returns the Solution, w marked read-only.
-
-    At alpha = beta, h1 is exactly 0 and H splits into two upper
-    bidiagonals, on the even and on the odd indices (at n = 1, h1 is
-    empty and the half is H itself).  The iteration then runs with one
-    vector on the half that holds index n - 1, which held lambda_min at
-    every alpha = beta and n measured; the certificate on all of H
-    proves it.  Where the half does not certify, the iteration on all of
-    H runs instead: at odd n with alpha + 1 below about 5e-8, where the
-    half also holds index 0, whose row has |h2[0]| from 2.6e3 to 1.7e7
-    against h0[0] ~ 1, so that it cancels.  At 7 such weights its Ritz
-    value jitters by 3e-9 to 3e-3 over the last 20 steps; at one it
-    settles 1.2e-10 above lambda_min.
-    """
+    """The Solution, w read-only: at h1 = 0 the bracket, or where nu_alpha >
+    _BRACKET_NU or it fails, the iteration on the half; else on all of H."""
     n = pencil.n
     try:
         if not pencil.h1.any():
-            try:
-                return _iterate(pencil, tol, (n - 1) % 2)
-            except ConvergenceError:
-                pass
+            found = _bracket(pencil, tol) if pencil.params.nu_alpha <= _BRACKET_NU else None
+            return found or _iterate(pencil, tol, (n - 1) % 2)
         return _iterate(pencil, tol, None)
     except OverflowError:
         raise OverflowError(
@@ -358,13 +342,64 @@ def _solve_core(pencil, tol):
         ) from None
 
 
+def _b_inverse(factors):
+    """B^-1 q for a vector or rows q, from H = K2 K1 (or K1): H^T y = q, H z = y."""
+    solve_lower = _Scans(*factors).solve
+    solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in reversed(factors))).solve
+    return lambda q: solve_upper(solve_lower(q)[..., ::-1])[..., ::-1]
+
+
+@np.errstate(all="ignore")  # a lost positivity shows in the ends
+def _bracket(pencil, tol):
+    """The Solution at h1 = 0 from power steps x <- lo z, z = B^-1 x, on
+    the parity halves; None past _MAX_STEPS steps or if positivity is lost.
+
+    A half is upper bidiagonal with h0 > 0 > h2, so its B^-1 is entrywise
+    positive and the ratios x_i / z_i of a positive x bracket its least
+    eigenvalue (Collatz, Math. Z. 1942; Wielandt, Math. Z. 1950).  The
+    half that holds index n - 1 steps until [lo, hi] closes to tol, the
+    other (empty at n = 1, and then above any lambda) until its lo reaches
+    that one's; if its hi falls below instead, the two trade places.
+    lambda is x.z / z.z, a mean of the ratios weighted by z_i^2 and the
+    Rayleigh quotient at z; two solves smooth w.  The positive scans make
+    each rounding a relative perturbation of one d or e by a unit that no
+    cancellation amplifies: z is exact for bands a few units from the
+    half's, as the inertia count's pivots are."""
+    n, steps = pencil.n, 0
+    lead, other = (
+        SimpleNamespace(x=np.ones(len(range(p, n, 2))), lo=0.0 if p < n else math.inf, hi=math.inf,
+                        parity=p, inverse=_b_inverse(((pencil.h0[p::2], pencil.h2[p::2]),)))
+        for p in ((n - 1) % 2, n % 2)
+    )
+    closed = lambda half: half.lo >= half.hi * (1.0 - tol)
+    while not (closed(lead) and other.lo >= lead.lo):
+        half = other if closed(lead) else lead
+        z = half.inverse(half.x)
+        ratios = np.divide(half.x, z, out=half.x)  # x's buffer: the ratios, then the next x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if steps == _MAX_STEPS or not 0.0 < lo <= hi < math.inf:
+            return None
+        steps += 1
+        half.lo, half.hi = lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
+        if closed(half):
+            rayleigh = float(np.einsum("i,i,i->", ratios, z, z)) / _dot(z, z)
+            half.lam = min(max(rayleigh, half.lo), half.hi)
+        np.multiply(z, lo, out=half.x)
+        if closed(lead) and other.hi < lead.lo:  # the other holds lambda_min
+            lead, other = other, lead
+    x, p = lead.x, lead.parity
+    for _ in range(2):
+        x = lead.inverse(x)
+        x /= math.sqrt(_dot(x, x))
+    w, bands = np.zeros(n), (pencil.h0[p::2], pencil.h2[p::2], None)
+    w[p::2], w.flags.writeable = x, False
+    return Solution(lead.lam, w, _residual(bands, x, h_matvec(*bands, x), lead.lam), steps)
+
+
 def _iterate(pencil, tol, parity):
     """Locally optimal block inverse iteration on B = H^T H, on all of H
     with the vectors of _block_size (parity None), or with one vector on
-    the upper bidiagonal of H's rows and columns parity::2.  Three
-    configurations: the half; all of H off alpha = beta; and all of H at
-    alpha = beta, where the half did not certify, without the smoothing
-    solves.
+    the upper bidiagonal of H's rows and columns parity::2.
 
     Each step makes Z = B^-1 Q with scans over all vectors at once: four,
     (K2 K1)^-1 (K2 K1)^-T Q, on all of H, and two on the half, through
@@ -396,10 +431,7 @@ def _iterate(pencil, tol, parity):
         d, e = np.ascontiguousarray(h0[rows]), np.ascontiguousarray(h2[rows])
         bands, factors, m = (d, e, None), ((d, e),), 1
     size = len(bands[0])
-    # H^T y = q is K1^T u = q, then K2^T y = u.  H z = y is K2 v = y, then
-    # K1 z = v, which with rows and columns reversed are lower bidiagonal.
-    solve_lower = _Scans(*factors).solve
-    solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in reversed(factors))).solve
+    b_inverse = _b_inverse(factors)
 
     diag_b = h0 * h0
     diag_b[1:] += h1 * h1
@@ -425,7 +457,7 @@ def _iterate(pencil, tol, parity):
     lam_prev = math.inf
     refused, below = 0, set()
     for steps in range(1, _MAX_STEPS + 1):
-        z = solve_upper(solve_lower(q)[:, ::-1])[:, ::-1]
+        z = b_inverse(q)
         basis = _orthonormal_blocks((z, q, p), basis_buf)
         del z, p  # the basis spans them: the product below peaks without them
         hbasis = h_matvec(*bands, basis, out=hbasis_buf[: len(basis)])
@@ -443,12 +475,10 @@ def _iterate(pencil, tol, parity):
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
             # Two solves smooth w (50-digit sup defect at (12, 3, 199) 1.0e-9
-            # off without, 1.3e-11 with), but not the rescue on all of H at
-            # alpha = beta: K2 K1 pulls it off its parity (residual 5e6 ->
-            # 3e14 lambda at (-0.999999999999984, same, 445)).
+            # off without, 1.3e-11 with).
             x = w
-            for _ in range(0 if parity is None and not h1.any() else 2):
-                x = solve_upper(solve_lower(x[None, :])[:, ::-1])[0, ::-1]
+            for _ in range(2):
+                x = b_inverse(x)
                 x /= math.sqrt(_dot(x, x))
             # Not a row of q, so a memoised Solution holds n doubles.
             full = np.zeros(n)

@@ -147,6 +147,8 @@ EXTRA_SUP_DEFECTS = {
     "12.0,6.5,400": "0.194401907860996628128699621373",
     "12.0,3.0,400": "0.111395603961756333484601625825",
     "12.0,3.0,199": "0.206433160413585961247838028702",
+    # the w of the iteration on the parity half lay 3.9e-9 off here
+    "12.0,12.0,200": "0.546352594352759154877818428674",
 }
 
 

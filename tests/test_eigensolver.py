@@ -24,7 +24,7 @@ from mblab import (
 )
 from mblab import eigensolver
 from mblab.eigensolver import _Scans, _block_size, _rayleigh_bound, _scan_setup
-from mblab.pencil import build_pencil, perturb_factor
+from mblab.pencil import build_pencil, h_matvec, ht_matvec, perturb_factor
 from conftest import (
     UNEQUAL_NEAR_MINUS_ONE,
     b_bands,
@@ -362,6 +362,9 @@ def test_lambda_near_minus_one_with_unequal_exponents(alpha, beta, n, lam):
         (-0.9999999999142298, -0.9999999999142579, 34, 4.852791428256683e-16),
         (-0.999999998227946, -0.9999999982270296, 698, 5.956768640171505e-20),
         (-0.9999999999999882, -0.9999999999999882, 1078, 6.958672824012218e-26),
+        # neither the parity half nor all of H certified this one; the
+        # bracket does
+        (-0.9999999999998678, -0.9999999999998678, 4269, 3.1834934912728254e-27),
         # certified by the triangular solves that the scans replaced
         (-1.0 + 1e-9, -1.0 + 1e-9, 1000, 7.984039696327434e-21),
     ],
@@ -376,7 +379,7 @@ def test_iteration_goes_on_until_the_certificate_holds(alpha, beta, n, lam):
     [
         # lambda at alpha = beta certified by the triangular solves that the
         # bidiagonal scans replaced; the scans through K2 K1, whose h1
-        # cancels to 0, did not certify it, the scan on the parity half does
+        # cancels to 0, did not certify it, the scans on a parity half do
         (-1.0 + 2.0**-52, 300, 2.178533942749289e-25),
         (-1.0 + 2.0**-52, 1000, 1.7728129897792884e-27),
         (-1.0 + 2.0**-52, 4000, 6.93542662427592e-30),
@@ -408,8 +411,9 @@ def test_nearly_multiple_smallest_eigenvalue_is_certified(n):
 def test_step_count_at_clustered_spectra(alpha, beta, max_steps):
     # Both endpoints give a Bessel-zero family of eigenvalues; plain block
     # inverse iteration took 22 and 45 steps here, the three-term step 9
-    # and 14.
-    result = smallest_eigenpair(scaled_pencil(JacobiWeightParams(alpha, beta), 4000))
+    # and 14.  The iteration on the parity half; at alpha = 12 the bracket
+    # runs instead.
+    result = _lobpcg(scaled_pencil(JacobiWeightParams(alpha, beta), 4000))
     assert result.iterations <= max_steps
 
 
@@ -633,9 +637,9 @@ def _count_passes(monkeypatch):
 def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n, tol, lam):
     # lam is what the two inertia passes certified before the bound; at
     # alpha = beta the parity half moved it by 1.6e-15 and 8.6e-16
-    shifts = _count_passes(monkeypatch)
     sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
-    got = smallest_eigenpair(sp, tol=tol)
+    shifts = _count_passes(monkeypatch)
+    got = _lobpcg(sp, tol)
     assert _rayleigh_bound(sp, got.w) > got.lambda_min * (1 + tol)
     assert len(shifts) == 2
     assert got.lambda_min == pytest.approx(lam, rel=tol)
@@ -645,7 +649,7 @@ def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n,
 def test_rayleigh_bound_replaces_the_upper_count(monkeypatch, alpha, beta):
     shifts = _count_passes(monkeypatch)
     for n in (1, 2, 8, 199, 200, 1000):
-        got = solve(JacobiWeightParams(alpha, beta), n)
+        got = _lobpcg(scaled_pencil(JacobiWeightParams(alpha, beta), n))
         # one rule at every n: the bound holds, so only the lower count runs
         assert shifts == [math.sqrt(got.lambda_min * (1 - 1e-12))]
         shifts.clear()
@@ -734,58 +738,169 @@ def test_one_vector_follows_the_perron_sign_pattern(alpha, beta):
     assert signs in ({1.0}, {-1.0})
 
 
-@pytest.mark.parametrize(
-    "alpha,n", [(0.0, 1), (EDGE, 1), (0.0, 2), (0.0, 1000), (12.0, 4001), (-0.95, 4000), (EDGE, 73)]
-)
-def test_equal_exponents_iterate_on_the_parity_half_of_the_last_index(monkeypatch, alpha, n):
-    # h1 = 0 splits H into its even and odd halves; one vector on the half
-    # that holds index n - 1 (at n = 1, H itself), and the count over all
-    # of H shows that the other half holds no smaller value
-    calls = _record_halves(monkeypatch)
-    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
-    got = smallest_eigenpair(sp)
-    assert calls == [(n - 1) % 2]
-    assert not got.w[np.arange(n) % 2 != (n - 1) % 2].any()
-    assert eigensolver._count_below(sp, math.sqrt(got.lambda_min * (1 - 1e-12))) == 0
+def _lobpcg(sp, tol=1e-12):
+    """The iteration that _solve_core runs where the bracket does not: on
+    the half that holds index n - 1 where h1 = 0, else on all of H."""
+    return eigensolver._iterate(sp, tol, (sp.n - 1) % 2 if not sp.h1.any() else None)
 
 
-def _record_halves(monkeypatch):
-    """Record the parity argument of every _iterate call from here on."""
+def _record_paths(monkeypatch):
+    """Record, from here on, "bracket" or "open bracket" for every _bracket
+    call that closes or gives up, and the parity argument of every
+    _iterate call."""
     calls = []
-    iterate = eigensolver._iterate
+    bracket, iterate = eigensolver._bracket, eigensolver._iterate
+
+    def bracketing(pencil, tol):
+        found = bracket(pencil, tol)
+        calls.append("bracket" if found else "open bracket")
+        return found
 
     def recording(pencil, tol, parity):
         calls.append(parity)
         return iterate(pencil, tol, parity)
 
+    monkeypatch.setattr(eigensolver, "_bracket", bracketing)
     monkeypatch.setattr(eigensolver, "_iterate", recording)
     return calls
 
 
-def test_iteration_on_all_of_h_takes_over_where_the_half_does_not_certify(monkeypatch):
+@pytest.mark.parametrize(
+    "alpha,beta,n,path",
+    [
+        # h1 = 0: at alpha = beta, and at n = 1 where it is empty
+        (0.0, 0.0, 1, ["bracket"]),
+        (0.3, 1.7, 1, ["bracket"]),
+        (EDGE, EDGE, 73, ["bracket"]),
+        (12.0, 12.0, 4001, ["bracket"]),
+        (49.0, 49.0, 400, ["bracket"]),  # nu_alpha = 24 = _BRACKET_NU
+        # above it, the half that holds index n - 1
+        (49.5, 49.5, 400, [1]),
+        (300.0, 300.0, 1000, [1]),
+        (0.3, 1.7, 400, [None]),
+    ],
+)
+def test_the_path_each_pencil_takes(monkeypatch, alpha, beta, n, path):
+    calls = _record_paths(monkeypatch)
+    smallest_eigenpair(scaled_pencil(JacobiWeightParams(alpha, beta), n))
+    assert calls == path
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("alpha", [EDGE, -1.0 + 1e-12, -1.0 + 1e-9, -0.95, 0.0, 12.0])
+def test_the_bracket_agrees_with_the_inertia_count(alpha, tol):
+    # The Collatz-Wielandt bracket of the returned w holds lambda and is
+    # closed; the count finds no singular value below it and one within
+    # tol above lambda.  (At (-1 + 1e-9, same, 3) the count switches 5e-16
+    # above the bracket's upper end: both are backward statements.)
+    widen = eigensolver._WIDEN
+    for n in range(1, 9):
+        sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
+        got, p = eigensolver._bracket(sp, tol), (n - 1) % 2
+        x = got.w[p::2]
+        assert x.min() > 0.0 and not got.w[n % 2 :: 2].any()
+        ratios = x / eigensolver._b_inverse(((sp.h0[p::2], sp.h2[p::2]),))(x)
+        lo, hi = ratios.min() * (1 - widen), ratios.max() * (1 + widen)
+        assert lo <= got.lambda_min <= hi <= lo * (1 + tol)
+        assert eigensolver._count_below(sp, math.sqrt(lo)) == 0
+        assert eigensolver._count_below(sp, math.sqrt(got.lambda_min * (1 + tol))) >= 1
+
+
+def test_a_bracket_that_does_not_close_falls_back_to_the_half(monkeypatch):
+    # the bracket needs 52 steps here, the iteration on the half 9
+    monkeypatch.setattr(eigensolver, "_MAX_STEPS", 20)
+    calls = _record_paths(monkeypatch)
+    sp = scaled_pencil(JacobiWeightParams(12.0, 12.0), 1000)
+    got, want = smallest_eigenpair(sp), _lobpcg(sp)
+    assert calls == ["open bracket", 1, 1]
+    assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
+
+
+def test_lost_positivity_falls_back_to_the_half(monkeypatch):
+    # At alpha = 1000 the tail of the power iterate underflows to 0, so the
+    # ratios x / z leave (0, inf); the bracket gives up without a warning
+    # (RuntimeWarnings are errors here) and the half runs.
+    sp = scaled_pencil(JacobiWeightParams(1000.0, 1000.0), 100000)
+    want = smallest_eigenpair(sp)
+    monkeypatch.setattr(eigensolver, "_BRACKET_NU", math.inf)
+    calls = _record_paths(monkeypatch)
+    got = smallest_eigenpair(sp)
+    assert calls == ["open bracket", 1]
+    assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
+
+
+@pytest.mark.parametrize(
+    "alpha,n", [(0.0, 1), (EDGE, 1), (0.0, 2), (0.0, 1000), (12.0, 4001), (-0.95, 4000), (EDGE, 73)]
+)
+def test_equal_exponents_iterate_on_the_parity_half_of_the_last_index(alpha, n):
+    # h1 = 0 splits H into its even and odd halves; one vector on the half
+    # that holds index n - 1 (at n = 1, H itself), and the count over all
+    # of H shows that the other half holds no smaller value
+    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
+    got = eigensolver._iterate(sp, 1e-12, (n - 1) % 2)
+    assert not got.w[np.arange(n) % 2 != (n - 1) % 2].any()
+    assert eigensolver._count_below(sp, math.sqrt(got.lambda_min * (1 - 1e-12))) == 0
+
+
+def _mp_eigenvector(d, e, w, steps=3):
+    """The eigenvector of B = H^T H, H upper bidiagonal (d, e), that w
+    approximates: inverse iteration from w at 50 digits."""
+    with mpmath.workdps(50):
+        d, e, x = ([mpmath.mpf(float(v)) for v in a] for a in (d, e, w))
+        for _ in range(steps):
+            for k in range(len(x)):  # H^T u = x
+                x[k] = (x[k] - (e[k - 1] * x[k - 1] if k else 0)) / d[k]
+            for k in reversed(range(len(x))):  # H z = u
+                x[k] = (x[k] - (e[k] * x[k + 1] if k + 1 < len(x) else 0)) / d[k]
+            norm = mpmath.sqrt(mpmath.fsum(t * t for t in x))
+            x = [t / norm for t in x]
+        return np.array([float(t) for t in x])
+
+
+def test_the_bracket_certifies_where_the_half_does_not(monkeypatch):
     # At odd n with alpha + 1 ~ 1e-14 the even half holds indices 0 and
-    # n - 1; its Ritz value jitters, and the certificate refuses every
-    # settled step.  80-digit perfbench/oracle.py value.
-    calls = _record_halves(monkeypatch)
+    # n - 1; the Ritz value of the iteration on it jitters, and the
+    # certificate refuses every settled step.  All of H took over there
+    # and certified a lambda 3.7e-13 off.  80-digit perfbench/oracle.py
+    # value.
+    calls = _record_paths(monkeypatch)
     alpha = -0.999999999999984
-    got = solve(JacobiWeightParams(alpha, alpha), 445)
-    assert calls == [0, None]
+    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), 445)
+    got = smallest_eigenpair(sp)
+    assert calls == ["bracket"]
     assert abs(got.lambda_min / 3.2469630463728775e-24 - 1.0) <= 1e-12
-    # unsmoothed: the smoothing solves through K2 K1 would raise the
-    # residual from 5e6 lambda to 3e14 lambda
-    assert got.residual <= 1e8 * got.lambda_min
+    # The smoothed w vanishes off its parity and lies 6.7e-16 from the
+    # eigenvector of the float bands (and of the 80-digit oracle); the w
+    # of all of H lay 2.4e-15 off its parity.  Its residual is bounded by
+    # the rounding of its own evaluation, half a unit of |H^T| |H| |w|:
+    # row 0 of H w cancels to a unit of w[0] ~ 1, and |h2[0]| = 4.6e6
+    # carries it into H^T H w.  All of H read residual <= 1e8 lambda here
+    # by that rounding alone: in exact arithmetic on the float bands its
+    # w has the residual 1.5e12 lambda, and no float w meets 1e8 lambda.
+    assert not got.w[1::2].any()
+    want = _mp_eigenvector(sp.h0[::2], sp.h2[::2], got.w[::2])
+    assert np.max(abs(got.w[::2] - want)) <= 1e-15
+    bands = abs(sp.h0), abs(sp.h1), abs(sp.h2)
+    assert got.residual <= 2.0**-53 * np.linalg.norm(ht_matvec(*bands, h_matvec(*bands, abs(got.w))))
+    with pytest.raises(ConvergenceError):
+        eigensolver._iterate(sp, 1e-12, 0)
 
 
 def test_a_lambda_the_lower_count_refused_is_not_counted_again(monkeypatch):
-    # The half settles 194 times here on a few lambdas 1.2e-10 above
-    # lambda_min, and all of H then certifies; a count over all of H at
+    # The iteration on the half settles 194 times here on a few lambdas
+    # 1.2e-10 above lambda_min, which the lower count refuses; a count at
     # each settled step would make about 196 counts.
-    calls = _record_halves(monkeypatch)
-    shifts = _count_passes(monkeypatch)
     alpha = -0.999999950836762
-    solve(JacobiWeightParams(alpha, alpha), 7939)
-    assert calls == [0, None]
+    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), 7939)
+    shifts = _count_passes(monkeypatch)
+    with pytest.raises(ConvergenceError, match="settled steps failed"):
+        eigensolver._iterate(sp, 1e-12, 0)
     assert len(shifts) < 10
+    # the bracket closes with no count at all
+    shifts.clear()
+    calls = _record_paths(monkeypatch)
+    smallest_eigenpair(sp)
+    assert calls == ["bracket"] and shifts == []
 
 
 def test_inverse_iteration_past_double_range_names_the_weight():

@@ -9,11 +9,10 @@ recurrences that are each one numpy cumulative sum over all vectors.  At
 alpha = beta, h1 = 0 splits H into two upper bidiagonals on the even and
 the odd indices, and power steps on both bracket lambda_min between
 Collatz-Wielandt bounds.  Elsewhere, or where that fails, locally optimal
-block inverse iteration runs on the half that holds index n - 1 at
-alpha = beta, else on all of H = K2 K1, until a settled step that the
-certificate accepts: an inertia count (negative pivots of an unpivoted
-LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I, whose
-eigenvalues are +-sigma_i(H) - tau, finds no singular value below
+block inverse iteration runs on all of H = K2 K1 until a settled step
+that the certificate accepts: an inertia count (negative pivots of an
+unpivoted LDL^T) of the Golub-Kahan matrix [[0, H^T], [H, 0]] - tau I,
+whose eigenvalues are +-sigma_i(H) - tau, finds no singular value below
 sqrt(lambda (1 - tol)), and the Rayleigh quotient of w, evaluated with
 error-free transformations, bounds lambda_min by lambda (1 + tol); where
 it does not, a second count finds a singular value below that root.
@@ -55,10 +54,6 @@ _DROP = 1e-14
 # with either at n = 8, and 6-16% less with one at n = 20-150.
 _SPLIT_RATIO = 1.2
 _SMALL_N = 200
-# _bracket runs where nu_alpha <= _BRACKET_NU, the measured crossover: at
-# n = 1e3-4e4 it took 0.47-0.58 times as long as the iteration on the half
-# at alpha = beta = 12, 0.75-1.12 times at 49.5 and 0.98-1.69 times at 100.
-_BRACKET_NU = 24.0
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
 # as negative, the sign the pivot takes when the shift grows.
 _ZERO_PIVOT = -1e-300
@@ -305,17 +300,12 @@ def _block_size(params, n):
     return 1 if (high / low) ** 2 >= _SPLIT_RATIO else 2
 
 
-def _certified(pencil, lam, w, tol, below):
+def _certified(pencil, lam, w, tol):
     """Whether lambda_min lies in [lambda (1 - tol), lambda (1 + tol)]: an
     inertia count finds no singular value of H below the lower root, and
     the Rayleigh bound of w, or where it fails a second count, one below
-    the upper.  The lower count reads lambda alone, so a lambda in the set
-    `below`, which it refused before, is refused without a count; one it
-    refuses now is added."""
-    if lam in below:
-        return False
+    the upper."""
     if _count_below(pencil, math.sqrt(lam * (1.0 - tol))):
-        below.add(lam)
         return False
     upper = lam * (1.0 + tol)
     return _rayleigh_bound(pencil, w) <= upper or _count_below(pencil, math.sqrt(upper)) >= 1
@@ -327,23 +317,21 @@ def _residual(bands, w, hw, lam):
 
 
 def _solve_core(pencil, tol):
-    """The Solution, w read-only: at h1 = 0 the bracket, or where nu_alpha >
-    _BRACKET_NU or it fails, the iteration on the half; else on all of H."""
-    n = pencil.n
+    """The Solution, w read-only: at h1 = 0 the bracket; elsewhere, or where
+    it gives up, the iteration on all of H."""
     try:
-        if not pencil.h1.any():
-            found = _bracket(pencil, tol) if pencil.params.nu_alpha <= _BRACKET_NU else None
-            return found or _iterate(pencil, tol, (n - 1) % 2)
-        return _iterate(pencil, tol, None)
+        found = _bracket(pencil, tol) if not pencil.h1.any() else None
+        return found or _iterate(pencil, tol)
     except OverflowError:
         raise OverflowError(
             f"the inverse iteration leaves double range at alpha = {pencil.params.alpha!r},"
-            f" beta = {pencil.params.beta!r}, n = {n} (lambda_min below about 1e-154)"
+            f" beta = {pencil.params.beta!r}, n = {pencil.n} (lambda_min below about 1e-154)"
         ) from None
 
 
 def _b_inverse(factors):
-    """B^-1 q for a vector or rows q, from H = K2 K1 (or K1): H^T y = q, H z = y."""
+    """B^-1 q for a vector or rows q, from H = K2 K1 (or one upper
+    bidiagonal factor): H^T y = q, H z = y."""
     solve_lower = _Scans(*factors).solve
     solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in reversed(factors))).solve
     return lambda q: solve_upper(solve_lower(q)[..., ::-1])[..., ::-1]
@@ -396,42 +384,32 @@ def _bracket(pencil, tol):
     return Solution(lead.lam, w, _residual(bands, x, h_matvec(*bands, x), lead.lam), steps)
 
 
-def _iterate(pencil, tol, parity):
-    """Locally optimal block inverse iteration on B = H^T H, on all of H
-    with the vectors of _block_size (parity None), or with one vector on
-    the upper bidiagonal of H's rows and columns parity::2.
+def _iterate(pencil, tol):
+    """Locally optimal block inverse iteration on B = H^T H, with the
+    vectors of _block_size.
 
-    Each step makes Z = B^-1 Q with scans over all vectors at once: four,
-    (K2 K1)^-1 (K2 K1)^-T Q, on all of H, and two on the half, through
-    its own bands.  Then a Rayleigh-Ritz over span[Z, Q, P], P being the
-    change of the Ritz vectors over the last step (LOBPCG with the exact
-    inverse as preconditioner; Knyazev, SISC 23, 2001), which stalls
-    when the inverse is of another matrix than the H whose bands the step
-    reads.  The basis is one array, orthonormal in n-space; one product
-    H basis gives the small matrix, and the Ritz vectors q and their
-    products H q are combinations of the basis and of that product.
+    Each step makes Z = B^-1 Q by four scans over all vectors at once,
+    (K2 K1)^-1 (K2 K1)^-T Q.  Then a Rayleigh-Ritz over span[Z, Q, P], P
+    being the change of the Ritz vectors over the last step (LOBPCG with
+    the exact inverse as preconditioner; Knyazev, SISC 23, 2001), which
+    stalls when the inverse is of another matrix than the H whose bands
+    the step reads.  The basis is one array, orthonormal in n-space; one
+    product H basis gives the small matrix, and the Ritz vectors q and
+    their products H q are combinations of the basis and of that product.
 
     A step ends the iteration when lambda has settled, the residual meets
-    tol max(1, max diag B) and _certified holds for w, zero off the half;
-    a refused step is iterated on.  The accuracy of lambda rests on the
+    tol max(1, max diag B) and _certified holds for the smoothed w; a
+    refused step is iterated on.  The accuracy of lambda rests on the
     certificate alone: a tiny lambda meets the absolute target at once
-    (the residual of the Ritz vector, before the smoothing solves, is
-    0.4% of lambda ~ 6e-23 at alpha = beta = -1 + 2^-52, n = 73), but
+    (the residual of the Ritz vector, before the smoothing solves, was
+    0.4% of lambda ~ 6e-23 on a parity half at alpha = beta = -1 + 2^-52,
+    n = 73), but
     without it w lies 5 and 28 times further from the 80-digit
     eigenvector at (49.5, 20, 50) and (10, 10, 30).
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
-    if parity is None:
-        rows, bands = slice(None), (h0, h1, h2)
-        factors = (pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)
-        m = min(n, _block_size(pencil.params, n))
-    else:
-        rows = slice(parity, None, 2)
-        # The half ends at index n - 1, so its h2 has one entry fewer.
-        d, e = np.ascontiguousarray(h0[rows]), np.ascontiguousarray(h2[rows])
-        bands, factors, m = (d, e, None), ((d, e),), 1
-    size = len(bands[0])
-    b_inverse = _b_inverse(factors)
+    bands, m = (h0, h1, h2), min(n, _block_size(pencil.params, n))
+    b_inverse = _b_inverse(((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)))
 
     diag_b = h0 * h0
     diag_b[1:] += h1 * h1
@@ -443,19 +421,19 @@ def _iterate(pencil, tol, parity):
     # of w: with S = I for alpha <= beta and S = diag((-1)^k) for alpha >
     # beta (sign h1 = sign(alpha - beta), h0 > 0 > h2), S H S is an upper
     # triangular M-matrix, so S B^-1 S > 0.  For m = 2 the odd row flips.
-    q = np.zeros((m, size))
+    q = np.zeros((m, n))
     for row in range(m):
-        q[row, row::m] = 1.0 / math.sqrt(len(range(row, size, m)))
+        q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
     if pencil.params.alpha > pencil.params.beta:
         q[:, 1::2] *= -1.0
-    p = np.empty((0, size))
+    p = np.empty((0, n))
     # The basis and its product with H are written into two buffers made
     # once per solve: new 3m-row arrays at every step raise the peak RSS
     # of a long run through the allocator's reuse of freed blocks.
-    basis_buf = np.empty((3 * m, size))
-    hbasis_buf = np.empty((3 * m, size))
+    basis_buf = np.empty((3 * m, n))
+    hbasis_buf = np.empty((3 * m, n))
     lam_prev = math.inf
-    refused, below = 0, set()
+    refused = 0
     for steps in range(1, _MAX_STEPS + 1):
         z = b_inverse(q)
         basis = _orthonormal_blocks((z, q, p), basis_buf)
@@ -480,12 +458,11 @@ def _iterate(pencil, tol, parity):
             for _ in range(2):
                 x = b_inverse(x)
                 x /= math.sqrt(_dot(x, x))
-            # Not a row of q, so a memoised Solution holds n doubles.
-            full = np.zeros(n)
-            full[rows] = x
-            if _certified(pencil, lam, full, tol, below):
-                full.flags.writeable = False
-                return Solution(lam, full, _residual(bands, x, h_matvec(*bands, x), lam), steps)
+            # A copy of the reversed view: a memoised Solution holds n doubles.
+            x = np.ascontiguousarray(x)
+            if _certified(pencil, lam, x, tol):
+                x.flags.writeable = False
+                return Solution(lam, x, _residual(bands, x, h_matvec(*bands, x), lam), steps)
             refused += 1
         lam_prev = lam
     raise ConvergenceError(

@@ -411,9 +411,9 @@ def test_nearly_multiple_smallest_eigenvalue_is_certified(n):
 def test_step_count_at_clustered_spectra(alpha, beta, max_steps):
     # Both endpoints give a Bessel-zero family of eigenvalues; plain block
     # inverse iteration took 22 and 45 steps here, the three-term step 9
-    # and 14.  The iteration on the parity half; at alpha = 12 the bracket
-    # runs instead.
-    result = _lobpcg(scaled_pencil(JacobiWeightParams(alpha, beta), 4000))
+    # and 14.  The iteration on all of H, which runs where the bracket
+    # gives up; both brackets close here.
+    result = eigensolver._iterate(scaled_pencil(JacobiWeightParams(alpha, beta), 4000), 1e-12)
     assert result.iterations <= max_steps
 
 
@@ -635,11 +635,10 @@ def _count_passes(monkeypatch):
     ],
 )
 def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n, tol, lam):
-    # lam is what the two inertia passes certified before the bound; at
-    # alpha = beta the parity half moved it by 1.6e-15 and 8.6e-16
+    # lam is what the two inertia passes certified before the bound
     sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
     shifts = _count_passes(monkeypatch)
-    got = _lobpcg(sp, tol)
+    got = eigensolver._iterate(sp, tol)
     assert _rayleigh_bound(sp, got.w) > got.lambda_min * (1 + tol)
     assert len(shifts) == 2
     assert got.lambda_min == pytest.approx(lam, rel=tol)
@@ -649,7 +648,7 @@ def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n,
 def test_rayleigh_bound_replaces_the_upper_count(monkeypatch, alpha, beta):
     shifts = _count_passes(monkeypatch)
     for n in (1, 2, 8, 199, 200, 1000):
-        got = _lobpcg(scaled_pencil(JacobiWeightParams(alpha, beta), n))
+        got = eigensolver._iterate(scaled_pencil(JacobiWeightParams(alpha, beta), n), 1e-12)
         # one rule at every n: the bound holds, so only the lower count runs
         assert shifts == [math.sqrt(got.lambda_min * (1 - 1e-12))]
         shifts.clear()
@@ -667,15 +666,10 @@ def test_refused_lower_count_skips_the_rayleigh_bound(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_rayleigh_bound", bounding)
     shifts = _count_passes(monkeypatch)
-    below = set()
     # at twice lambda_min the lower count finds a singular value below
-    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12, below)
-    assert bounds == []
-    assert below == {2.0 * got.lambda_min} and len(shifts) == 1
-    # the count reads lambda alone: a refused lambda is not counted again
-    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12, below)
-    assert len(shifts) == 1
-    assert eigensolver._certified(sp, got.lambda_min, got.w, 1e-12, below)
+    assert not eigensolver._certified(sp, 2.0 * got.lambda_min, got.w, 1e-12)
+    assert bounds == [] and len(shifts) == 1
+    assert eigensolver._certified(sp, got.lambda_min, got.w, 1e-12)
     assert len(bounds) == 1 and len(shifts) == 2
 
 
@@ -738,16 +732,9 @@ def test_one_vector_follows_the_perron_sign_pattern(alpha, beta):
     assert signs in ({1.0}, {-1.0})
 
 
-def _lobpcg(sp, tol=1e-12):
-    """The iteration that _solve_core runs where the bracket does not: on
-    the half that holds index n - 1 where h1 = 0, else on all of H."""
-    return eigensolver._iterate(sp, tol, (sp.n - 1) % 2 if not sp.h1.any() else None)
-
-
 def _record_paths(monkeypatch):
     """Record, from here on, "bracket" or "open bracket" for every _bracket
-    call that closes or gives up, and the parity argument of every
-    _iterate call."""
+    call that closes or gives up, and "iterate" for every _iterate call."""
     calls = []
     bracket, iterate = eigensolver._bracket, eigensolver._iterate
 
@@ -756,9 +743,9 @@ def _record_paths(monkeypatch):
         calls.append("bracket" if found else "open bracket")
         return found
 
-    def recording(pencil, tol, parity):
-        calls.append(parity)
-        return iterate(pencil, tol, parity)
+    def recording(pencil, tol):
+        calls.append("iterate")
+        return iterate(pencil, tol)
 
     monkeypatch.setattr(eigensolver, "_bracket", bracketing)
     monkeypatch.setattr(eigensolver, "_iterate", recording)
@@ -773,17 +760,24 @@ def _record_paths(monkeypatch):
         (0.3, 1.7, 1, ["bracket"]),
         (EDGE, EDGE, 73, ["bracket"]),
         (12.0, 12.0, 4001, ["bracket"]),
-        (49.0, 49.0, 400, ["bracket"]),  # nu_alpha = 24 = _BRACKET_NU
-        # above it, the half that holds index n - 1
-        (49.5, 49.5, 400, [1]),
-        (300.0, 300.0, 1000, [1]),
-        (0.3, 1.7, 400, [None]),
+        (49.0, 49.0, 400, ["bracket"]),
+        (49.5, 49.5, 400, ["bracket"]),
+        # no bracket closes in _MAX_STEPS power steps: all of H
+        (300.0, 300.0, 1000, ["open bracket", "iterate"]),
+        (0.3, 1.7, 400, ["iterate"]),
+        (100.0, 100.0, 200, ["bracket"]),
+        # the iteration on the parity half settled 194 times here on
+        # lambdas the lower count refused
+        (-0.999999950836762, -0.999999950836762, 7939, ["bracket"]),
     ],
 )
 def test_the_path_each_pencil_takes(monkeypatch, alpha, beta, n, path):
     calls = _record_paths(monkeypatch)
+    shifts = _count_passes(monkeypatch)
     smallest_eigenpair(scaled_pencil(JacobiWeightParams(alpha, beta), n))
     assert calls == path
+    # a closed bracket certifies lambda without an inertia count
+    assert (shifts == []) == (path == ["bracket"])
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-14])
@@ -806,26 +800,24 @@ def test_the_bracket_agrees_with_the_inertia_count(alpha, tol):
         assert eigensolver._count_below(sp, math.sqrt(got.lambda_min * (1 + tol))) >= 1
 
 
-def test_a_bracket_that_does_not_close_falls_back_to_the_half(monkeypatch):
-    # the bracket needs 52 steps here, the iteration on the half 9
+def test_a_bracket_that_does_not_close_falls_back_to_all_of_h(monkeypatch):
+    # the bracket needs 52 steps here, the iteration on all of H 9
     monkeypatch.setattr(eigensolver, "_MAX_STEPS", 20)
     calls = _record_paths(monkeypatch)
     sp = scaled_pencil(JacobiWeightParams(12.0, 12.0), 1000)
-    got, want = smallest_eigenpair(sp), _lobpcg(sp)
-    assert calls == ["open bracket", 1, 1]
+    got, want = smallest_eigenpair(sp), eigensolver._iterate(sp, 1e-12)
+    assert calls == ["open bracket", "iterate", "iterate"]
     assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
 
 
-def test_lost_positivity_falls_back_to_the_half(monkeypatch):
+def test_lost_positivity_falls_back_to_all_of_h(monkeypatch):
     # At alpha = 1000 the tail of the power iterate underflows to 0, so the
-    # ratios x / z leave (0, inf); the bracket gives up without a warning
-    # (RuntimeWarnings are errors here) and the half runs.
-    sp = scaled_pencil(JacobiWeightParams(1000.0, 1000.0), 100000)
-    want = smallest_eigenpair(sp)
-    monkeypatch.setattr(eigensolver, "_BRACKET_NU", math.inf)
+    # ratios x / z leave (0, inf) at power step 107; the bracket gives up
+    # without a warning (RuntimeWarnings are errors here) and all of H runs.
+    sp = scaled_pencil(JacobiWeightParams(1000.0, 1000.0), 2000)
     calls = _record_paths(monkeypatch)
-    got = smallest_eigenpair(sp)
-    assert calls == ["open bracket", 1]
+    got, want = smallest_eigenpair(sp), eigensolver._iterate(sp, 1e-12)
+    assert calls == ["open bracket", "iterate", "iterate"]
     assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
 
 
@@ -833,11 +825,11 @@ def test_lost_positivity_falls_back_to_the_half(monkeypatch):
     "alpha,n", [(0.0, 1), (EDGE, 1), (0.0, 2), (0.0, 1000), (12.0, 4001), (-0.95, 4000), (EDGE, 73)]
 )
 def test_equal_exponents_iterate_on_the_parity_half_of_the_last_index(alpha, n):
-    # h1 = 0 splits H into its even and odd halves; one vector on the half
-    # that holds index n - 1 (at n = 1, H itself), and the count over all
-    # of H shows that the other half holds no smaller value
+    # h1 = 0 splits H into its even and odd halves; the bracket's w lies on
+    # the half that holds index n - 1 (at n = 1, H itself), and the count
+    # over all of H shows that the other half holds no smaller value
     sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
-    got = eigensolver._iterate(sp, 1e-12, (n - 1) % 2)
+    got = smallest_eigenpair(sp)
     assert not got.w[np.arange(n) % 2 != (n - 1) % 2].any()
     assert eigensolver._count_below(sp, math.sqrt(got.lambda_min * (1 - 1e-12))) == 0
 
@@ -882,25 +874,6 @@ def test_the_bracket_certifies_where_the_half_does_not(monkeypatch):
     assert np.max(abs(got.w[::2] - want)) <= 1e-15
     bands = abs(sp.h0), abs(sp.h1), abs(sp.h2)
     assert got.residual <= 2.0**-53 * np.linalg.norm(ht_matvec(*bands, h_matvec(*bands, abs(got.w))))
-    with pytest.raises(ConvergenceError):
-        eigensolver._iterate(sp, 1e-12, 0)
-
-
-def test_a_lambda_the_lower_count_refused_is_not_counted_again(monkeypatch):
-    # The iteration on the half settles 194 times here on a few lambdas
-    # 1.2e-10 above lambda_min, which the lower count refuses; a count at
-    # each settled step would make about 196 counts.
-    alpha = -0.999999950836762
-    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), 7939)
-    shifts = _count_passes(monkeypatch)
-    with pytest.raises(ConvergenceError, match="settled steps failed"):
-        eigensolver._iterate(sp, 1e-12, 0)
-    assert len(shifts) < 10
-    # the bracket closes with no count at all
-    shifts.clear()
-    calls = _record_paths(monkeypatch)
-    smallest_eigenpair(sp)
-    assert calls == ["bracket"] and shifts == []
 
 
 def test_inverse_iteration_past_double_range_names_the_weight():

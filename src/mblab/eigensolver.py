@@ -65,13 +65,17 @@ class Solution:
     unit eigenvector w (read-only).  The sharp constant, the extremal
     polynomial and the profile comparison all derive from it.
 
-    `residual` is || H^T (H w) - lambda w || for the unit w, an absolute
-    number (2.4e-15, about 4e7 lambda, at alpha = beta = -1 + 2^-52,
-    n = 73), not a certificate.  From _bracket lambda lies in a closed
-    Collatz-Wielandt bracket and `iterations` counts power steps; else
-    lambda rests on the inertia count below it and the Rayleigh bound or
-    a second count above it, and `iterations` counts block
-    inverse-iteration steps, the last the first certified.
+    `residual` is || H^T (H w) - lambda w || for the unit w on all of H,
+    an absolute number (2.4e-15, about 4e7 lambda, at alpha = beta =
+    -1 + 2^-52, n = 73), not a certificate.  Near alpha, beta -> -1 it is
+    only the rounding of its own evaluation: |h2[0]| grows to 1e6-1e7 and
+    carries the cancelling row 0 of H w into H^T H w, so at alpha = beta =
+    -0.999999999999984, n = 445, it reads 5.1e-10 = 1.6e14 lambda though
+    w lies 6.7e-16 from the 80-digit eigenvector.  From _bracket lambda
+    lies in a closed Collatz-Wielandt bracket and `iterations` counts
+    power steps; else lambda rests on the inertia count below it and the
+    Rayleigh bound or a second count above it, and `iterations` counts
+    block inverse-iteration steps, the last the first certified.
     """
 
     lambda_min: float
@@ -107,7 +111,10 @@ def _gram(x, y):
 
 def _combine(c, x):
     """Linear combinations of the rows of x: row k of the result is
-    sum_i c[i, k] x[i]."""
+    sum_i c[i, k] x[i].  For one row of x an outer product gives the
+    values of the einsum's one-term sums at less cost."""
+    if len(c) == 1:
+        return np.multiply.outer(c[0], x[0])
     return np.einsum("ik,in->kn", c, x)
 
 
@@ -130,8 +137,13 @@ def _scan_setup(d, e):
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the block's end
             np.cumprod(gamma[start:], out=rest)
             size = abs(rest)
-        far = np.flatnonzero(~((_SCAN_BOUNDS[0] <= size) & (size <= _SCAN_BOUNDS[1])))
-        stop = start + 1 + int(far[0]) if far.size else len(d)
+        # Look for the restart only when the extremes leave the bounds (a
+        # NaN fails the test as well): most weights need one block.
+        if _SCAN_BOUNDS[0] <= size.min(initial=1.0) and size.max(initial=1.0) <= _SCAN_BOUNDS[1]:
+            stop = len(d)
+        else:
+            far = np.flatnonzero(~((_SCAN_BOUNDS[0] <= size) & (size <= _SCAN_BOUNDS[1])))
+            stop = start + 1 + int(far[0])
         blocks.append((start, stop, gamma[start - 1] * p[start - 1] if start else 0.0))
         p[stop : stop + 1] = 1.0
         start = stop
@@ -178,12 +190,13 @@ def _orthonormal_blocks(blocks, out):
     rows = 0
     for i, block in enumerate(blocks):
         norms = np.sqrt(np.einsum("in,in->i", block, block))
-        if not np.isfinite(norms).all():  # ||B^-1 q|| where lambda_min < ~1e-154
+        listed = norms.tolist()  # a few rows: Python tests them faster
+        if not all(map(math.isfinite, listed)):  # ||B^-1 q|| where lambda_min < ~1e-154
             raise OverflowError("a squared norm leaves double range")
-        # A P row vanishes when the Ritz vectors did not move.
-        moved = norms > 0.0
-        x = out[rows : rows + np.count_nonzero(moved)]
-        np.divide(block[moved], norms[moved, None], out=x)
+        if not all(listed):  # a P row vanishes when the Ritz vectors did not move
+            block, norms = block[norms > 0.0], norms[norms > 0.0]
+        x = out[rows : rows + len(block)]
+        np.divide(block, norms[:, None], out=x)
         for _ in range(2):
             for prev in done:
                 x -= _combine(_gram(prev, x), prev)
@@ -244,13 +257,18 @@ _SPLITTER, _EFT_ROWS, _UNIT = 2.0**27 + 1.0, 8192, 2.0**-53
 _WIDEN = 4.0 * _UNIT  # _bracket widens both of its ends outward by this
 
 
-def _two_product(a, b):
-    """p, e with p + e = a b exactly (Dekker's TwoProduct), barring underflow."""
+def _split(a):
+    """(a, hi, lo) with hi + lo = a, halves of 26 bits (Veltkamp)."""
+    hi = _SPLITTER * a
+    hi -= hi - a
+    return a, hi, a - hi
+
+
+def _two_product(a_split, b_split):
+    """p, e with p + e = a b exactly (Dekker's TwoProduct), barring
+    underflow, for a and b given as their `_split`s."""
+    (a, a1, a2), (b, b1, b2) = a_split, b_split
     p = a * b
-    a1, b1 = _SPLITTER * a, _SPLITTER * b
-    a1 -= a1 - a
-    b1 -= b1 - b
-    a2, b2 = a - a1, b - b1
     return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
 
 
@@ -269,10 +287,14 @@ def _rayleigh_bound(pencil, w):
     size2 = 0.0  # ||(|H| |w|)||^2, roughly: its term is tiny
     for start in range(0, n, _EFT_ROWS):
         stop = min(start + _EFT_ROWS, n)
-        s, err, size = (np.zeros(stop - start) for _ in range(3))
+        w_split = _split(w[start : stop + 2])  # one split for all three bands
         for shift, band in enumerate((pencil.h0, pencil.h1, pencil.h2)):
             k = max(min(stop, n - shift) - start, 0)
-            p, e = _two_product(band[start : start + k], w[start + shift : start + shift + k])
+            p, e = _two_product(_split(band[start : start + k]),
+                                [v[shift : shift + k] for v in w_split])
+            if not shift:  # the h0 products start the sums
+                s, err, size = p, e, abs(p)
+                continue
             t = s[:k] + p
             z = t - s[:k]
             err[:k] += e + ((s[:k] - (t - z)) + (p - z))
@@ -379,9 +401,10 @@ def _bracket(pencil, tol):
     for _ in range(2):
         x = lead.inverse(x)
         x /= math.sqrt(_dot(x, x))
-    w, bands = np.zeros(n), (pencil.h0[p::2], pencil.h2[p::2], None)
+    w = np.zeros(n)
     w[p::2], w.flags.writeable = x, False
-    return Solution(lead.lam, w, _residual(bands, x, h_matvec(*bands, x), lead.lam), steps)
+    bands = pencil.h0, pencil.h1, pencil.h2
+    return Solution(lead.lam, w, _residual(bands, w, h_matvec(*bands, w), lead.lam), steps)
 
 
 def _iterate(pencil, tol):
@@ -480,12 +503,9 @@ def _eigvec_original(params, n, w):
     """Map the symmetrized eigenvector w to the unit eigenvector of
     (A, D) through v_k = w_k / sqrt(d_k) (`log_w_scale`), in log space so
     the ~2^k dynamic range cannot overflow."""
-    g = log_w_scale(params, n, "v")
-    t = np.full(n, -math.inf)
-    nz = w != 0.0
-    t[nz] = np.log(np.abs(w[nz])) - g[nz]
-    shift = np.max(t)
-    v = np.where(nz, np.sign(w) * np.exp(t - shift), 0.0)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf, and exp(-inf) the 0 again
+        t = np.log(np.abs(w)) - log_w_scale(params, n, "v")
+    v = np.sign(w) * np.exp(t - np.max(t))
     v /= math.sqrt(_dot(v, v))
     # Deterministic orientation: largest-magnitude component positive.
     imax = int(np.argmax(np.abs(v)))

@@ -84,7 +84,9 @@ def _indices(k, low, name):
     unless every entry is a finite integer >= low (the closed forms would
     return a number, or NaN, for any k)."""
     kf = np.array(k, dtype=float, ndmin=1)
-    if not np.all(np.isfinite(kf) & (kf >= low) & (kf == np.floor(kf))):
+    # An integer array is finite and whole by its type: only the bound is left.
+    whole = np.asarray(k).dtype.kind in "iu" or np.all(np.isfinite(kf) & (kf == np.floor(kf)))
+    if not (whole and np.all(kf >= low)):
         raise ValueError(f"{name} defined for integers k >= {low}")
     return kf
 

@@ -101,18 +101,27 @@ def _c2_entries(params, n):
     return 2.0 * k * (k + params.alpha + 1) / (((t + 1) + lo) * ((t + 2) + lo))
 
 
-def g_bands(params, n):
-    """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2), which maps
-    the monic coefficients of Q' to those of Q."""
+def _closed_forms(params, n):
+    """The bands g0, g1, g2 of G, with the entries c2_k of C2 and the
+    raising coefficients c_k, k = 1..n-1, that g2 is made of: each closed
+    form evaluated once."""
     rows = np.arange(1, n + 1, dtype=float)
     s, lo = exponent_sum(params)
     t = 2 * rows[:-1] + s
+    c2 = _c2_entries(params, n)
+    raising = raising_coefficient(params, np.arange(1, n))
     g0 = 1.0 / rows
     # (c1 + c2)_k = 2k(alpha - beta) / ((2k+s)(2k+s+2)) exactly; the closed
     # form has no cancellation and is exactly 0 at alpha = beta.
     g1 = 2.0 * (params.alpha - params.beta) / ((t + lo) * ((t + 2) + lo))
-    g2 = _c2_entries(params, n)[:-1] * -raising_coefficient(params, rows[1:-1]) / rows[:-2]
-    return g0, g1, g2
+    g2 = c2[:-1] * -raising[1:] / rows[:-2]
+    return (g0, g1, g2), c2, raising
+
+
+def g_bands(params, n):
+    """Bands of G = N^-1 C2 C1 (upper triangular, bandwidth 2), which maps
+    the monic coefficients of Q' to those of Q."""
+    return _closed_forms(params, n)[0]
 
 
 def _gram_bands(f0, f1, f2, weights):
@@ -145,10 +154,9 @@ def scaled_pencil(params, n):
         raise ValueError("n must be >= 1")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sr = np.sqrt(norm_ratio(params, np.arange(n)))
-        g0, g1, g2 = g_bands(params, n)
-        k = np.arange(1, n)
-        k2_1 = _c2_entries(params, n) / (k * sr[1:])
-        bands = sr * g0, g1, g2 / sr[1 : n - 1], sr, -raising_coefficient(params, k), g0, k2_1
+        (g0, g1, g2), c2, raising = _closed_forms(params, n)
+        k2_1 = c2 / (np.arange(1, n) * sr[1:])
+        bands = sr * g0, g1, g2 / sr[1 : n - 1], sr, -raising, g0, k2_1
     if not (all(np.isfinite(band).all() for band in bands) and sr.all()):
         raise OverflowError(
             f"the bands of H leave double range at alpha = {params.alpha!r},"
@@ -206,12 +214,10 @@ def symmetrized_bands(pencil):
 
 def h_matvec(h0, h1, h2, x, out=None):
     """H x for every row x of a 1-D or 2-D array, H upper triangular with
-    bands h0, h1, h2 (h2 None for an upper bidiagonal H); written into
-    `out` when given."""
+    bands h0, h1, h2; written into `out` when given."""
     out = np.multiply(h0, x, out=out)
     out[..., :-1] += h1 * x[..., 1:]
-    if h2 is not None:
-        out[..., :-2] += h2 * x[..., 2:]
+    out[..., :-2] += h2 * x[..., 2:]
     return out
 
 
@@ -219,8 +225,7 @@ def ht_matvec(h0, h1, h2, y):
     """H^T y for y of shape (n,), H as for h_matvec."""
     out = h0 * y
     out[1:] += h1 * y[:-1]
-    if h2 is not None:
-        out[2:] += h2 * y[:-2]
+    out[2:] += h2 * y[:-2]
     return out
 
 

@@ -3,7 +3,7 @@
 Every Bessel value comes from one float64 algorithm, Miller's backward
 recurrence (Gautschi, "Computational aspects of three-term recurrence
 relations", SIAM Review 9, 1967).  The ratios J_{m} / J_{m-1} are run
-downward from well above max(x, nu), the direction in which J is the
+downward from above max(x, nu), the direction in which J is the
 minimal solution, and normalised by Neumann's sum
 (x/2)^mu = sum_k c_k J_{mu+2k} at mu = nu + 1.  `bessel_j` takes a
 scalar x or an array of them and runs every point at once, each from
@@ -11,11 +11,21 @@ its own start, so an array call equals the scalar calls bit for bit.
 No sum cancels, so the values are good to ~1e-14 absolute (relative
 for large values) over the whole supported window.
 
+Every point starts from its own even order, `_start`: max(x, nu) plus
+a margin clip(2 ceil(12 + 0.45 x), 32, 80) that grows with x, since the
+start error dies out over fewer orders the smaller x is.  The least
+margin that matches the error of a flat 80 against 40-digit mpmath, on
+ten orders from -0.999 to 50, is 22 at x <= 5, 28 at x <= 10, 38 at
+x <= 20, 48 at x <= 30, 56 at x <= 40, 66 at x <= 60 and 70 at x <= 120;
+the worst case lies in the turning region x ~ nu, where the start error
+dies out slowest (0.4 x in place of 0.45 x leaves 1.8e-14 at nu = 50,
+x ~ 50, against 7e-15).  The rule gives 32 at x <= 10, 42 at 20, 60 at
+40 and 80 from x ~ 62 on.
+
 The smallest positive zero j_nu is found on the ratio J_nu / J_{nu+1}
-that the same recurrence gives, run alone: no Neumann sum, and a start
-only _ZERO_MARGIN = 40 orders up, since the ratio settles to the last
-bit well before J does.  A march to a sign change over a grid evaluated
-in one array call, then Newton steps kept inside the bracket.
+that the same recurrence gives, run alone, without the Neumann sum.  A
+march to a sign change over a grid evaluated in one array call, then
+Newton steps kept inside the bracket.
 """
 
 from __future__ import annotations
@@ -43,13 +53,6 @@ NU_WINDOW = 50.0
 
 _LN2 = math.log(2.0)
 _ZERO_STEPS = 100
-# Orders above max(x, nu) at which the backward recurrence starts (even).
-# On x in [100, 120] a margin of 40 leaves errors in J of 1.6e-6 against
-# 40-digit reference values, 60 leaves 5.6e-12 and 80 leaves 4.4e-15.
-_MARGIN = 80
-# The zero finder reads only the ratio J_nu / J_{nu+1}, at x < 60, and
-# that gives the same zeros to the last bit from a margin of 30 on.
-_ZERO_MARGIN = 40
 
 
 def _order(order) -> float:
@@ -67,17 +70,27 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
-def _backward(nu, x, margin, neumann):
+def _start(nu, x):
+    """The even m from which each point's ratios r_m start (order mu + m,
+    mu = nu + 1): x - nu rounded up to even, plus the margin
+    clip(2 ceil(12 + 0.45 x), 32, 80).  On x in [100, 120] a margin of 40
+    leaves errors in J of 1.6e-6 against 40-digit reference values, 60
+    leaves 5.6e-12, and from 72 on only the rounding, 5e-15."""
+    margin = np.clip(2.0 * np.ceil(12.0 + 0.45 * x), 32.0, 80.0)
+    return 2.0 * np.ceil(0.5 * np.maximum(x - nu, 0.0)) + margin
+
+
+def _backward(nu, x, neumann):
     """J_nu(x) if `neumann`, else the ratio J_nu(x) / J_{nu+1}(x), at the
     points x > 0, an array of any shape (0-d for one point, which runs on
     numpy scalars).
 
     At mu = nu + 1 the ratios r_m = J_{mu+m} / J_{mu+m-1} obey
     r_m = x / (2(mu+m) - x r_{m+1}).  Each point runs them from r = 0 at
-    its own even start m, `margin` orders above max(x, nu), down to r_1,
-    the direction in which J is the minimal solution, so the start error
-    dies out; points above their start keep r = 0, so no point's
-    arithmetic depends on the others.  The ratio J_nu / J_{nu+1} is
+    its own even start m = `_start`, down to r_1, the direction in which
+    J is the minimal solution, so the start error dies out; points above
+    their start keep r = 0, so no point's arithmetic depends on the
+    others.  The ratio J_nu / J_{nu+1} is
     2mu/x - r_1.  For J itself the same loop also builds the Neumann sum
     (x/2)^mu = sum_k c_k J_{mu+2k}, c_k = (mu+2k) Gamma(mu+k) / k!
     (DLMF 10.23.15), as the nested product
@@ -94,16 +107,19 @@ def _backward(nu, x, margin, neumann):
         lead = nu * (np.log(x) - _LN2) - log_gamma(mu)
         if lead.max() > 708.0:
             raise OverflowError(f"J_{nu}({x[lead > 708.0][0]}) overflows double precision")
-    tops = 2.0 * np.ceil(0.5 * np.maximum(x - nu, 0.0)) + margin
+    tops = _start(nu, x)
+    started = tops.min()  # from here down every point runs: no masks
     r = np.zeros_like(x)
     t = np.ones_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(int(tops.max()) // 2, 0, -1):
-            live = 2 * k <= tops
+            live = 2 * k <= tops if 2 * k > started else None
             q = x / (2.0 * (nu + (2 * k + 1)) - x * r)  # r_{2k}
-            q *= live
+            if live is not None:
+                q *= live
             r = x / (2.0 * (nu + 2 * k) - x * q)  # r_{2k-1}
-            r *= live
+            if live is not None:
+                r *= live
             if neumann:
                 # c_k / c_{k-1}.  At k = 1 it is (mu + 2) mu / mu, and for mu
                 # below ulp(2) the sums round mu / mu to 0 / 0: take mu + 2.
@@ -127,7 +143,7 @@ def _bessel_any(nu, x):
     out = xs.reshape(-1)  # a view: values replace the points in place
     zero = out == 0.0
     if not zero.all():
-        out[~zero] = _backward(nu, out[~zero], _MARGIN, True)
+        out[~zero] = _backward(nu, out[~zero], True)
     out[zero] = 1.0 if nu == 0.0 else 0.0 if nu > 0.0 else math.inf
     return float(out[0]) if xs.ndim == 0 else xs
 
@@ -177,7 +193,7 @@ def _smallest_zero(nu):
     start = max(nu, 0.0) + 0.1
     bound = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
     grid = start + 0.25 * np.arange(2 + int((bound - start) / 0.25))
-    crossed = np.flatnonzero(_backward(nu, grid, _ZERO_MARGIN, False) <= 0.0)
+    crossed = np.flatnonzero(_backward(nu, grid, False) <= 0.0)
     if not crossed.size:
         raise ConvergenceError(f"no sign change of J_{nu} found below {grid[-1]}")
     i = int(crossed[0])
@@ -193,7 +209,7 @@ def _smallest_zero(nu):
     # the point it reaches good to rounding.
     root = 0.5 * (a + b)
     for _ in range(_ZERO_STEPS):
-        g = float(_backward(nu, np.asarray(root), _ZERO_MARGIN, False))
+        g = float(_backward(nu, np.asarray(root), False))
         if g == 0.0:
             break
         if g > 0.0:
@@ -208,7 +224,7 @@ def _smallest_zero(nu):
         root = root - step if a < root - step < b else 0.5 * (a + b)
     else:
         raise ConvergenceError(f"zero refinement did not converge for nu={nu}")
-    if not abs(_backward(nu, np.asarray(root), _ZERO_MARGIN, False)) < 1e-12 * root:
+    if not abs(_backward(nu, np.asarray(root), False)) < 1e-12 * root:
         raise ConvergenceError(f"zero refinement stalled for nu={nu}")
     return root
 

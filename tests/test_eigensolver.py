@@ -346,6 +346,17 @@ def test_lambda_matches_50_digit_reference():
     assert checked == {"small": 58, "large": 27}
 
 
+def test_reference_solves_take_their_step_count():
+    # Any change to the arithmetic of the iteration or of the bracket moves
+    # this total: 848 steps over the 85 cases at the last change to it.
+    cases = json.loads(REFERENCE.read_text())["lambda"]
+    steps = 0
+    for key in cases:
+        alpha, beta, n = key.split(",")
+        steps += solve(JacobiWeightParams(float(alpha), float(beta)), int(n)).iterations
+    assert (len(cases), steps) == (85, 848)
+
+
 @pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)
 def test_lambda_near_minus_one_with_unequal_exponents(alpha, beta, n, lam):
     # the norm ratio at k = 0 rounded alpha + beta away, and the certified

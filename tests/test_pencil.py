@@ -6,6 +6,7 @@ import pytest
 
 from mblab import (
     JacobiWeightParams,
+    norm_ratio,
     norm_sequence,
     raising_coefficient,
     scaled_pencil,
@@ -13,6 +14,7 @@ from mblab import (
     smallest_eigenpair,
     solve,
 )
+from mblab.jacobi import exponent_sum
 from mblab.pencil import (
     _c2_entries,
     build_pencil,
@@ -249,6 +251,36 @@ def test_closed_forms_keep_the_rounding_of_alpha_plus_beta(alpha, beta, n):
             )
             for band, exact in zip(got, want):
                 assert abs(band[k - 1] / float(exact) - 1.0) <= 1e-14, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 4000])
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.3, 1.7), (300.0, 0.0), (12.0, 12.0), (-0.9999996372309563, -0.9999996582336216)],
+)
+def test_scaled_pencil_equals_its_closed_forms_evaluated_apart(alpha, beta, n):
+    # scaled_pencil evaluates each closed form once and shares it between
+    # the bands and the factors; every entry must equal what the closed
+    # forms give when each is evaluated on its own, bit for bit.
+    p = JacobiWeightParams(alpha, beta)
+    k = np.arange(1.0, n)  # float indices: the checked path of the closed forms
+    sr = np.sqrt(norm_ratio(p, np.arange(float(n))))
+    raising = raising_coefficient(p, k)
+    c2 = _c2_entries(p, n)
+    s, lo = exponent_sum(p)
+    t = 2 * k + s
+    g0 = 1.0 / np.arange(1.0, n + 1)
+    g1 = 2.0 * (alpha - beta) / ((t + lo) * ((t + 2) + lo))
+    g2 = c2[:-1] * -raising[1:] / k[:-1]
+    want = {
+        "h0": sr * g0, "h1": g1, "h2": g2 / sr[1 : n - 1],
+        "k1_0": sr, "k1_1": -raising, "k2_0": g0, "k2_1": c2 / (k * sr[1:]),
+    }
+    sp = scaled_pencil(p, n)
+    for band, values in want.items():
+        assert getattr(sp, band).tobytes() == values.tobytes(), band
+    for got, values in zip(g_bands(p, n), (g0, g1, g2)):
+        assert got.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("alpha,beta,n", NEAR_MINUS_ONE)

@@ -148,10 +148,18 @@ def _mp_besselj(nu, xs):
 
 
 # nu = 2 on [4, 6] and nu = 25 on [20, 40] hold zeros where the ascending
-# series cancels heavily; nu -> -1+ has J large near 0.
+# series cancels heavily; nu -> -1+ has J large near 0.  Then the whole
+# window in bins of x, each probed densely enough to meet the points where
+# the start rule's margin steps up and, for nu >= 1, the turning region
+# x ~ nu, where the start error dies out slowest.
+_X_BINS = [(1e-8, 5.0), (5.0, 10.0), (10.0, 20.0), (20.0, 40.0), (40.0, 70.0), (70.0, 120.0)]
+
+
 @pytest.mark.parametrize(
     "nu,lo,hi",
-    [(2.0, 4.0, 6.0), (25.0, 20.0, 40.0), (-0.999999, 1e-6, 3.0), (-0.5, 0.05, 10.0)],
+    [(2.0, 4.0, 6.0), (25.0, 20.0, 40.0), (-0.999999, 1e-6, 3.0), (-0.5, 0.05, 10.0)]
+    + [(nu, lo, hi) for nu in (-0.999, -0.5, 0.0, 1.0, 2.75, 5.5, 12.0, 25.0, 50.0)
+       for lo, hi in _X_BINS],
 )
 def test_bessel_array_against_mpmath(nu, lo, hi):
     xs = np.linspace(lo, hi, 41)
@@ -172,11 +180,12 @@ def test_bessel_window_edge_against_mpmath(nu):
 
 
 def test_bessel_recurrence_failure_is_loud(monkeypatch):
-    # With the start pulled down to order 11.5, below x ~ 22, the second
-    # downward step divides by 2 (nu + 10) - x r = 21 - x (x / 23), which
-    # vanishes exactly at x = sqrt(21 * 23); the non-finite value must
-    # raise rather than be returned.
-    monkeypatch.setattr(special, "_MARGIN", -12)
+    # With the start pulled down to order 11.5 (m = 10 above mu = 1.5),
+    # below x ~ 22, the second downward step divides by
+    # 2 (nu + 10) - x r = 21 - x (x / 23), which vanishes exactly at
+    # x = sqrt(21 * 23); the non-finite value must raise rather than be
+    # returned.
+    monkeypatch.setattr(special, "_start", lambda nu, x: np.full_like(x, 10.0))
     x = math.sqrt(21.0 * 23.0)
     assert 21.0 - x * (x / 23.0) == 0.0
     with pytest.raises(ConvergenceError):
@@ -220,11 +229,15 @@ def test_bessel_at_subnormal_x():
 
 
 @pytest.mark.parametrize(
-    "nu", [-0.99999999, -0.9999, -0.999, -0.99, -0.5, 2.5, 10.3, 37.7, 50.0]
+    "nu",
+    [-0.99999999, -0.9999, -0.999, -0.99, -0.9, -0.5, 10.3, 37.7]
+    + np.linspace(0.0, 50.0, 21).tolist(),
 )
 def test_zero_against_mpmath(nu):
     # Below nu ~ -0.9975 j_nu lies under the first march point; mpmath's
     # besseljzero takes only nu >= 0, so negative orders polish a root.
+    # The march grid and the Newton points of the orders up to 50 run
+    # from x ~ 0.1 to j_50 ~ 57, across several steps of the start rule.
     got = smallest_positive_zero(nu)
     with mpmath.workdps(30):
         if nu >= 0.0:

@@ -212,6 +212,9 @@ def _sweep_task(task):
 
 def _cmd_sweep(args):
     ns = sorted(set(args.n) | set(args.n_range))
+    for option, values in (("--alpha is", args.alpha), ("--beta is", args.beta), ("--n and --n-range are", ns)):
+        if not values:
+            raise ValueError(f"{option} empty")
     tasks = [(a, b, n, args.tol) for a in sorted(set(args.alpha)) for b in sorted(set(args.beta)) for n in ns]
     if args.parallel > 1 and len(tasks) > 1:
         # Imported here: it loads multiprocessing, which no other command
@@ -276,8 +279,7 @@ def _cmd_profile(args):
 def _cmd_asymptotics(args):
     params = JacobiWeightParams(args.alpha, args.beta)
     if not args.n_list:
-        print("error: --n-list is empty", file=sys.stderr)
-        return 1
+        raise ValueError("--n-list is empty")
     reports = convergence_study(params, args.n_list, args.tol)
     _emit(_reports_text([_report_row(r) for r in reports], args.format), args.output)
     return 0

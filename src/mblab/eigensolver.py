@@ -25,7 +25,6 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -312,9 +311,8 @@ def _block_size(params, n):
     """Vectors the iteration on all of H carries: one where the large-n law
     puts the two smallest eigenvalues far apart, else two: below
     _SMALL_N; at nearly equal exponents, where on 480 seeded weights near
-    alpha, beta = -1 one vector failed 12 that two certify and certified
-    11 that two fail, and took 505 steps over the 85 reference cases
-    instead of 499; and for an order past the zero finder."""
+    alpha, beta = -1 one vector fails 12 that two certify and certifies
+    6 that two fail; and for an order past the zero finder."""
     orders = params.nu_alpha, params.nu_beta
     if n < _SMALL_N or max(orders) > NU_WINDOW:
         return 2
@@ -359,6 +357,24 @@ def _b_inverse(factors):
     return lambda q: solve_upper(solve_lower(q)[..., ::-1])[..., ::-1]
 
 
+def _smoothed(b_inverse, x):
+    """x after two solves, each normalised: the returned w of every path
+    (50-digit sup defect at (12, 3, 199) 1.0e-9 off without, 1.3e-11
+    with)."""
+    for _ in range(2):
+        x = b_inverse(x)
+        x /= math.sqrt(_dot(x, x))
+    return x
+
+
+def _solution(pencil, lam, w, steps):
+    """The Solution of every path: w made read-only, its residual taken on
+    all of H."""
+    w.flags.writeable = False
+    bands = pencil.h0, pencil.h1, pencil.h2
+    return Solution(lam, w, _residual(bands, w, h_matvec(*bands, w), lam), steps)
+
+
 @np.errstate(all="ignore")  # a lost positivity shows in the ends
 def _bracket(pencil, tol):
     """The Solution at h1 = 0 from power steps x <- lo z, z = B^-1 x, on
@@ -367,44 +383,34 @@ def _bracket(pencil, tol):
     A half is upper bidiagonal with h0 > 0 > h2, so its B^-1 is entrywise
     positive and the ratios x_i / z_i of a positive x bracket its least
     eigenvalue (Collatz, Math. Z. 1942; Wielandt, Math. Z. 1950).  The
-    half that holds index n - 1 steps until [lo, hi] closes to tol, the
-    other (empty at n = 1, and then above any lambda) until its lo reaches
-    that one's; if its hi falls below instead, the two trade places.
-    lambda is x.z / z.z, a mean of the ratios weighted by z_i^2 and the
-    Rayleigh quotient at z; two solves smooth w.  The positive scans make
+    half that holds index n - 1 steps until [lo, hi] closes to tol, then
+    the other (none at n = 1) until its lo reaches that one's; an other
+    half that holds a smaller value (no weight's pencil has one) runs
+    into _MAX_STEPS.  lambda is x.z / z.z, a mean of the ratios weighted
+    by z_i^2 and the Rayleigh quotient at z.  The positive scans make
     each rounding a relative perturbation of one d or e by a unit that no
     cancellation amplifies: z is exact for bands a few units from the
     half's, as the inertia count's pivots are."""
-    n, steps = pencil.n, 0
-    lead, other = (
-        SimpleNamespace(x=np.ones(len(range(p, n, 2))), lo=0.0 if p < n else math.inf, hi=math.inf,
-                        parity=p, inverse=_b_inverse(((pencil.h0[p::2], pencil.h2[p::2]),)))
-        for p in ((n - 1) % 2, n % 2)
-    )
-    closed = lambda half: half.lo >= half.hi * (1.0 - tol)
-    while not (closed(lead) and other.lo >= lead.lo):
-        half = other if closed(lead) else lead
-        z = half.inverse(half.x)
-        ratios = np.divide(half.x, z, out=half.x)  # x's buffer: the ratios, then the next x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if steps == _MAX_STEPS or not 0.0 < lo <= hi < math.inf:
-            return None
-        steps += 1
-        half.lo, half.hi = lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
-        if closed(half):
+    n, steps, lam = pencil.n, 0, None
+    for p in ((n - 1) % 2, n % 2)[:n]:  # the half that holds n - 1 first
+        inverse = _b_inverse(((pencil.h0[p::2], pencil.h2[p::2]),))
+        x = np.ones(len(range(p, n, 2)))
+        while True:
+            z = inverse(x)
+            ratios = np.divide(x, z, out=x)  # x's buffer: the ratios, then the next x
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if steps == _MAX_STEPS or not 0.0 < lo <= hi < math.inf:
+                return None
+            steps += 1
+            low, high = lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
+            if low >= (high * (1.0 - tol) if lam is None else floor):
+                break
+            np.multiply(z, lo, out=x)
+        if lam is None:
             rayleigh = float(np.einsum("i,i,i->", ratios, z, z)) / _dot(z, z)
-            half.lam = min(max(rayleigh, half.lo), half.hi)
-        np.multiply(z, lo, out=half.x)
-        if closed(lead) and other.hi < lead.lo:  # the other holds lambda_min
-            lead, other = other, lead
-    x, p = lead.x, lead.parity
-    for _ in range(2):
-        x = lead.inverse(x)
-        x /= math.sqrt(_dot(x, x))
-    w = np.zeros(n)
-    w[p::2], w.flags.writeable = x, False
-    bands = pencil.h0, pencil.h1, pencil.h2
-    return Solution(lead.lam, w, _residual(bands, w, h_matvec(*bands, w), lead.lam), steps)
+            lam, floor, w = min(max(rayleigh, low), high), low, np.zeros(n)
+            w[p::2] = _smoothed(inverse, np.multiply(z, lo, out=x))
+    return _solution(pencil, lam, w, steps)
 
 
 def _iterate(pencil, tol):
@@ -424,11 +430,10 @@ def _iterate(pencil, tol):
     tol max(1, max diag B) and _certified holds for the smoothed w; a
     refused step is iterated on.  The accuracy of lambda rests on the
     certificate alone: a tiny lambda meets the absolute target at once
-    (the residual of the Ritz vector, before the smoothing solves, was
-    0.4% of lambda ~ 6e-23 on a parity half at alpha = beta = -1 + 2^-52,
-    n = 73), but
-    without it w lies 5 and 28 times further from the 80-digit
-    eigenvector at (49.5, 20, 50) and (10, 10, 30).
+    (at alpha = beta = -1 + 2^-52, n = 73, the first settled Ritz vector
+    has the residual 5e-22 = 8 lambda), but without the target w lies 5
+    and 28 times further from the 80-digit eigenvector at (49.5, 20, 50)
+    and (10, 10, 30).
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
     bands, m = (h0, h1, h2), min(n, _block_size(pencil.params, n))
@@ -475,17 +480,10 @@ def _iterate(pencil, tol):
         w, hw, lam = q[i], hq[i], norms[i]
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
-            # Two solves smooth w (50-digit sup defect at (12, 3, 199) 1.0e-9
-            # off without, 1.3e-11 with).
-            x = w
-            for _ in range(2):
-                x = b_inverse(x)
-                x /= math.sqrt(_dot(x, x))
             # A copy of the reversed view: a memoised Solution holds n doubles.
-            x = np.ascontiguousarray(x)
+            x = np.ascontiguousarray(_smoothed(b_inverse, w))
             if _certified(pencil, lam, x, tol):
-                x.flags.writeable = False
-                return Solution(lam, x, _residual(bands, x, h_matvec(*bands, x), lam), steps)
+                return _solution(pencil, lam, x, steps)
             refused += 1
         lam_prev = lam
     raise ConvergenceError(

@@ -38,6 +38,36 @@ def test_invalid_arguments_exit_one(capsys):
     assert run(capsys, ["constant", "--n", "2", "--alpha", "-1", "--beta", "0"])[0] == 1
     assert run(capsys, ["sweep", "--alpha", "0,-1", "--beta", "0"])[0] == 1
     assert run(capsys, ["nope"])[0] == 1
+    for n_range, why in [("4:8", "expected START:STOP:STEP"), ("8:4:1", "bad range 8:4:1"),
+                         ("0:4:1", "bad range 0:4:1")]:
+        code, out, err = run(capsys, ["sweep", "--alpha=0", "--beta=0", "--n-range", n_range])
+        assert (code, out) == (1, "") and err.endswith(f"error: argument --n-range: {why}\n")
+    code, out, err = run(capsys, ["asymptotics", "--alpha=0", "--beta=0", "--n-list", ""])
+    assert (code, out, err) == (1, "", "error: --n-list is empty\n")
+
+
+@pytest.mark.parametrize(
+    "command,call",
+    [
+        ("constant", "sharp_constant"),
+        ("extremal", "extremal_polynomial"),
+        ("profile", "profile_compare"),
+        ("asymptotics", "convergence_study"),
+    ],
+)
+def test_solver_failure_exits_two(capsys, monkeypatch, tmp_path, command, call):
+    import mblab.cli as cli
+    from mblab.exceptions import ConvergenceError
+
+    def failing(*args):
+        raise ConvergenceError("injected")
+
+    monkeypatch.setattr(cli, call, failing)
+    degrees = ["--n-list", "60,120"] if command == "asymptotics" else ["--n", "60"]
+    argv = [command, "--alpha=0", "--beta=0", "--output", str(tmp_path / "out")] + degrees
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", "solver failure: injected\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["inf", "1e999", "nan", "1e200", "1e78"])
@@ -59,9 +89,17 @@ def test_unallocatable_n_exits_one(capsys):
 
 
 def test_sweep_empty_grid(capsys):
-    code, out, _ = run(capsys, ["sweep", "--alpha", "", "--beta", ""])
-    assert code == 0
-    assert out == "n,alpha,beta,lambda_min,m_n,predicted,ratio,residual\n"
+    # An empty grid is bad input, not an empty table: a header alone (or
+    # "[", "", "]" as JSON) would pass for a finished sweep.
+    for argv, option in [
+        (["--alpha=0", "--beta=0"], "--n and --n-range are"),
+        (["--alpha=0", "--beta=0", "--n="], "--n and --n-range are"),
+        (["--alpha=", "--beta=0", "--n=4"], "--alpha is"),
+        (["--alpha=0", "--beta=", "--n=4", "--format", "json"], "--beta is"),
+        (["--alpha", "", "--beta", ""], "--alpha is"),
+    ]:
+        code, out, err = run(capsys, ["sweep", "--parallel", "1"] + argv)
+        assert (code, out, err) == (1, "", f"error: {option} empty\n")
 
 
 def test_sweep_deterministic_and_ordered(capsys, tmp_path):

@@ -116,6 +116,8 @@ def test_particular_x_values():
     assert particular_x_sequence(P10, 1, 4).values[3] == pytest.approx(4.0, rel=1e-13)
     with pytest.raises(ValueError):
         particular_x_sequence(P00, 3, 4)
+    with pytest.raises(OverflowError, match="x\\^\\(1\\) overflows before k = 900"):
+        particular_x_sequence(JacobiWeightParams(160.0, 3.0), 1, 900)
 
 
 def test_sign_patterns():
@@ -199,6 +201,9 @@ def test_residual_support_negative_control():
     assert not ok
     with pytest.raises(ValueError):
         residual_support(sp, ParticularSolution(1, 0.0, "v", np.ones(5)))
+    # two rows are both tail rows: no support to check
+    with pytest.raises(ValueError, match="n >= 3"):
+        residual_support(scaled_pencil(P00, 2), particular_v(P00, 1, 2))
 
 
 @pytest.mark.parametrize("n", [600, 40000])

@@ -84,7 +84,7 @@ def test_dense_oracle_small_n(alpha, beta):
         assert mine == pytest.approx(dense, rel=1e-10)
 
 
-def test_eigen_result_certificate():
+def test_solution_certificate():
     p = JacobiWeightParams(0.5, 1.5)
     pen = build_pencil(p, 30)
     sp = scaled_pencil(p, 30)
@@ -294,7 +294,7 @@ def test_bands_that_disagree_with_the_factors_are_refused():
 # 405 (ln|P| passes 300 there): n = 404, 405 and 406 lie on both sides.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 400, 404, 405, 406])
 @pytest.mark.parametrize("q", [1, 2])
-def test_partitioned_solve_matches_dense(n, q):
+def test_scans_match_dense(n, q):
     far = JacobiWeightParams(131.5, 0.0)
     sp = scaled_pencil(far, 406)
     assert [b[0] for b in _scan_setup(sp.k1_0, sp.k1_1)[2]] == [0, 405]
@@ -832,10 +832,25 @@ def test_lost_positivity_falls_back_to_all_of_h(monkeypatch):
     assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
 
 
+@pytest.mark.parametrize("n", [8, 9, 400])
+def test_a_smaller_other_half_gives_up_the_bracket(n):
+    # Halving the bands of the half without index n - 1 quarters its
+    # eigenvalues and puts the least of all of H there; its lower end then
+    # never reaches the first half's, and the step limit ends the bracket.
+    sp = scaled_pencil(P00, n)
+    h0, h2 = sp.h0.copy(), sp.h2.copy()
+    h0[n % 2 :: 2] *= 0.5
+    h2[n % 2 :: 2] *= 0.5
+    smaller = dataclasses.replace(sp, h0=h0, h2=h2)
+    sigma = np.linalg.svd(dense_h(smaller), compute_uv=False)
+    assert sigma[-1] < np.linalg.svd(dense_h(sp), compute_uv=False)[-1]
+    assert eigensolver._bracket(smaller, 1e-12) is None
+
+
 @pytest.mark.parametrize(
     "alpha,n", [(0.0, 1), (EDGE, 1), (0.0, 2), (0.0, 1000), (12.0, 4001), (-0.95, 4000), (EDGE, 73)]
 )
-def test_equal_exponents_iterate_on_the_parity_half_of_the_last_index(alpha, n):
+def test_equal_exponents_bracket_the_parity_half_of_the_last_index(alpha, n):
     # h1 = 0 splits H into its even and odd halves; the bracket's w lies on
     # the half that holds index n - 1 (at n = 1, H itself), and the count
     # over all of H shows that the other half holds no smaller value

@@ -69,6 +69,8 @@ def test_norms_positive_and_overflow_reported():
     assert np.all(d > 0)
     with pytest.raises(OverflowError):
         norm_sequence(P00, 700)
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        norm_sequence(P00, 0)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,8 @@ def test_pencil_one_by_one():
     pen = build_pencil(P11, 1)
     assert pen.diag == pytest.approx([1.0 / 30.0], rel=1e-13)
     assert pen.d == pytest.approx([1.0 / 6.0], rel=1e-14)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        scaled_pencil(P00, 0)
 
 
 def test_pencil_two_by_two_legendre():

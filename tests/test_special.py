@@ -60,6 +60,12 @@ def test_bessel_domain_and_window():
         bessel_j(50.5, 1.0)
     with pytest.raises(AccuracyWindowError):
         bessel_j_derivative(0.0, 121.0)
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError, match="x > 0"):
+            bessel_j_derivative(1.0, x)
+    # (x/2)^nu / Gamma(nu + 1) at the least subnormal: e^733 at nu = -0.99
+    with pytest.raises(OverflowError, match=r"J_-0\.99\(5e-324\) overflows"):
+        bessel_j(-0.99, 5e-324)
 
 
 def test_three_term_recurrence():

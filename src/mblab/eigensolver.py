@@ -74,7 +74,8 @@ class Solution:
     lies in a closed Collatz-Wielandt bracket and `iterations` counts
     power steps; else lambda rests on the inertia count below it and the
     Rayleigh bound or a second count above it, and `iterations` counts
-    block inverse-iteration steps, the last the first certified.
+    block inverse-iteration steps, the last the first certified, after the
+    power steps that start one vector.
     """
 
     lambda_min: float
@@ -357,14 +358,21 @@ def _b_inverse(factors):
     return lambda q: solve_upper(solve_lower(q)[..., ::-1])[..., ::-1]
 
 
-def _smoothed(b_inverse, x):
-    """x after two solves, each normalised: the returned w of every path
-    (50-digit sup defect at (12, 3, 199) 1.0e-9 off without, 1.3e-11
-    with)."""
-    for _ in range(2):
+def _power(b_inverse, x, solves, settle=None):
+    """(x, k): x after k <= `solves` power steps x <- B^-1 x, each
+    normalised; with `settle`, k is the first step at which ||B^-1 x|| moved
+    by at most settle relative.  It smooths every returned w (50-digit sup
+    defect at (12, 3, 199) 1.0e-9 off without, 1.3e-11 with two steps and
+    1.7e-13 with four) and starts one vector on all of H."""
+    k, norm_prev = 0, math.inf
+    for k in range(1, solves + 1):
         x = b_inverse(x)
-        x /= math.sqrt(_dot(x, x))
-    return x
+        norm = math.sqrt(_dot(x, x))
+        x /= norm
+        if settle is not None and abs(norm - norm_prev) <= settle * norm:
+            break
+        norm_prev = norm
+    return x, k
 
 
 def _solution(pencil, lam, w, steps):
@@ -409,13 +417,13 @@ def _bracket(pencil, tol):
         if lam is None:
             rayleigh = float(np.einsum("i,i,i->", ratios, z, z)) / _dot(z, z)
             lam, floor, w = min(max(rayleigh, low), high), low, np.zeros(n)
-            w[p::2] = _smoothed(inverse, np.multiply(z, lo, out=x))
+            w[p::2] = _power(inverse, np.multiply(z, lo, out=x), 2)[0]
     return _solution(pencil, lam, w, steps)
 
 
 def _iterate(pencil, tol):
     """Locally optimal block inverse iteration on B = H^T H, with the
-    vectors of _block_size.
+    vectors of _block_size; one vector starts with power steps.
 
     Each step makes Z = B^-1 Q by four scans over all vectors at once,
     (K2 K1)^-1 (K2 K1)^-T Q.  Then a Rayleigh-Ritz over span[Z, Q, P], P
@@ -427,13 +435,14 @@ def _iterate(pencil, tol):
     their products H q are combinations of the basis and of that product.
 
     A step ends the iteration when lambda has settled, the residual meets
-    tol max(1, max diag B) and _certified holds for the smoothed w; a
-    refused step is iterated on.  The accuracy of lambda rests on the
-    certificate alone: a tiny lambda meets the absolute target at once
-    (at alpha = beta = -1 + 2^-52, n = 73, the first settled Ritz vector
-    has the residual 5e-22 = 8 lambda), but without the target w lies 5
-    and 28 times further from the 80-digit eigenvector at (49.5, 20, 50)
-    and (10, 10, 30).
+    tol max(1, max diag B) and _certified holds for w smoothed by four
+    solves; a refused step is iterated on.  The power steps count as steps
+    of the iteration, in `iterations` and against _MAX_STEPS.  The
+    accuracy of lambda rests on the certificate alone: a tiny lambda meets
+    the absolute target at once (at alpha = beta = -1 + 2^-52, n = 73, the
+    first settled Ritz vector has the residual 5e-22 = 8 lambda), but
+    without the target w lies 5 and 28 times further from the 80-digit
+    eigenvector at (49.5, 20, 50) and (10, 10, 30).
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
     bands, m = (h0, h1, h2), min(n, _block_size(pencil.params, n))
@@ -454,6 +463,16 @@ def _iterate(pencil, tol):
         q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
     if pencil.params.alpha > pencil.params.beta:
         q[:, 1::2] *= -1.0
+    # One vector first takes power steps until ||B^-1 q|| settles to 1e-8:
+    # from this start the first Rayleigh-Ritz steps do no more, at 4-5
+    # times the cost.  They count as steps, leaving the loop at least one.
+    # q stays C-ordered, as the loop's q has always been: einsum sums a
+    # reversed view in another order, and near alpha, beta = -1 at n ~ 1e5
+    # lambda's last 1e-13 is that rounding.
+    start = 0
+    if m == 1:
+        x, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
+        q = np.ascontiguousarray(x)[None]
     p = np.empty((0, n))
     # The basis and its product with H are written into two buffers made
     # once per solve: new 3m-row arrays at every step raise the peak RSS
@@ -462,7 +481,7 @@ def _iterate(pencil, tol):
     hbasis_buf = np.empty((3 * m, n))
     lam_prev = math.inf
     refused = 0
-    for steps in range(1, _MAX_STEPS + 1):
+    for steps in range(start + 1, _MAX_STEPS + 1):
         z = b_inverse(q)
         basis = _orthonormal_blocks((z, q, p), basis_buf)
         del z, p  # the basis spans them: the product below peaks without them
@@ -481,7 +500,7 @@ def _iterate(pencil, tol):
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
             # A copy of the reversed view: a memoised Solution holds n doubles.
-            x = np.ascontiguousarray(_smoothed(b_inverse, w))
+            x = np.ascontiguousarray(_power(b_inverse, w, 4)[0])
             if _certified(pencil, lam, x, tol):
                 return _solution(pencil, lam, x, steps)
             refused += 1

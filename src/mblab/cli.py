@@ -87,10 +87,15 @@ def _positive_int(text):
     return value
 
 
-def _weight_param(text):
+def _finite_float(text):
     value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"weight exponents must be finite, got {text}")
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+def _weight_param(text):
+    value = _finite_float(text)
     if not value > -1.0:
         raise argparse.ArgumentTypeError(f"weight exponents must exceed -1, got {text}")
     return value
@@ -179,7 +184,7 @@ def build_parser():
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--perturb",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="scale the superdiagonal of H's factor K2 by (1+eps), which scales h2 by"
         " (1+eps) and moves h1; the residual checks should fail.  Write a negative"
@@ -316,8 +321,10 @@ def main(argv=None):
         if "tol" in args:  # every subcommand but verify
             args.tol = _resolve_tol(args.tol)
         return _COMMANDS[args.command](args)
-    except (ValueError, OverflowError, MemoryError) as exc:
-        # MemoryError: an --n whose arrays exceed what can be allocated.
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+        # MemoryError: an --n whose arrays exceed what can be allocated;
+        # OSError: an --output, --dump-pencil or profile path that cannot be
+        # opened.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -48,11 +48,10 @@ _MAX_STEPS = 200
 # relative squared norm below this is dropped from the basis.
 _DROP = 1e-14
 # One vector needs the predicted limits of the two smallest eigenvalues
-# _SPLIT_RATIO apart and n >= _SMALL_N.  Below it, on 8 such weights, a
-# solve took 3.0 ms with one vector and 1.6 ms with two at n = 4, as long
-# with either at n = 8, and 6-16% less with one at n = 20-150.
+# _SPLIT_RATIO apart, at every n: on 8 such weights a solve takes 38-47%
+# less time with one than with two at n = 8-199, and 0.17-0.37 ms more at
+# n = 2-4.
 _SPLIT_RATIO = 1.2
-_SMALL_N = 200
 # Stand-in for an exactly zero pivot of the inertia count; it is counted
 # as negative, the sign the pivot takes when the shift grows.
 _ZERO_PIVOT = -1e-300
@@ -308,14 +307,14 @@ def _rayleigh_bound(pencil, w):
     return hw * hw / ww * (1.0 + k * _UNIT / (1.0 - k * _UNIT))
 
 
-def _block_size(params, n):
-    """Vectors the iteration on all of H carries: one where the large-n law
-    puts the two smallest eigenvalues far apart, else two: below
-    _SMALL_N; at nearly equal exponents, where on 480 seeded weights near
-    alpha, beta = -1 one vector fails 12 that two certify and certifies
-    6 that two fail; and for an order past the zero finder."""
+def _block_size(params):
+    """Vectors the iteration on all of H carries, at every n: one where the
+    large-n law puts the two smallest eigenvalues far apart, else two: at
+    nearly equal exponents, where on 480 seeded weights near alpha, beta =
+    -1 one vector fails 12 that two certify and certifies 6 that two fail;
+    and for an order past the zero finder."""
     orders = params.nu_alpha, params.nu_beta
-    if n < _SMALL_N or max(orders) > NU_WINDOW:
+    if max(orders) > NU_WINDOW:
         return 2
     low, high = sorted(map(smallest_positive_zero, orders))
     return 1 if (high / low) ** 2 >= _SPLIT_RATIO else 2
@@ -362,8 +361,8 @@ def _power(b_inverse, x, solves, settle=None):
     """(x, k): x after k <= `solves` power steps x <- B^-1 x, each
     normalised; with `settle`, k is the first step at which ||B^-1 x|| moved
     by at most settle relative.  It smooths every returned w (50-digit sup
-    defect at (12, 3, 199) 1.0e-9 off without, 1.3e-11 with two steps and
-    1.7e-13 with four) and starts one vector on all of H."""
+    defect at (12, 3, 199) 1.2e-9 off without, 2.4e-11 with two steps and
+    5.4e-13 with four) and starts one vector on all of H."""
     k, norm_prev = 0, math.inf
     for k in range(1, solves + 1):
         x = b_inverse(x)
@@ -441,11 +440,11 @@ def _iterate(pencil, tol):
     accuracy of lambda rests on the certificate alone: a tiny lambda meets
     the absolute target at once (at alpha = beta = -1 + 2^-52, n = 73, the
     first settled Ritz vector has the residual 5e-22 = 8 lambda), but
-    without the target w lies 5 and 28 times further from the 80-digit
-    eigenvector at (49.5, 20, 50) and (10, 10, 30).
+    without the target w lies 34 times further from the 80-digit
+    eigenvector at (10, 10, 30).
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
-    bands, m = (h0, h1, h2), min(n, _block_size(pencil.params, n))
+    bands, m = (h0, h1, h2), min(n, _block_size(pencil.params))
     b_inverse = _b_inverse(((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)))
 
     diag_b = h0 * h0

@@ -231,6 +231,23 @@ def test_dump_pencil_past_raw_range_writes_nothing(capsys, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constant", "--n", "10", "--output", "{missing}/x.json"],
+        ["constant", "--n", "10", "--dump-pencil", "{missing}/bands.txt"],
+        ["profile", "--n", "60", "--output", "{missing}/prof"],
+    ],
+)
+def test_unopenable_output_exits_one(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in argv] + ["--alpha=0.3", "--beta=0.5"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error: ") and str(missing) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_extremal_csv(capsys):
     code, out, _ = run(
         capsys,
@@ -330,6 +347,13 @@ def test_verify_negative_perturbation(capsys):
     code, out, err = run(capsys, ["verify", "--perturb", "-1e-3"])
     assert (code, out) == (1, "")
     assert "--perturb: expected one argument" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_verify_non_finite_perturbation_exits_one(capsys, eps):
+    code, out, err = run(capsys, ["verify", f"--perturb={eps}"])
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument --perturb: expected a finite number, got {eps}\n")
 
 
 def test_env_tolerance_override(capsys, monkeypatch):

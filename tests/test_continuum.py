@@ -16,7 +16,9 @@ from mblab import (
     root_condition_min_l,
     sharp_constant,
     smallest_positive_zero,
+    solve,
 )
+from mblab.eigensolver import _block_size
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -164,6 +166,16 @@ def test_sup_defect_matches_50_digit_reference():
         alpha, beta, n = key.split(",")
         c = profile_compare(JacobiWeightParams(float(alpha), float(beta)), int(n))
         assert abs(c.sup_defect - float(value)) <= 1e-11, key
+
+
+def test_sup_defect_of_two_smoothed_vectors():
+    # The predicted limits lie 1.198 apart, below the one-vector ratio, so
+    # the iteration carries two vectors; the one pinned sup defect that
+    # does.  50-digit value as for EXTRA_SUP_DEFECTS.
+    p = JacobiWeightParams(1.0, 1.3)
+    assert _block_size(p) == 2 and solve(p, 400).iterations == 6
+    c = profile_compare(p, 400)
+    assert abs(c.sup_defect - float("0.00198883594673229826381930274136")) <= 5e-11
 
 
 def test_profile_y_array_matches_scalar_calls():

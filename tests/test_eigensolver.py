@@ -348,13 +348,13 @@ def test_lambda_matches_50_digit_reference():
 
 def test_reference_solves_take_their_step_count():
     # Any change to the arithmetic of the iteration or of the bracket moves
-    # this total: 982 steps over the 85 cases at the last change to it.
+    # this total: 1017 steps over the 85 cases at the last change to it.
     cases = json.loads(REFERENCE.read_text())["lambda"]
     steps = 0
     for key in cases:
         alpha, beta, n = key.split(",")
         steps += solve(JacobiWeightParams(float(alpha), float(beta)), int(n)).iterations
-    assert (len(cases), steps) == (85, 982)
+    assert (len(cases), steps) == (85, 1017)
 
 
 @pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)
@@ -435,7 +435,7 @@ def test_iteration_on_all_of_h_at_the_edge(n):
     # n = 73 and 200, but from n = 400 on lambda never settles within tol/4
     # in _MAX_STEPS steps.  No input reaches it while the bracket closes.
     p = JacobiWeightParams(-1.0 + 2.0**-52, -1.0 + 2.0**-52)
-    assert _block_size(p, n) == 2
+    assert _block_size(p) == 2
     eigensolver._iterate(scaled_pencil(p, n), 1e-12)
 
 
@@ -708,10 +708,22 @@ def test_refused_lower_count_skips_the_rayleigh_bound(monkeypatch):
         (0.5, 0.5 + 1e-6, 2, None),
     ],
 )
-def test_block_size_rule(alpha, beta, m, lam):
+def test_block_size_rule(alpha, beta, m, lam, monkeypatch):
     p = JacobiWeightParams(alpha, beta)
-    assert _block_size(p, 2000) == m
-    assert _block_size(p, 199) == 2
+    # the iteration carries the same m at every n: the rule reads the
+    # weight alone (and n rows at most)
+    rows, orthonormal = [], eigensolver._orthonormal_blocks
+
+    def record(blocks, out):
+        rows.append(len(blocks[1]))
+        return orthonormal(blocks, out)
+
+    monkeypatch.setattr(eigensolver, "_orthonormal_blocks", record)
+    for n in (1, 4, 8, 199, 200, 2000):
+        rows.clear()
+        eigensolver._iterate(scaled_pencil(p, n), 1e-12)
+        assert set(rows) == {min(n, m)}, n
+    assert _block_size(p) == m
     if lam is not None:
         assert abs(solve(p, 2000).lambda_min - lam) <= 1e-13 * lam
 
@@ -728,7 +740,7 @@ def test_block_size_rule(alpha, beta, m, lam):
 )
 def test_one_vector_with_both_exponents_near_minus_one(alpha, beta, n, lam):
     p = JacobiWeightParams(alpha, beta)
-    assert _block_size(p, n) == 1
+    assert _block_size(p) == 1
     assert abs(solve(p, n).lambda_min - lam) <= 1e-13 * lam
 
 
@@ -737,7 +749,7 @@ def test_one_vector_step_counts(alpha, beta, steps):
     # 5, 11 and 9 power steps, then 2 Rayleigh-Ritz steps; two vectors took
     # 6, 8 and 7 steps
     p = JacobiWeightParams(alpha, beta)
-    assert _block_size(p, 4000) == 1
+    assert _block_size(p) == 1
     assert solve(p, 4000).iterations == steps
 
 
@@ -747,7 +759,7 @@ def test_one_vector_follows_the_perron_sign_pattern(alpha, beta):
     # alpha <= beta and diag((-1)^k) for alpha > beta, S H S is an upper
     # triangular M-matrix, so S B^-1 S > 0 and S w has one sign
     p = JacobiWeightParams(alpha, beta)
-    assert _block_size(p, 4000) == 1
+    assert _block_size(p) == 1
     w = solve(p, 4000).w
     s = (-1.0) ** np.arange(4000) if alpha > beta else np.ones(4000)
     signs = set(np.sign(s * w))

@@ -199,10 +199,20 @@ def _cmd_constant(args):
     # Built before anything is written: it raises past the raw norms' range.
     pen = build_pencil(params, args.n) if args.dump_pencil else None
     report = sharp_constant(params, args.n, args.tol)
-    _emit(_reports_text([_report_row(report)], args.format), args.output)
-    if pen is not None:
-        with open(args.dump_pencil, "w", encoding="utf-8") as fh:
-            dump_banded(pen, fh)
+    text = _reports_text([_report_row(report)], args.format)
+    if pen is None:
+        _emit(text, args.output)
+        return 0
+    # Opened before the report is written, and removed if the report
+    # cannot be: a path that cannot be opened leaves neither file behind.
+    with open(args.dump_pencil, "w", encoding="utf-8") as fh:
+        try:
+            _emit(text, args.output)
+        except OSError:
+            fh.close()
+            os.remove(args.dump_pencil)
+            raise
+        dump_banded(pen, fh)
     return 0
 
 

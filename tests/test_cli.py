@@ -242,9 +242,22 @@ def test_dump_pencil_past_raw_range_writes_nothing(capsys, tmp_path):
 def test_unopenable_output_exits_one(capsys, tmp_path, argv):
     missing = tmp_path / "missing"
     argv = [arg.format(missing=missing) for arg in argv] + ["--alpha=0.3", "--beta=0.5"]
-    code, _, err = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ") and str(missing) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "output, dump", [("rep.json", "missing/bands.txt"), ("missing/rep.json", "bands.txt")]
+)
+def test_unopenable_path_leaves_neither_file(capsys, tmp_path, output, dump):
+    argv = ["constant", "--n", "10", "--alpha=0.3", "--beta=0.5",
+            "--output", str(tmp_path / output), "--dump-pencil", str(tmp_path / dump)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -332,10 +345,20 @@ def test_verify_negative_seed_exits_one(capsys):
         run_verification(seed=-1)
 
 
-def test_verify_perturbation_fails(capsys):
-    code, out, _ = run(capsys, ["verify", "--perturb", "1e-3"])
+@pytest.mark.parametrize(
+    "eps, line",
+    [
+        ("1e-3", "FAIL small_n_oracle_equivalence: max rel defect"),
+        # h2 scaled by 1e300: the oracle check's solve raises, and the
+        # check reports its message
+        ("1e300", "FAIL small_n_oracle_equivalence: the inverse iteration leaves double range"),
+    ],
+    ids=["1e-3", "1e300"],
+)
+def test_verify_perturbation_fails(capsys, eps, line):
+    code, out, _ = run(capsys, ["verify", "--perturb", eps])
     assert code == 3
-    assert "FAIL" in out
+    assert line in out
 
 
 def test_verify_negative_perturbation(capsys):

@@ -703,7 +703,13 @@ def test_refused_lower_count_skips_the_rayleigh_bound(monkeypatch):
         (0.5, 0.7, 2, 1.003089145548638e-12),  # 1.169, below 1.2
         (-0.6, -0.35, 1, 2.1917110927860147e-13),  # alpha + beta = -0.95
         (-0.6, -0.45, 1, 2.1919280625407164e-13),  # alpha + beta = -1.05
-        (300.0, 0.0, 2, 4.65586598722752e-13),  # nu_alpha outside the zero finder
+        # past the zero finder's window (nu > 50) the zeros are read at
+        # nu clamped to 50; lambda at n = 2000 from perfbench/oracle.py
+        # at 50 digits
+        (300.0, 0.0, 1, 4.655865987227515e-13),  # nu_alpha = 149.5
+        (150.0, 3.0, 1, 3.1612481171558436e-12),  # nu_alpha = 74.5
+        (300.0, 95.0, 2, 5.05232692139426e-10),  # clamped ratio 1.12, true 8.7
+        (200.0, 200.5, 2, 2.0152699744230905e-09),  # both orders past 50
         (1.0, 1.0, 2, None),
         (0.5, 0.5 + 1e-6, 2, None),
     ],

@@ -28,6 +28,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._exact import split, two_product, two_sum
 from .discrete import log_w_scale
 from .exceptions import ConvergenceError
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
@@ -177,6 +178,14 @@ class _Scans:
         return t
 
 
+def _check_norms(norms):
+    """Raise OverflowError unless every norm of B^-1 x is finite: it
+    leaves double range where lambda_min < ~1e-154."""
+    if not all(map(math.isfinite, norms)):
+        raise OverflowError("the inverse iteration leaves double range"
+                            " (lambda_min below about 1e-154)")
+
+
 def _orthonormal_blocks(blocks, out):
     """Orthonormalize the rows of `blocks` in order, by two Gram-Schmidt
     passes against the blocks kept before and then two within the block.
@@ -190,8 +199,7 @@ def _orthonormal_blocks(blocks, out):
     for i, block in enumerate(blocks):
         norms = np.sqrt(np.einsum("in,in->i", block, block))
         listed = norms.tolist()  # a few rows: Python tests them faster
-        if not all(map(math.isfinite, listed)):  # ||B^-1 q|| where lambda_min < ~1e-154
-            raise OverflowError("a squared norm leaves double range")
+        _check_norms(listed)
         if not all(listed):  # a P row vanishes when the Ritz vectors did not move
             block, norms = block[norms > 0.0], norms[norms > 0.0]
         x = out[rows : rows + len(block)]
@@ -252,23 +260,8 @@ def _count_below(pencil, tau):
 
 # The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
 # temporaries stay small.
-_SPLITTER, _EFT_ROWS, _UNIT = 2.0**27 + 1.0, 8192, 2.0**-53
+_EFT_ROWS, _UNIT = 8192, 2.0**-53
 _WIDEN = 4.0 * _UNIT  # _bracket widens both of its ends outward by this
-
-
-def _split(a):
-    """(a, hi, lo) with hi + lo = a, halves of 26 bits (Veltkamp)."""
-    hi = _SPLITTER * a
-    hi -= hi - a
-    return a, hi, a - hi
-
-
-def _two_product(a_split, b_split):
-    """p, e with p + e = a b exactly (Dekker's TwoProduct), barring
-    underflow, for a and b given as their `_split`s."""
-    (a, a1, a2), (b, b1, b2) = a_split, b_split
-    p = a * b
-    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
 
 
 def _rayleigh_bound(pencil, w):
@@ -286,18 +279,17 @@ def _rayleigh_bound(pencil, w):
     size2 = 0.0  # ||(|H| |w|)||^2, roughly: its term is tiny
     for start in range(0, n, _EFT_ROWS):
         stop = min(start + _EFT_ROWS, n)
-        w_split = _split(w[start : stop + 2])  # one split for all three bands
+        w_part = w[start : stop + 2]
+        w_halves = split(w_part)  # one split for all three bands
         for shift, band in enumerate((pencil.h0, pencil.h1, pencil.h2)):
             k = max(min(stop, n - shift) - start, 0)
-            p, e = _two_product(_split(band[start : start + k]),
-                                [v[shift : shift + k] for v in w_split])
+            p, e = two_product(band[start : start + k], w_part[shift : shift + k],
+                               [v[shift : shift + k] for v in w_halves])
             if not shift:  # the h0 products start the sums
                 s, err, size = p, e, abs(p)
                 continue
-            t = s[:k] + p
-            z = t - s[:k]
-            err[:k] += e + ((s[:k] - (t - z)) + (p - z))
-            s[:k] = t
+            s[:k], e_sum = two_sum(s[:k], p)
+            err[:k] += e + e_sum
             size[:k] += abs(p)
         flat[start:stop] = s + err
         size2 += _dot(size, size)
@@ -345,10 +337,10 @@ def _solve_core(pencil, tol):
     try:
         found = _bracket(pencil, tol) if not pencil.h1.any() else None
         return found or _iterate(pencil, tol)
-    except OverflowError:
+    except OverflowError as exc:
         raise OverflowError(
-            f"the inverse iteration leaves double range at alpha = {pencil.params.alpha!r},"
-            f" beta = {pencil.params.beta!r}, n = {pencil.n} (lambda_min below about 1e-154)"
+            f"{exc} at alpha = {pencil.params.alpha!r}, beta = {pencil.params.beta!r},"
+            f" n = {pencil.n}"
         ) from None
 
 
@@ -370,8 +362,7 @@ def _power(b_inverse, x, solves, settle=None):
     for k in range(1, solves + 1):
         x = b_inverse(x)
         norm = math.sqrt(_dot(x, x))
-        if not math.isfinite(norm):  # ||B^-1 x|| where lambda_min < ~1e-154
-            raise OverflowError("a squared norm leaves double range")
+        _check_norms((norm,))
         x /= norm
         if settle is not None and abs(norm - norm_prev) <= settle * norm:
             break
@@ -450,13 +441,22 @@ def _iterate(pencil, tol):
     """
     n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
     bands, m = (h0, h1, h2), min(n, _block_size(pencil.params))
-    b_inverse = _b_inverse(((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)))
 
-    diag_b = h0 * h0
-    diag_b[1:] += h1 * h1
-    diag_b[2:] += h2 * h2
-    target = tol * max(1.0, float(np.max(diag_b)))
+    # Finite bands can have squares past double range: that is the cause
+    # to report, before any scan overflows on it.
+    with np.errstate(over="ignore"):
+        diag_b = h0 * h0
+        diag_b[1:] += h1 * h1
+        diag_b[2:] += h2 * h2
+    max_b = float(np.max(diag_b))
     del diag_b  # an n-vector the steps do not need
+    if not math.isfinite(max_b):
+        raise OverflowError(
+            "the diagonal of B = H^T H leaves double range (the bands of H reach"
+            f" {max(np.abs(band).max(initial=0.0) for band in bands):.3g})"
+        )
+    target = tol * max(1.0, max_b)
+    b_inverse = _b_inverse(((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)))
 
     # Start from the indicators of the indices mod m with the sign pattern
     # of w: with S = I for alpha <= beta and S = diag((-1)^k) for alpha >

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._exact import two_sum
 from .special import log_gamma
 
 __all__ = [
@@ -73,10 +74,7 @@ def exponent_sum(params):
     low part).  The closed forms take 2k + alpha + beta as (2k + s + c) + lo,
     lo added after the integer shift c, which is exact where the sum is tiny:
     added before it, lo would round away."""
-    a, b = params.alpha, params.beta
-    s = a + b
-    b_rounded = s - a
-    return s, (a - (s - b_rounded)) + (b - b_rounded)
+    return two_sum(params.alpha, params.beta)
 
 
 def _indices(k, low, name):

@@ -349,9 +349,10 @@ def test_verify_negative_seed_exits_one(capsys):
     "eps, line",
     [
         ("1e-3", "FAIL small_n_oracle_equivalence: max rel defect"),
-        # h2 scaled by 1e300: the oracle check's solve raises, and the
-        # check reports its message
-        ("1e300", "FAIL small_n_oracle_equivalence: the inverse iteration leaves double range"),
+        # h2 scaled by 1e300: the oracle check's solve raises on the
+        # squares of the bands, and the check reports its message
+        ("1e300", "FAIL small_n_oracle_equivalence: the diagonal of B = H^T H leaves double"
+                  " range (the bands of H reach"),
     ],
     ids=["1e-3", "1e300"],
 )
@@ -359,6 +360,8 @@ def test_verify_perturbation_fails(capsys, eps, line):
     code, out, _ = run(capsys, ["verify", "--perturb", eps])
     assert code == 3
     assert line in out
+    # lambda_min is not small here: no line blames it
+    assert "below about 1e-154" not in out
 
 
 def test_verify_negative_perturbation(capsys):

@@ -938,6 +938,17 @@ def test_inverse_iteration_past_double_range_names_the_weight():
         solve(JacobiWeightParams(1e78, 0.5), 10)
 
 
+def test_bands_whose_squares_overflow_are_named(recwarn):
+    # The bands stay finite (|h1| up to 3.3e299), but their squares on the
+    # diagonal of B do not: the cause is the bands, not a tiny lambda_min,
+    # and no overflow warning comes before it
+    sp = perturb_factor(scaled_pencil(JacobiWeightParams(0, 0), 8), "k2_1", 1e300)
+    named = r"^the diagonal of B = H\^T H leaves double range \(the bands of H reach 3\.33e\+299\)"
+    with pytest.raises(OverflowError, match=named + r" at alpha = 0, beta = 0, n = 8$"):
+        smallest_eigenpair(sp)
+    assert not recwarn.list
+
+
 def test_scan_setup_takes_one_product_inside_the_range():
     sp = scaled_pencil(P37, 4000)
     for d, e in ((sp.k1_0, sp.k1_1), (sp.k2_0, sp.k2_1)):

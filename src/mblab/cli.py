@@ -10,18 +10,20 @@ over the env var.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 
 from .continuum import convergence_study, profile_compare
-from .eigensolver import extremal_polynomial, sharp_constant
+from .eigensolver import SharpConstantReport, extremal_polynomial, sharp_constant
 from .exceptions import ConvergenceError
 from .jacobi import JacobiWeightParams
 from .pencil import build_pencil, dump_banded
 from .verification import run_verification
 
-_REPORT_FIELDS = ("n", "alpha", "beta", "lambda_min", "m_n", "predicted", "ratio", "residual")
+_REPORT_FIELDS = [field.name for field in dataclasses.fields(SharpConstantReport)]
+_FORMATS = ("table", "csv", "json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,10 +39,6 @@ def _fmt(x):
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".17g")
-
-
-def _report_row(report):
-    return [getattr(report, field) for field in _REPORT_FIELDS]
 
 
 def _json_number(x):
@@ -143,7 +141,7 @@ def _add_common(sub, needs_n=True, has_format=True):
         sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--tol", type=float, default=None)
     if has_format:
-        sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        sub.add_argument("--format", choices=_FORMATS, default="table")
     sub.add_argument("--output", default=None)
 
 
@@ -156,6 +154,7 @@ def build_parser():
     constant.add_argument(
         "--dump-pencil", default=None, help="write the banded A, D to this path"
     )
+    constant.set_defaults(run=_cmd_constant)
 
     sweep = subs.add_parser("sweep", help="grid of constants as CSV/JSON")
     sweep.add_argument("--alpha", type=_float_list, required=True, help="comma list")
@@ -163,22 +162,26 @@ def build_parser():
     sweep.add_argument("--n", type=_int_list, default=[], help="comma list of degrees")
     sweep.add_argument("--n-range", type=_n_range, default=[], help="START:STOP:STEP")
     sweep.add_argument("--tol", type=float, default=None)
-    sweep.add_argument("--format", choices=("table", "csv", "json"), default="csv")
+    sweep.add_argument("--format", choices=_FORMATS, default="csv")
     sweep.add_argument("--output", default=None)
     sweep.add_argument("--parallel", type=_positive_int, default=os.cpu_count() or 1)
+    sweep.set_defaults(run=_cmd_sweep)
 
     extremal = subs.add_parser("extremal", help="coefficients of the extremal polynomial")
     _add_common(extremal)
+    extremal.set_defaults(run=_cmd_extremal)
 
     profile = subs.add_parser(
         "profile", help="eigenvector bundle vs closed-form profile data"
     )
     # The data go to two files of fixed layout, so there is no --format.
     _add_common(profile, has_format=False)
+    profile.set_defaults(run=_cmd_profile)
 
     asym = subs.add_parser("asymptotics", help="convergence study over a degree list")
     _add_common(asym, needs_n=False)
     asym.add_argument("--n-list", type=_int_list, required=True, help="ascending comma list")
+    asym.set_defaults(run=_cmd_asymptotics)
 
     verify = subs.add_parser("verify", help="run the cross-module checks")
     verify.add_argument("--seed", type=int, default=0)
@@ -190,6 +193,7 @@ def build_parser():
         " (1+eps) and moves h1; the residual checks should fail.  Write a negative"
         " value with '=', as --perturb=-1e-3",
     )
+    verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -199,7 +203,7 @@ def _cmd_constant(args):
     # Built before anything is written: it raises past the raw norms' range.
     pen = build_pencil(params, args.n) if args.dump_pencil else None
     report = sharp_constant(params, args.n, args.tol)
-    text = _reports_text([_report_row(report)], args.format)
+    text = _reports_text([dataclasses.astuple(report)], args.format)
     if pen is None:
         _emit(text, args.output)
         return 0
@@ -220,7 +224,7 @@ def _sweep_task(task):
     """The report row of one sweep task, or None if its solve failed."""
     alpha, beta, n, tol = task
     try:
-        return _report_row(sharp_constant(JacobiWeightParams(alpha, beta), n, tol))
+        return dataclasses.astuple(sharp_constant(JacobiWeightParams(alpha, beta), n, tol))
     except (ConvergenceError, OverflowError):
         return None
 
@@ -241,7 +245,8 @@ def _cmd_sweep(args):
     else:
         rows = [_sweep_task(task) for task in tasks]
     # A failed row keeps its n, alpha, beta and carries NaN elsewhere.
-    out_rows = [row or [n, a, b] + [float("nan")] * 5 for row, (a, b, n, _) in zip(rows, tasks)]
+    nans = (float("nan"),) * (len(_REPORT_FIELDS) - 3)
+    out_rows = [row or (n, a, b, *nans) for row, (a, b, n, _) in zip(rows, tasks)]
     _emit(_reports_text(out_rows, args.format), args.output)
     return 2 if None in rows else 0
 
@@ -296,7 +301,7 @@ def _cmd_asymptotics(args):
     if not args.n_list:
         raise ValueError("--n-list is empty")
     reports = convergence_study(params, args.n_list, args.tol)
-    _emit(_reports_text([_report_row(r) for r in reports], args.format), args.output)
+    _emit(_reports_text([dataclasses.astuple(r) for r in reports], args.format), args.output)
     return 0
 
 
@@ -311,16 +316,6 @@ def _cmd_verify(args):
     return 0 if ok else 3
 
 
-_COMMANDS = {
-    "constant": _cmd_constant,
-    "sweep": _cmd_sweep,
-    "extremal": _cmd_extremal,
-    "profile": _cmd_profile,
-    "asymptotics": _cmd_asymptotics,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -330,7 +325,7 @@ def main(argv=None):
     try:
         if "tol" in args:  # every subcommand but verify
             args.tol = _resolve_tol(args.tol)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OverflowError, MemoryError, OSError) as exc:
         # MemoryError: an --n whose arrays exceed what can be allocated;
         # OSError: an --output, --dump-pencil or profile path that cannot be

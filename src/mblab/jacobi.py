@@ -132,6 +132,8 @@ def log_norm_sequence(params, n):
     sum of ln(d_{k+1}/d_k) (no underflow).  The ratios tend to 1/4, so
     the sum runs over ln(4 d_{k+1}/d_k), which stay small, and k ln 4 is
     taken off afterwards."""
+    if n < 0:
+        raise ValueError(f"log_norm_sequence requires n >= 0, got {n}")
     a, b = params.alpha, params.beta
     s, lo = exponent_sum(params)
     ln4 = math.log(4.0)
@@ -152,6 +154,8 @@ def recurrence_coefficients(params, m):
     k = 1 entries use the cancelled forms so that alpha + beta in
     {-1, 0} stays finite.
     """
+    if m < 1:
+        raise ValueError(f"recurrence_coefficients requires m >= 1, got {m}")
     a, b = params.alpha, params.beta
     s = a + b
     ak = np.empty(m)
@@ -175,6 +179,8 @@ def recurrence_coefficients(params, m):
 def monic_eval_table(params, kmax, x):
     """Values of all monic polynomials of degree 0..kmax at the points x;
     returns an array of shape (kmax + 1, len(x))."""
+    if kmax < 0:
+        raise ValueError(f"monic_eval_table requires kmax >= 0, got {kmax}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((kmax + 1, xs.size))
     table[0] = 1.0

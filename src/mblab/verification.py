@@ -1,19 +1,22 @@
 """Cross-module consistency checks, runnable from the CLI.
 
-Each check returns (name, passed, detail).  The residual checks run on
-the factor H of B = H^T H that every solve uses; only the small-n oracle
-builds the raw pencil, as an independent dense reference.  A nonzero
-`perturb` scales K2's superdiagonal, and so the band h2 of H = K2 K1, by
-(1 + perturb), h1 moving with it, in all three residual checks (particular
-support, Rayleigh bound, oracle equivalence) and is expected to make them
-fail; it exists as a negative-control hook.  The three run under
-np.errstate, so a perturbation that scales the bands out of double range
-shows as failed checks, a solve that raises as the failing check's
-detail.
+`_CHECKS` maps each check's name to its function, in the order the
+checks run and report; each is called as check(rng, perturb) and returns
+(passed, detail).  The residual checks run on the factor H of B = H^T H
+that every solve uses; only the small-n oracle builds the raw pencil, as
+an independent dense reference.  A nonzero `perturb` scales K2's
+superdiagonal, and so the band h2 of H = K2 K1, by (1 + perturb), h1
+moving with it, in all three residual checks (particular support,
+Rayleigh bound, oracle equivalence) and is expected to make them fail;
+it exists as a negative-control hook.  The three run under np.errstate,
+so a perturbation that scales the bands out of double range shows as
+failed checks, a solve that raises as the failing check's detail.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -41,7 +44,7 @@ class CheckResult:
     detail: str
 
 
-def _check_bessel_zeros():
+def _check_bessel_zeros(rng, perturb):
     # Oracles independent of the recurrence: the closed forms j_{-1/2} =
     # pi/2 and j_{1/2} = pi, and the known j_0 and j_1 (tabulated in
     # Abramowitz & Stegun, table 9.5), their 30-digit values rounded.
@@ -56,14 +59,10 @@ def _check_bessel_zeros():
     grid = np.linspace(-0.99, 10.0, 23)
     zeros = [smallest_positive_zero(nu) for nu in grid]
     mono = all(z1 < z2 for z1, z2 in zip(zeros, zeros[1:]))
-    return CheckResult(
-        "bessel_zeros",
-        ok and mono,
-        f"max defect against known zeros {worst:.2e}, monotone={mono}",
-    )
+    return ok and mono, f"max defect against known zeros {worst:.2e}, monotone={mono}"
 
 
-def _check_raising_relation():
+def _check_raising_relation(rng, perturb):
     xs = np.linspace(-1.0, 1.0, 21)
     worst = 0.0
     for (a, b) in [(0.0, 0.0), (1.0, 0.5), (2.5, -0.5)]:
@@ -75,10 +74,10 @@ def _check_raising_relation():
             rhs = table_up[k] - raising_coefficient(p, k) * table_up[k - 1]
             scale = np.max(np.abs([lhs, rhs])) + 1e-300
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
-    return CheckResult("raising_relation", worst < 1e-10, f"max rel defect {worst:.2e}")
+    return worst < 1e-10, f"max rel defect {worst:.2e}"
 
 
-def _check_norm_ratio():
+def _check_norm_ratio(rng, perturb):
     worst = 0.0
     for (a, b) in [(0.0, 0.0), (-0.5, -0.5), (1.0, 2.5), (-0.9, 3.0)]:
         p = JacobiWeightParams(a, b)
@@ -86,7 +85,7 @@ def _check_norm_ratio():
         _, bk = recurrence_coefficients(p, 40)
         for k in range(1, 40):
             worst = max(worst, abs(bk[k] - d[k] / d[k - 1]) / bk[k])
-    return CheckResult("norm_ratio_identity", worst < 1e-10, f"max rel defect {worst:.2e}")
+    return worst < 1e-10, f"max rel defect {worst:.2e}"
 
 
 def _pencil_under_test(params, n, perturb):
@@ -101,7 +100,7 @@ _quiet = np.errstate(all="ignore")
 
 
 @_quiet
-def _check_particular_support(perturb):
+def _check_particular_support(rng, perturb):
     bad = []
     for (a, b) in [(0.0, 0.0), (1.0, 0.0), (0.5, 2.5), (-0.5, 1.0)]:
         p = JacobiWeightParams(a, b)
@@ -111,21 +110,17 @@ def _check_particular_support(perturb):
             ok, _ = discrete.residual_support(sp, sol)
             if not ok:
                 bad.append((a, b, j))
-    return CheckResult(
-        "particular_support",
-        not bad,
-        "all tails clean" if not bad else f"support leak at {bad}",
-    )
+    return not bad, "all tails clean" if not bad else f"support leak at {bad}"
 
 
-def _check_ode_residual():
+def _check_ode_residual(rng, perturb):
     worst = 0.0
     for b in (-0.5, 0.0, 1.0, 2.5):
         for l in (4.0, 23.13, 100.0):
             br = ProfileBranch(j=1, b=b, l=l)
             for t in (0.1, 0.5, 1.0):
                 worst = max(worst, ode_residual(br, t))
-    return CheckResult("ode_residual", worst < 1e-6, f"max residual {worst:.2e}")
+    return worst < 1e-6, f"max residual {worst:.2e}"
 
 
 @_quiet
@@ -147,11 +142,9 @@ def _check_rayleigh_bound(rng, perturb):
     worst = max(quotient(np.array(w)) for w in draws)
     attained = quotient(result.w)
     ok = worst <= m2 + 1e-9 and abs(attained - m2) <= 1e-9 * m2
-    return CheckResult(
-        "rayleigh_bound",
-        ok,
+    return ok, (
         f"max quotient {worst:.12g}, at the extremal vector {attained:.12g},"
-        f" vs M_n^2 {m2:.12g}",
+        f" vs M_n^2 {m2:.12g}"
     )
 
 
@@ -166,8 +159,8 @@ def _dense_b(params, n):
 
 
 @_quiet
-def _check_oracle_equivalence(perturb):
-    name, worst = "small_n_oracle_equivalence", 0.0
+def _check_oracle_equivalence(rng, perturb):
+    worst = 0.0
     for (a, b) in [(-0.5, 0.0), (0.0, 0.0), (1.0, 2.5)]:
         p = JacobiWeightParams(a, b)
         for n in (1, 2, 4, 8):
@@ -176,20 +169,21 @@ def _check_oracle_equivalence(perturb):
             try:
                 lam = eigensolver.smallest_eigenpair(sp).lambda_min
             except (OverflowError, ConvergenceError) as exc:
-                return CheckResult(name, False, str(exc))
+                return False, str(exc)
             worst = max(worst, abs(lam - dense) / dense)
-    return CheckResult(name, worst < 1e-10, f"max rel defect {worst:.2e}")
+    return worst < 1e-10, f"max rel defect {worst:.2e}"
 
 
-CHECK_NAMES = [
-    "bessel_zeros",
-    "raising_relation",
-    "norm_ratio_identity",
-    "particular_support",
-    "ode_residual",
-    "rayleigh_bound",
-    "small_n_oracle_equivalence",
-]
+_CHECKS = {
+    "bessel_zeros": _check_bessel_zeros,
+    "raising_relation": _check_raising_relation,
+    "norm_ratio_identity": _check_norm_ratio,
+    "particular_support": _check_particular_support,
+    "ode_residual": _check_ode_residual,
+    "rayleigh_bound": _check_rayleigh_bound,
+    "small_n_oracle_equivalence": _check_oracle_equivalence,
+}
+CHECK_NAMES = list(_CHECKS)
 
 
 def run_verification(seed=0, perturb=0.0):
@@ -197,16 +191,14 @@ def run_verification(seed=0, perturb=0.0):
 
     `seed`, a non-negative integer, fixes the Rayleigh check's vectors,
     drawn from the standard library's generator so that numpy.random
-    never loads."""
+    never loads.  `perturb`, the negative-control hook, must be finite.
+    Both are checked before any check runs."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = random.Random(seed)
-    return [
-        _check_bessel_zeros(),
-        _check_raising_relation(),
-        _check_norm_ratio(),
-        _check_particular_support(perturb),
-        _check_ode_residual(),
-        _check_rayleigh_bound(rng, perturb),
-        _check_oracle_equivalence(perturb),
-    ]
+    if not math.isfinite(perturb):
+        raise ValueError(f"perturb must be finite, got {perturb}")
+    rng = random.Random(int(seed))
+    outcomes = ((name, *check(rng, perturb)) for name, check in _CHECKS.items())
+    return [CheckResult(name, bool(passed), detail) for name, passed, detail in outcomes]

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mblab
 from mblab.cli import main
 from mblab.verification import run_verification
 
@@ -410,3 +415,26 @@ def test_env_tolerance_unparsable_exits_one(capsys, monkeypatch):
     assert "MB_LAB_TOL" in err and "garbage" in err
     # the flag wins, so the env var is not consulted
     assert run(capsys, argv + ["--tol", "1e-10"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["constant", "--alpha=0", "--beta=0", "--n", "2"], 0, "3.87298", ""),
+        (["verify", "--seed=-1"], 1, "", "error: seed must be non-negative, got -1\n"),
+        (["verify", "--perturb=1e-3"], 3, "verification FAILED\n", ""),
+    ],
+    ids=["constant", "verify-negative-seed", "verify-perturbed"],
+)
+def test_console_entry_passes_the_exit_code(tmp_path, argv, code, out, err):
+    # `python -m mblab.cli` runs the module's __main__ block, and so
+    # entry(), the console script's target: main's code leaves through
+    # SystemExit as the process's exit status
+    env = dict(os.environ, PYTHONPATH=str(Path(mblab.__file__).parents[1]))
+    env.pop("MB_LAB_TOL", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mblab.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert out in proc.stdout

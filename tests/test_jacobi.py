@@ -74,6 +74,24 @@ def test_norms_positive_and_overflow_reported():
 
 
 @pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: monic_eval_table(P00, -1, [0.0]), "monic_eval_table requires kmax >= 0, got -1"),
+        (lambda: recurrence_coefficients(P00, 0), "recurrence_coefficients requires m >= 1, got 0"),
+        (lambda: log_norm_sequence(P00, -1), "log_norm_sequence requires n >= 0, got -1"),
+    ],
+    ids=["monic_eval_table", "recurrence_coefficients", "log_norm_sequence"],
+)
+def test_sizes_below_range_name_the_argument(call, message):
+    # The least valid sizes still work: norm_sequence reads log_norm_sequence(p, 0)
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert monic_eval_table(P00, 0, [0.0]).shape == (1, 1)
+    assert recurrence_coefficients(P00, 1)[1][0] == 2.0
+    assert log_norm_sequence(P00, 0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize(
     "alpha,beta", [(0.0, 0.0), (0.3, 1.7), (-0.95, 12.0), (49.5, 49.5), (-0.999999, -0.95)]
 )
 def test_log_norm_sequence_matches_mpmath(alpha, beta):

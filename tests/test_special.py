@@ -107,6 +107,43 @@ def test_smallest_zero_j0_against_mpmath_oracle():
     assert j0 == pytest.approx(2.404825557695773, abs=1e-12)
 
 
+@pytest.fixture
+def fresh_zeros():
+    """`_smallest_zero` memoises its zeros: cleared before a test, so that
+    no cached zero hides a patch, and after it, so that no patched zero
+    leaks into the next."""
+    special._smallest_zero.cache_clear()
+    yield
+    special._smallest_zero.cache_clear()
+
+
+def _ratio_at_points(value):
+    """`_backward` as it is on the march's grid, and `value` at the single
+    points of the refinement."""
+    real = special._backward
+    return lambda nu, x, neumann: real(nu, x, neumann) if np.ndim(x) else np.float64(value)
+
+
+@pytest.mark.parametrize(
+    "backward,message",
+    [
+        # no point of the grid has J_nu <= 0
+        (lambda nu, x, neumann: np.ones_like(x), "no sign change of J_0.0 found below"),
+        # g = 1 > 0 everywhere with a Newton step of about 0.6: bisection
+        # walks to the bracket's end and the step never shrinks
+        (_ratio_at_points(1.0), "zero refinement did not converge for nu=0.0"),
+        # slope about -g^2, so the step -1/g is below 1e-12 of the root
+        # while g itself is not
+        (_ratio_at_points(1e13), "zero refinement stalled for nu=0.0"),
+    ],
+    ids=["no-sign-change", "no-convergence", "stalled"],
+)
+def test_zero_finder_fails_loudly(monkeypatch, fresh_zeros, backward, message):
+    monkeypatch.setattr(special, "_backward", backward)
+    with pytest.raises(ConvergenceError, match=message):
+        smallest_positive_zero(0.0)
+
+
 def test_zero_is_a_zero_and_first():
     for nu in np.linspace(-0.99, 10.0, 23):
         j = smallest_positive_zero(nu)

@@ -1,13 +1,22 @@
 """The cross-module checks of `mblab verify` pass on the package and fail
 under the negative-control perturbation."""
 
+import dataclasses
+import json
+import math
+
 import pytest
 
+from mblab import verification
 from mblab.verification import CHECK_NAMES, run_verification
 
 
 def _outcomes(**kwargs):
-    return {check.name: check.passed for check in run_verification(**kwargs)}
+    results = run_verification(**kwargs)
+    # `passed` is a Python bool, not numpy's, which json cannot encode
+    assert all(type(r.passed) is bool for r in results)
+    json.dumps([dataclasses.asdict(r) for r in results])
+    return {r.name: r.passed for r in results}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -29,3 +38,21 @@ def test_residual_checks_fail_under_perturbation(check, perturb):
     # +1e-3) against 1e-10.  Scaled by 1e300 the bands leave double
     # range: the oracle's solve raises, and the check fails with its message
     assert not _outcomes(perturb=perturb)[check]
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,message",
+    [
+        ({"seed": 1.5}, TypeError, "seed must be an integer, got 1.5"),
+        ({"seed": True}, TypeError, "seed must be an integer, got True"),
+        ({"seed": -1}, ValueError, "seed must be non-negative, got -1"),
+        ({"perturb": math.nan}, ValueError, "perturb must be finite, got nan"),
+        ({"perturb": -math.inf}, ValueError, "perturb must be finite, got -inf"),
+    ],
+    ids=["float-seed", "bool-seed", "negative-seed", "nan-perturb", "infinite-perturb"],
+)
+def test_arguments_are_refused_before_any_check(monkeypatch, kwargs, error, message):
+    # With no check left to run, only the arguments' own checks can refuse
+    monkeypatch.setattr(verification, "_CHECKS", {})
+    with pytest.raises(error, match=message):
+        run_verification(**kwargs)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mblab
-from mblab.cli import main
+from mblab.cli import build_parser, main
 from mblab.verification import run_verification
 
 
@@ -387,34 +389,34 @@ def test_verify_non_finite_perturbation_exits_one(capsys, eps):
     assert err.endswith(f"error: argument --perturb: expected a finite number, got {eps}\n")
 
 
-def test_env_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("MB_LAB_TOL", "1e-8")
-    code, out, _ = run(
-        capsys, ["constant", "--n", "6", "--alpha", "0", "--beta", "0", "--format", "json"]
-    )
-    assert code == 0
-    lam_env = json.loads(out)["lambda_min"]
-    # flags win over the env var
-    code, out, _ = run(
-        capsys,
-        [
-            "constant", "--n", "6", "--alpha", "0", "--beta", "0",
-            "--format", "json", "--tol", "1e-12",
-        ],
-    )
-    lam_flag = json.loads(out)["lambda_min"]
-    assert lam_env == pytest.approx(lam_flag, rel=1e-7)
+@pytest.mark.parametrize("value", ["garbage", "1e-6"])
+def test_environment_does_not_change_a_command(capsys, monkeypatch, value):
+    # A command's tolerance is its --tol or 1e-12; nothing else sets it
+    argv = ["constant", "--alpha=0", "--beta=0", "--n", "6", "--format", "json"]
+    monkeypatch.delenv("MB_LAB_TOL", raising=False)
+    unset = run(capsys, argv)
+    monkeypatch.setenv("MB_LAB_TOL", value)
+    assert run(capsys, argv) == unset
+    assert unset[0] == 0
 
 
-def test_env_tolerance_unparsable_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("MB_LAB_TOL", "garbage")
-    argv = ["constant", "--n", "6", "--alpha", "0", "--beta", "0"]
-    code, out, err = run(capsys, argv)
-    assert code == 1
-    assert out == ""
-    assert "MB_LAB_TOL" in err and "garbage" in err
-    # the flag wins, so the env var is not consulted
-    assert run(capsys, argv + ["--tol", "1e-10"])[0] == 0
+def test_help_names_each_subcommand_once():
+    # argparse lists the subcommands itself; the description does not repeat them
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subs.choices) >= 6
+    named = [c for c in subs.choices if re.search(rf"\b{c}\b", parser.description)]
+    assert named == []
+
+
+def _run_module(argv, cwd):
+    """`python -m mblab.cli *argv` in a fresh interpreter, with PYTHONPATH
+    at this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mblab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "mblab.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.mark.parametrize(
@@ -430,11 +432,15 @@ def test_console_entry_passes_the_exit_code(tmp_path, argv, code, out, err):
     # `python -m mblab.cli` runs the module's __main__ block, and so
     # entry(), the console script's target: main's code leaves through
     # SystemExit as the process's exit status
-    env = dict(os.environ, PYTHONPATH=str(Path(mblab.__file__).parents[1]))
-    env.pop("MB_LAB_TOL", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "mblab.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run_module(argv, tmp_path)
     assert (proc.returncode, proc.stderr) == (code, err)
     assert out in proc.stdout
+
+
+def test_console_sweep_workers_forked_from_a_frozen_parent(tmp_path):
+    # The module freezes the collector at import, so the --parallel 2
+    # workers start from a frozen parent; their rows match a serial run
+    argv = ["sweep", "--alpha=0.3,1.3", "--beta=1.7", "--n", "100,200", "--format", "json"]
+    serial, parallel = (_run_module(argv + ["--parallel", p], tmp_path) for p in "12")
+    assert (serial.returncode, serial.stderr) == (0, "")
+    assert (parallel.returncode, parallel.stderr, parallel.stdout) == (0, "", serial.stdout)

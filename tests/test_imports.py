@@ -48,6 +48,27 @@ def test_no_module_imports_a_siblings_private_name():
     assert offenders == {}
 
 
+def _environment_reads(path):
+    """(line, name) for every `os.environ` or `os.getenv` in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        (node.lineno, f"os.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+        and node.attr in ("environ", "getenv")
+    ]
+
+
+def test_no_module_reads_the_environment():
+    # A command's behaviour is on its command line: no hidden setting.
+    offenders = {
+        path.name: hits for path in sorted(PACKAGE_DIR.glob("*.py")) if (hits := _environment_reads(path))
+    }
+    assert offenders == {}
+
+
 def test_guard_flags_private_imports(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
@@ -111,6 +132,13 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_mpmath():
     # mpmath is a test-only dependency; no module of the package loads it.
     assert _loaded_by("mblab", ("mpmath",)) == "[]"
+
+
+def test_only_the_cli_freezes_the_collector():
+    # A cold command skips the collector's passes over its imports; a
+    # library host that imports mblab keeps its collector as it was.
+    assert _fresh("import gc, mblab; print(gc.get_freeze_count())") == "0"
+    assert int(_fresh("import gc, mblab.cli; print(gc.get_freeze_count())")) > 0
 
 
 def test_cli_import_loads_no_process_pool():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -331,17 +332,17 @@ def _residual(bands, w, hw, lam):
     return math.sqrt(_dot(r, r))
 
 
-def _solve_core(pencil, tol):
-    """The Solution, w read-only: at h1 = 0 the bracket; elsewhere, or where
-    it gives up, the iteration on all of H."""
+def _solve_core(owned, tol):
+    """The Solution of the pencil in the one-item list `owned`, w read-only:
+    at h1 = 0 the bracket; elsewhere, or where it gives up, the iteration on
+    all of H, which takes the pencil out of the list."""
+    params, n = owned[0].params, owned[0].n
     try:
-        found = _bracket(pencil, tol) if not pencil.h1.any() else None
-        return found or _iterate(pencil, tol)
+        found = _bracket(owned[0], tol) if not owned[0].h1.any() else None
+        return found or _iterate(owned, tol)
     except OverflowError as exc:
         raise OverflowError(
-            f"{exc} at alpha = {pencil.params.alpha!r}, beta = {pencil.params.beta!r},"
-            f" n = {pencil.n}"
-        ) from None
+            f"{exc} at alpha = {params.alpha!r}, beta = {params.beta!r}, n = {n}") from None
 
 
 def _b_inverse(factors):
@@ -416,7 +417,11 @@ def _bracket(pencil, tol):
     return _solution(pencil, lam, w, steps)
 
 
-def _iterate(pencil, tol):
+# H alone, as the iteration reads it once B^-1 has made its scans.
+_HBands = namedtuple("_HBands", "n h0 h1 h2")
+
+
+def _iterate(owned, tol):
     """Locally optimal block inverse iteration on B = H^T H, with the
     vectors of _block_size; one vector starts with power steps.
 
@@ -438,9 +443,15 @@ def _iterate(pencil, tol):
     first settled Ritz vector has the residual 5e-22 = 8 lambda), but
     without the target w lies 34 times further from the 80-digit
     eigenvector at (10, 10, 30).
+
+    The pencil comes in the one-item list `owned` and is taken out of it,
+    so that its factors K1, K2 are freed once B^-1 has its scans, unless
+    the caller holds the pencil as well: on Python 3.10 a caller holds a
+    call's arguments until the call returns.
     """
-    n, h0, h1, h2 = pencil.n, pencil.h0, pencil.h1, pencil.h2
-    bands, m = (h0, h1, h2), min(n, _block_size(pencil.params))
+    pencil = owned.pop()
+    n, params, h0, h1, h2 = pencil.n, pencil.params, pencil.h0, pencil.h1, pencil.h2
+    bands, m = (h0, h1, h2), min(n, _block_size(params))
 
     # Finite bands can have squares past double range: that is the cause
     # to report, before any scan overflows on it.
@@ -457,6 +468,7 @@ def _iterate(pencil, tol):
         )
     target = tol * max(1.0, max_b)
     b_inverse = _b_inverse(((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)))
+    pencil = _HBands(n, h0, h1, h2)  # B^-1 has its own scans: H alone from here
 
     # Start from the indicators of the indices mod m with the sign pattern
     # of w: with S = I for alpha <= beta and S = diag((-1)^k) for alpha >
@@ -465,7 +477,7 @@ def _iterate(pencil, tol):
     q = np.zeros((m, n))
     for row in range(m):
         q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
-    if pencil.params.alpha > pencil.params.beta:
+    if params.alpha > params.beta:
         q[:, 1::2] *= -1.0
     # One vector first takes power steps until ||B^-1 q|| settles to 1e-8:
     # from this start the first Rayleigh-Ritz steps do no more, at 4-5
@@ -475,24 +487,29 @@ def _iterate(pencil, tol):
     # lambda's last 1e-13 is that rounding.
     start = 0
     if m == 1:
-        x, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
-        q = np.ascontiguousarray(x)[None]
+        q, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
+        q = np.ascontiguousarray(q)[None]
     p = np.empty((0, n))
-    # The basis and its product with H are written into two buffers made
-    # once per solve: new 3m-row arrays at every step raise the peak RSS
-    # of a long run through the allocator's reuse of freed blocks.
-    basis_buf = np.empty((3 * m, n))
-    hbasis_buf = np.empty((3 * m, n))
+    # The basis and its product with H are written into two buffers that
+    # live from the first step to the first settled one, and again from a
+    # refused certificate to the next: the smoothing solves and the
+    # certificate run without them.  Made at every step instead, they
+    # raised solve_large_n's peak RSS by 0.16-0.79 MB (4 seeds) through
+    # the allocator's reuse of freed blocks.
+    basis_buf = None
     lam_prev = math.inf
     refused = 0
     for steps in range(start + 1, _MAX_STEPS + 1):
+        if basis_buf is None:
+            basis_buf, hbasis_buf = np.empty((3 * m, n)), np.empty((3 * m, n))
         z = b_inverse(q)
         basis = _orthonormal_blocks((z, q, p), basis_buf)
         del z, p  # the basis spans them: the product below peaks without them
         hbasis = h_matvec(*bands, basis, out=hbasis_buf[: len(basis)])
         c = np.linalg.eigh(_gram(hbasis, hbasis))[1][:, :m]
         q_new = _combine(c, basis)
-        p = q_new - _combine(_gram(q_new, q).T, q)
+        p = _combine(_gram(q_new, q).T, q)
+        np.subtract(q_new, p, out=p)
         q = q_new
         hq = _combine(c, hbasis)
         # The small matrix is accurate only to eps ||small||, which can
@@ -503,6 +520,7 @@ def _iterate(pencil, tol):
         w, hw, lam = q[i], hq[i], norms[i]
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
+            basis = hbasis = basis_buf = hbasis_buf = None
             # A copy of the reversed view: a memoised Solution holds n doubles.
             x = np.ascontiguousarray(_power(b_inverse, w, 4)[0])
             if _certified(pencil, lam, x, tol):
@@ -559,7 +577,7 @@ def solve(params, n, tol=1e-12):
 # a benchmark pass differ, so more entries would only keep n-vectors.
 @lru_cache(maxsize=1)
 def _memoised_solve(params, n, tol):
-    return _solve_core(scaled_pencil(params, n), tol)
+    return _solve_core([scaled_pencil(params, n)], tol)
 
 
 solve.cache_clear = _memoised_solve.cache_clear
@@ -574,7 +592,7 @@ def smallest_eigenpair(pencil, tol=1e-12):
     if not isinstance(pencil, ScaledPencil):
         raise TypeError(f"expected ScaledPencil, got {type(pencil)}")
     check_factors(pencil)
-    return _solve_core(pencil, tol)
+    return _solve_core([pencil], tol)
 
 
 def sharp_constant(params, n, tol=1e-12):

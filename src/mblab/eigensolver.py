@@ -152,31 +152,41 @@ def _scan_setup(d, e):
 
 
 class _Scans:
-    """Solves L1 L2 x = r for a vector r or each row of r, L1 and L2
-    lower bidiagonal (diagonal, subdiagonal) pairs: L1 u = r, then
-    L2 x = u; or L1 x = r for one factor.  Each is a first-order recurrence,
-    x = P cumsum(r / (d P)): one numpy cumulative sum between two
-    scalings, made once per solve (the one after a sum and the one before
-    the next as one product).  P restarts in blocks where it would leave
-    double range, e.g. at alpha = 300."""
+    """F = L2^-1 L1^-1, F^T and B^-1 = F^T F for lower bidiagonal
+    (diagonal, subdiagonal) pairs L1, L2 of H^T = L1 L2, or one, on a
+    vector or each row of one.  L^-1 = diag(P) C diag(1/(d P)), C a numpy
+    cumulative sum in each block; P restarts in blocks where it would
+    leave double range.  F^T runs the same scalings in reverse order
+    around C^T, which sums each block from its end on the reversed view
+    and carries its link back from the next block's first entry: one set
+    of rounded scalings makes B^-1 the inverse of one perturbed H^T H."""
 
     def __init__(self, *factors):
         setups = [_scan_setup(d, e) for d, e in factors]
-        scales = [p * after[1] for (p, _, _), after in zip(setups, setups[1:])]
-        scales.append(setups[-1][0])
-        self._pre = setups[0][1]
-        self._scans = [(blocks, scale) for (_, _, blocks), scale in zip(setups, scales)]
+        n, blocks = len(factors[0][0]), [b for _, _, b in setups]
+        scales = [setups[0][1], *(p * nxt[1] for (p, _, _), nxt in zip(setups, setups[1:])),
+                  setups[-1][0]]
+        mirrored = [[(n - stop, n - start, link) for (start, stop, _), (_, _, link)
+                     in zip(b, b[1:] + [(0, 0, 0.0)])][::-1] for b in reversed(blocks)]
+        self._forward = scales[0], list(zip(blocks, scales[1:])), slice(None)
+        self._backward = scales[-1], list(zip(mirrored, scales[-2::-1])), slice(None, None, -1)
 
-    def solve(self, r):
-        t = r * self._pre
-        for blocks, scale in self._scans:
+    def solve(self, r, transposed=False):
+        first, scans, order = self._backward if transposed else self._forward
+        t = r * first
+        view = t[..., order]
+        for blocks, scale in scans:
             for start, stop, link in blocks:
-                seg = t[..., start:stop]
+                seg = view[..., start:stop]
                 seg.cumsum(axis=-1, out=seg)
                 if start:
-                    seg += link * t[..., start - 1 : start]
+                    seg += link * view[..., start - 1 : start]
             t *= scale
         return t
+
+    def __call__(self, q):
+        """B^-1 q, C-ordered."""
+        return self.solve(self.solve(q), transposed=True)
 
 
 def _check_norms(norms):
@@ -262,7 +272,9 @@ def _count_below(pencil, tau):
 # The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
 # temporaries stay small.
 _EFT_ROWS, _UNIT = 8192, 2.0**-53
-_WIDEN = 4.0 * _UNIT  # _bracket widens both of its ends outward by this
+# _bracket widens its ends outward by this: at n = 1-8 they lay up to 3.8
+# units above the inertia count's switch and 3.4 below the eigenvalue.
+_WIDEN = 8.0 * _UNIT
 
 
 def _rayleigh_bound(pencil, w):
@@ -345,14 +357,6 @@ def _solve_core(owned, tol):
             f"{exc} at alpha = {params.alpha!r}, beta = {params.beta!r}, n = {n}") from None
 
 
-def _b_inverse(factors):
-    """B^-1 q for a vector or rows q, from H = K2 K1 (or one upper
-    bidiagonal factor): H^T y = q, H z = y."""
-    solve_lower = _Scans(*factors).solve
-    solve_upper = _Scans(*((d[::-1], e[::-1]) for d, e in reversed(factors))).solve
-    return lambda q: solve_upper(solve_lower(q)[..., ::-1])[..., ::-1]
-
-
 def _power(b_inverse, x, solves, settle=None):
     """(x, k): x after k <= `solves` power steps x <- B^-1 x, each
     normalised; with `settle`, k is the first step at which ||B^-1 x|| moved
@@ -397,7 +401,7 @@ def _bracket(pencil, tol):
     half's, as the inertia count's pivots are."""
     n, steps, lam = pencil.n, 0, None
     for p in ((n - 1) % 2, n % 2)[:n]:  # the half that holds n - 1 first
-        inverse = _b_inverse(((pencil.h0[p::2], pencil.h2[p::2]),))
+        inverse = _Scans((pencil.h0[p::2], pencil.h2[p::2]))
         x = np.ones(len(range(p, n, 2)))
         while True:
             z = inverse(x)
@@ -467,7 +471,7 @@ def _iterate(owned, tol):
             f" {max(np.abs(band).max(initial=0.0) for band in bands):.3g})"
         )
     target = tol * max(1.0, max_b)
-    b_inverse = _b_inverse(((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1)))
+    b_inverse = _Scans((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1))
     pencil = _HBands(n, h0, h1, h2)  # B^-1 has its own scans: H alone from here
 
     # Start from the indicators of the indices mod m with the sign pattern
@@ -482,13 +486,10 @@ def _iterate(owned, tol):
     # One vector first takes power steps until ||B^-1 q|| settles to 1e-8:
     # from this start the first Rayleigh-Ritz steps do no more, at 4-5
     # times the cost.  They count as steps, leaving the loop at least one.
-    # q stays C-ordered, as the loop's q has always been: einsum sums a
-    # reversed view in another order, and near alpha, beta = -1 at n ~ 1e5
-    # lambda's last 1e-13 is that rounding.
     start = 0
     if m == 1:
         q, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
-        q = np.ascontiguousarray(q)[None]
+        q = q[None]
     p = np.empty((0, n))
     # The basis and its product with H are written into two buffers that
     # live from the first step to the first settled one, and again from a
@@ -521,8 +522,7 @@ def _iterate(owned, tol):
         # The residual (two n-long products) only once lambda has settled.
         if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
             basis = hbasis = basis_buf = hbasis_buf = None
-            # A copy of the reversed view: a memoised Solution holds n doubles.
-            x = np.ascontiguousarray(_power(b_inverse, w, 4)[0])
+            x = _power(b_inverse, w, 4)[0]
             if _certified(pencil, lam, x, tol):
                 return _solution(pencil, lam, x, steps)
             refused += 1

@@ -55,10 +55,6 @@ class ProfileBranch:
         return (self.b - 1.0) / 2.0
 
 
-def branch_for(params, j, l):
-    return ProfileBranch(j=j, b=params.alpha if j == 1 else params.beta, l=l)
-
-
 def profile_y(branch, t):
     """Closed-form profile at t > 0, through one Bessel call: a float for
     a scalar t, an array for an array of them."""
@@ -156,7 +152,7 @@ def profile_compare(params, n, tol=1e-12):
     ks = np.arange(int(math.ceil(n / 4.0)), n - 1)
     sign = 1 - 2 * (ks % 2) if branch == 2 else 1
     discrete = sign * y_bundle(x, ks)[branch - 1]
-    br = branch_for(params, branch, l_star)
+    br = ProfileBranch(j=branch, b=params.alpha if branch == 1 else params.beta, l=l_star)
     ts = ks / float(n)
     closed = profile_y(br, ts)
 

@@ -272,8 +272,9 @@ def _count_below(pencil, tau):
 # The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
 # temporaries stay small.
 _EFT_ROWS, _UNIT = 8192, 2.0**-53
-# _bracket widens its ends outward by this: at n = 1-8 they lay up to 3.8
-# units above the inertia count's switch and 3.4 below the eigenvalue.
+# _positive_bracket widens its ends outward by this: at n = 1-8 they lay up
+# to 3.8 units above the inertia count's switch and 3.4 below the
+# eigenvalue.
 _WIDEN = 8.0 * _UNIT
 
 
@@ -384,41 +385,59 @@ def _solution(pencil, lam, w, steps):
 
 
 @np.errstate(all="ignore")  # a lost positivity shows in the ends
-def _bracket(pencil, tol):
-    """The Solution at h1 = 0 from power steps x <- lo z, z = B^-1 x, on
-    the parity halves; None past _MAX_STEPS steps or if positivity is lost.
+def _positive_bracket(d, e, tol, floor=None, steps=0):
+    """(low, lambda, x, B^-1, steps) from power steps x <- lo z, z = B^-1 x,
+    from x = 1, where B = H^T H and H is upper bidiagonal with diagonal
+    d > 0 and superdiagonal e < 0; None past _MAX_STEPS steps, counted on
+    from `steps`, or if positivity is lost.
 
-    A half is upper bidiagonal with h0 > 0 > h2, so its B^-1 is entrywise
-    positive and the ratios x_i / z_i of a positive x bracket its least
-    eigenvalue (Collatz, Math. Z. 1942; Wielandt, Math. Z. 1950).  The
-    half that holds index n - 1 steps until [lo, hi] closes to tol, then
-    the other (none at n = 1) until its lo reaches that one's; an other
-    half that holds a smaller value (no weight's pencil has one) runs
-    into _MAX_STEPS.  lambda is x.z / z.z, a mean of the ratios weighted
-    by z_i^2 and the Rayleigh quotient at z.  The positive scans make
-    each rounding a relative perturbation of one d or e by a unit that no
-    cancellation amplifies: z is exact for bands a few units from the
-    half's, as the inertia count's pivots are."""
-    n, steps, lam = pencil.n, 0, None
-    for p in ((n - 1) % 2, n % 2)[:n]:  # the half that holds n - 1 first
-        inverse = _Scans((pencil.h0[p::2], pencil.h2[p::2]))
-        x = np.ones(len(range(p, n, 2)))
-        while True:
-            z = inverse(x)
-            ratios = np.divide(x, z, out=x)  # x's buffer: the ratios, then the next x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            if steps == _MAX_STEPS or not 0.0 < lo <= hi < math.inf:
-                return None
-            steps += 1
-            low, high = lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
-            if low >= (high * (1.0 - tol) if lam is None else floor):
-                break
-            np.multiply(z, lo, out=x)
-        if lam is None:
-            rayleigh = float(np.einsum("i,i,i->", ratios, z, z)) / _dot(z, z)
-            lam, floor, w = min(max(rayleigh, low), high), low, np.zeros(n)
-            w[p::2] = _power(inverse, np.multiply(z, lo, out=x), 2)[0]
-    return _solution(pencil, lam, w, steps)
+    B^-1 is entrywise positive, so the ratios x_i / z_i of a positive x
+    bracket its least eigenvalue (Collatz, Math. Z. 1942; Wielandt,
+    Math. Z. 1950).  The steps end once the widened lower end `low` reaches
+    `floor`, or with no floor once [low, high] closes to tol; x is then the
+    next iterate lo z.  lambda is x.z / z.z, a mean of the ratios weighted
+    by z_i^2 and the Rayleigh quotient at z.  The positive scans make each
+    rounding a relative perturbation of one d or e by a unit that no
+    cancellation amplifies: z is exact for bands a few units from d and e,
+    as the inertia count's pivots are."""
+    inverse, x = _Scans((d, e)), np.ones(len(d))
+    while True:
+        z = inverse(x)
+        ratios = np.divide(x, z, out=x)  # x's buffer: the ratios, then the next x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if steps == _MAX_STEPS or not 0.0 < lo <= hi < math.inf:
+            return None
+        steps += 1
+        low, high = lo * (1.0 - _WIDEN), hi * (1.0 + _WIDEN)
+        if low >= (high * (1.0 - tol) if floor is None else floor):
+            break
+        np.multiply(z, lo, out=x)
+    rayleigh = float(np.einsum("i,i,i->", ratios, z, z)) / _dot(z, z)
+    return low, min(max(rayleigh, low), high), np.multiply(z, lo, out=x), inverse, steps
+
+
+def _bracket(pencil, tol):
+    """The Solution at h1 = 0 from _positive_bracket on the parity halves,
+    each upper bidiagonal with h0 > 0 > h2; None where a half gives up.
+
+    The half that holds index n - 1 closes to tol, then the other (none at
+    n = 1) steps until its lower end reaches that one's; an other half that
+    holds a smaller value (no weight's pencil has one) runs into
+    _MAX_STEPS, which both halves share.  w is the first half's last
+    iterate, smoothed by two solves on that half."""
+    n, p = pencil.n, (pencil.n - 1) % 2
+    first = _positive_bracket(pencil.h0[p::2], pencil.h2[p::2], tol)
+    if first is None:
+        return None
+    floor, lam, x, inverse, steps = first
+    w = np.zeros(n)
+    w[p::2] = _power(inverse, x, 2)[0]
+    del first, x, inverse  # the first half's vectors: the other half runs without them
+    # The other half (none at n = 1) adds its steps, or None where it gives
+    # up; nothing else of it is kept while the residual is taken.
+    steps = ((_positive_bracket(pencil.h0[1 - p :: 2], pencil.h2[1 - p :: 2], tol, floor, steps)
+              or (None,))[-1] if n > 1 else steps)
+    return None if steps is None else _solution(pencil, lam, w, steps)
 
 
 # H alone, as the iteration reads it once B^-1 has made its scans.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -670,8 +671,10 @@ def _traced_peak_in_n_vectors(params, n):
         # arguments.  The peaks are 18.1 and 28.1.
         (P37, 1, 19.0),
         (JacobiWeightParams(1.0, 1.2), 2, 29.0),
-        # The bracket at alpha = beta (14.0) does not grow.
-        (P00, None, 14.5),
+        # The bracket at alpha = beta (12.1) runs one parity half at a
+        # time: the first half's iterate and scans die with its call, and
+        # the other half's before the residual is taken.
+        (P00, None, 12.5),
     ],
 )
 def test_traced_peak_of_a_solve(params, vectors, bound):
@@ -1005,6 +1008,70 @@ def test_equal_exponents_bracket_the_parity_half_of_the_last_index(alpha, n):
     got = smallest_eigenpair(sp)
     assert not got.w[np.arange(n) % 2 != (n - 1) % 2].any()
     assert eigensolver._count_below(sp, math.sqrt(got.lambda_min * (1 - 1e-12))) == 0
+
+
+def _turan(m):
+    """The least eigenvalue of B = H^T H for the m-row upper bidiagonal H
+    with 1 on the diagonal and -1 above it: sigma_min(H) = 2 sin(pi /
+    (4m + 2)) (P. Turan, Mathematica (Cluj) 2, 1960)."""
+    return 4.0 * math.sin(math.pi / (4 * m + 2)) ** 2
+
+
+TURAN_N = [1, 2, 3, 10, 1000, 100001, 1000000]
+
+
+@pytest.mark.parametrize("m", TURAN_N)
+def test_the_positive_bracket_meets_turans_closed_form(m):
+    # An exact oracle at every size: the bracket is exact for bands a few
+    # units from the given ones, and these bands are exact in floats
+    start = time.perf_counter()
+    low, lam, _, _, _ = eigensolver._positive_bracket(np.ones(m), -np.ones(m - 1), 1e-12)
+    assert time.perf_counter() - start < 2.0
+    assert abs(lam / _turan(m) - 1.0) <= 1e-13
+    assert low <= _turan(m)
+
+
+@pytest.mark.parametrize("n", TURAN_N)
+def test_the_bracket_meets_turans_closed_form_on_its_parity_half(n):
+    # h1 = 0 splits H into two (1, -1) bidiagonals; the one that holds
+    # index n - 1 has ceil(n / 2) rows and the least eigenvalue
+    pencil = eigensolver._HBands(n, np.ones(n), np.zeros(n - 1), -np.ones(max(n - 2, 0)))
+    start = time.perf_counter()
+    got = eigensolver._bracket(pencil, 1e-12)
+    assert time.perf_counter() - start < 2.0
+    assert abs(got.lambda_min / _turan(-(-n // 2)) - 1.0) <= 1e-13
+    assert not got.w[n % 2 :: 2].any()
+
+
+def _laguerre_lambda(a, n):
+    """1 / M^2 at 60 digits, M the sharp constant of ||p'|| <= M ||p|| over
+    degrees 0..n in L^2 of the weight x^a e^-x on (0, inf): M^2 is the
+    largest eigenvalue of G^-1 D for the monomial Gram matrices
+    G_ij = Gamma(i + j + a + 1) and D_ij = i j Gamma(i + j + a - 1)."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(a)
+        g = mpmath.matrix(n + 1, n + 1)
+        d = mpmath.matrix(n + 1, n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                g[i, j] = mpmath.gamma(i + j + a + 1)
+                d[i, j] = i * j * mpmath.gamma(i + j + a - 1) if i and j else 0
+        root = mpmath.inverse(mpmath.cholesky(g))  # G = L L^T: L^-1 D L^-T
+        return float(1 / max(mpmath.eigsy(root * d * root.T, eigvals_only=True)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 3.0])
+def test_the_positive_bracket_on_the_laguerre_bidiagonal(a, n):
+    # A diagonal that varies, against an oracle that shares no closed form
+    # with the Jacobi pencil: the Laguerre bidiagonal, with diagonal
+    # sqrt((j + a + 1) / (j + 1)) and -1 above it, has lambda = 1 / M^2
+    j = np.arange(n)
+    d = np.sqrt((j + a + 1.0) / (j + 1.0))
+    low, lam, _, _, _ = eigensolver._positive_bracket(d, -np.ones(n - 1), 1e-12)
+    want = _laguerre_lambda(a, n)
+    assert abs(lam / want - 1.0) <= 1e-14
+    assert low <= want
 
 
 def _mp_eigenvector(d, e, w, steps=3):

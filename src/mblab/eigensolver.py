@@ -136,15 +136,10 @@ def _scan_setup(d, e):
     while start < len(d):
         rest = p[start + 1 :]
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the block's end
-            np.cumprod(gamma[start:], out=rest)
-            size = abs(rest)
-        # Look for the restart only when the extremes leave the bounds (a
-        # NaN fails the test as well): most weights need one block.
-        if _SCAN_BOUNDS[0] <= size.min(initial=1.0) and size.max(initial=1.0) <= _SCAN_BOUNDS[1]:
-            stop = len(d)
-        else:
-            far = np.flatnonzero(~((_SCAN_BOUNDS[0] <= size) & (size <= _SCAN_BOUNDS[1])))
-            stop = start + 1 + int(far[0])
+            size = abs(np.cumprod(gamma[start:], out=rest))
+        # The block ends before the first |P| out of bounds (a NaN is too).
+        far = np.flatnonzero(~((_SCAN_BOUNDS[0] <= size) & (size <= _SCAN_BOUNDS[1])))
+        stop = start + 1 + int(far[0]) if far.size else len(d)
         blocks.append((start, stop, gamma[start - 1] * p[start - 1] if start else 0.0))
         p[stop : stop + 1] = 1.0
         start = stop
@@ -209,9 +204,8 @@ def _orthonormal_blocks(blocks, out):
     rows = 0
     for i, block in enumerate(blocks):
         norms = np.sqrt(np.einsum("in,in->i", block, block))
-        listed = norms.tolist()  # a few rows: Python tests them faster
-        _check_norms(listed)
-        if not all(listed):  # a P row vanishes when the Ritz vectors did not move
+        _check_norms(norms)
+        if not norms.all():  # a P row vanishes when the Ritz vectors did not move
             block, norms = block[norms > 0.0], norms[norms > 0.0]
         x = out[rows : rows + len(block)]
         np.divide(block, norms[:, None], out=x)

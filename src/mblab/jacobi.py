@@ -213,8 +213,6 @@ def gauss_jacobi_quadrature(params, m):
         raise ValueError(f"quadrature order must be >= 1, got {m}")
     ak, bk = recurrence_coefficients(params, m)
     mu0 = bk[0]
-    if m == 1:
-        return np.array([ak[0]]), np.array([mu0])
     off = np.sqrt(bk[1:])
     nodes, vectors = np.linalg.eigh(np.diag(ak) + np.diag(off, 1) + np.diag(off, -1))
     weights = mu0 * vectors[0, :] ** 2

@@ -94,21 +94,15 @@ class ScaledPencil:
     k2_1: np.ndarray
 
 
-def _c2_entries(params, n):
-    k = np.arange(1, n, dtype=float)
-    s, lo = exponent_sum(params)
-    t = 2 * k + s
-    return 2.0 * k * (k + params.alpha + 1) / (((t + 1) + lo) * ((t + 2) + lo))
-
-
 def _closed_forms(params, n):
     """The bands g0, g1, g2 of G, with the entries c2_k of C2 and the
     raising coefficients c_k, k = 1..n-1, that g2 is made of: each closed
     form evaluated once."""
     rows = np.arange(1, n + 1, dtype=float)
+    k = rows[:-1]
     s, lo = exponent_sum(params)
-    t = 2 * rows[:-1] + s
-    c2 = _c2_entries(params, n)
+    t = 2 * k + s
+    c2 = 2.0 * k * (k + params.alpha + 1) / (((t + 1) + lo) * ((t + 2) + lo))
     raising = raising_coefficient(params, np.arange(1, n))
     g0 = 1.0 / rows
     # (c1 + c2)_k = 2k(alpha - beta) / ((2k+s)(2k+s+2)) exactly; the closed

@@ -192,17 +192,13 @@ def _smallest_zero(nu):
     # Comp. 38, 1982).
     start = max(nu, 0.0) + 0.1
     bound = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    grid = start + 0.25 * np.arange(2 + int((bound - start) / 0.25))
+    # g(0+) > 0 for nu > -1, so the point 0+ opens the grid: it brackets
+    # a j_nu below the first probe (nu very close to -1, j ~ 2 sqrt(nu+1)).
+    grid = np.r_[1e-12, start + 0.25 * np.arange(2 + int((bound - start) / 0.25))]
     crossed = np.flatnonzero(_backward(nu, grid, False) <= 0.0)
     if not crossed.size:
         raise ConvergenceError(f"no sign change of J_{nu} found below {grid[-1]}")
-    i = int(crossed[0])
-    if i == 0:
-        # j_nu below the first probe (nu very close to -1, j ~ 2 sqrt(nu+1));
-        # g(0+) > 0, so 0+ brackets from the left.
-        a, b = 1e-12, float(grid[0])
-    else:
-        a, b = float(grid[i - 1]), float(grid[i])
+    a, b = grid[crossed[0] - 1 : crossed[0] + 1].tolist()
     # Newton steps from the midpoint.  Every sign seen shrinks the
     # bracket, and a step that would leave it is replaced by bisection.
     # Once a step is below 1e-12 of the root, quadratic convergence makes

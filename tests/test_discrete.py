@@ -17,7 +17,7 @@ from mblab import (
     y_bundle,
 )
 from mblab.discrete import ParticularSolution, log_scale_factors, log_w_scale
-from mblab.pencil import _c2_entries
+from mblab.pencil import _closed_forms
 from conftest import UNEQUAL_NEAR_MINUS_ONE
 
 P00 = JacobiWeightParams(0.0, 0.0)
@@ -145,7 +145,7 @@ def test_homogeneous_annihilation(alpha, beta):
         h[k + 1] = -h[k] * (2 * k + s + 3.0) * (2 * k + s + 4.0) / (
             2.0 * (k + 1) * (k + alpha + 2.0)
         )
-    c2 = _c2_entries(p, n)
+    c2 = _closed_forms(p, n)[1]
     for i in range(n - 1):
         assert abs(h[i] + c2[i] * h[i + 1]) < 1e-12 * abs(h[i])
 

@@ -1074,6 +1074,28 @@ def test_the_positive_bracket_on_the_laguerre_bidiagonal(a, n):
     assert low <= want
 
 
+@pytest.mark.parametrize("alpha", [1e4, 1e6])
+def test_one_step_hermite_limit_is_exact(alpha):
+    # At n = 1, Q = x and ||Q'||^2 / ||Q||^2 = 2 alpha + 3 at alpha = beta:
+    # the integral of x^2 is 1 / (2 alpha + 3) of the weight's total.
+    m_1 = solve(JacobiWeightParams(alpha, alpha), 1).lambda_min ** -0.5
+    assert abs(m_1 / math.sqrt(2.0 * alpha + 3.0) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n,bar", [(5, 1e-6), (50, 1e-3), (400, 2e-2)])
+def test_high_order_hermite_limit(n, bar):
+    # As alpha = beta -> inf at fixed n, x = y / sqrt(alpha) takes the
+    # weight to the Hermite one, whose constant is sqrt(2n) (orthonormal
+    # h_k' = sqrt(2k) h_{k-1}; Szego, Orthogonal Polynomials, 5.6), and
+    # M_n / sqrt(2 n alpha) - 1 ~ 3n / (4 alpha).  Orders far past any
+    # mpmath oracle: n = 5 closes the bracket, n = 50 and 400 run the
+    # iteration on all of H, where the bracket loses positivity.
+    alpha = 1e6
+    m_n = solve(JacobiWeightParams(alpha, alpha), n).lambda_min ** -0.5
+    rate = (m_n / math.sqrt(2.0 * n * alpha) - 1.0) / (3.0 * n / (4.0 * alpha))
+    assert abs(rate - 1.0) <= bar
+
+
 def _mp_eigenvector(d, e, w, steps=3):
     """The eigenvector of B = H^T H, H upper bidiagonal (d, e), that w
     approximates: inverse iteration from w at 50 digits."""

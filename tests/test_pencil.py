@@ -16,7 +16,7 @@ from mblab import (
 )
 from mblab.jacobi import exponent_sum
 from mblab.pencil import (
-    _c2_entries,
+    _closed_forms,
     build_pencil,
     check_factors,
     g_bands,
@@ -241,7 +241,7 @@ def test_closed_forms_keep_the_rounding_of_alpha_plus_beta(alpha, beta, n):
     # 2k + alpha + beta is 2e-4 to 1e-6 at k = 1, where the rounding of
     # alpha + beta alone is up to 1e-10 of it; 40-digit mpmath
     p = JacobiWeightParams(alpha, beta)
-    got = (scaled_pencil(p, 4).k1_1, _c2_entries(p, 4), g_bands(p, 4)[1])
+    got = (scaled_pencil(p, 4).k1_1, _closed_forms(p, 4)[1], g_bands(p, 4)[1])
     with mpmath.workdps(40):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         for k in (1, 2, 3):
@@ -268,9 +268,9 @@ def test_scaled_pencil_equals_its_closed_forms_evaluated_apart(alpha, beta, n):
     k = np.arange(1.0, n)  # float indices: the checked path of the closed forms
     sr = np.sqrt(norm_ratio(p, np.arange(float(n))))
     raising = raising_coefficient(p, k)
-    c2 = _c2_entries(p, n)
     s, lo = exponent_sum(p)
     t = 2 * k + s
+    c2 = 2.0 * k * (k + alpha + 1) / (((t + 1) + lo) * ((t + 2) + lo))
     g0 = 1.0 / np.arange(1.0, n + 1)
     g1 = 2.0 * (alpha - beta) / ((t + lo) * ((t + 2) + lo))
     g2 = c2[:-1] * -raising[1:] / k[:-1]

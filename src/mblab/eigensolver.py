@@ -166,9 +166,11 @@ class _Scans:
         self._forward = scales[0], list(zip(blocks, scales[1:])), slice(None)
         self._backward = scales[-1], list(zip(mirrored, scales[-2::-1])), slice(None, None, -1)
 
-    def solve(self, r, transposed=False):
+    def solve(self, r, transposed=False, out=None):
+        """F r, or F^T r when transposed, written into `out` when given
+        (which may be r itself)."""
         first, scans, order = self._backward if transposed else self._forward
-        t = r * first
+        t = np.multiply(r, first, out=out)
         view = t[..., order]
         for blocks, scale in scans:
             for start, stop, link in blocks:
@@ -179,9 +181,11 @@ class _Scans:
             t *= scale
         return t
 
-    def __call__(self, q):
-        """B^-1 q, C-ordered."""
-        return self.solve(self.solve(q), transposed=True)
+    def __call__(self, q, out=None):
+        """B^-1 q, C-ordered, written into `out` when given: the forward
+        scans write into it and the transposed ones run on it in place."""
+        t = self.solve(q, out=out)
+        return self.solve(t, transposed=True, out=t)
 
 
 def _check_norms(norms):
@@ -335,7 +339,8 @@ def _certified(pencil, lam, w, tol):
 
 
 def _residual(bands, w, hw, lam):
-    r = ht_matvec(*bands, hw) - lam * w
+    r = ht_matvec(*bands, hw)
+    r -= lam * w
     return math.sqrt(_dot(r, r))
 
 
@@ -504,28 +509,38 @@ def _iterate(owned, tol):
         q, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
         q = q[None]
     p = np.empty((0, n))
-    # The basis and its product with H are written into two buffers that
-    # live from the first step to the first settled one, and again from a
-    # refused certificate to the next: the smoothing solves and the
-    # certificate run without them.  Made at every step instead, they
-    # raised solve_large_n's peak RSS by 0.16-0.79 MB (4 seeds) through
-    # the allocator's reuse of freed blocks.
+    # Every n-long array of a step has one owner.  Z = B^-1 Q is written
+    # into the first rows of the basis buffer and normalised there.  The
+    # buffer lives from the first step to the first settled one, and again
+    # from a refused certificate to the next: the smoothing solves and the
+    # certificate run without it.  A buffer made at every step raised
+    # solve_large_n's peak RSS by 0.16-0.79 MB (4 seeds) through the
+    # allocator's reuse of freed blocks.  H basis, made row by row at every
+    # step and dropped once the small matrix and H q are taken, does not:
+    # with it and Z in the buffer, the peak RSS fell 0.63-1.07 MB (medians
+    # of 4 sets of 10 pairs).  H q is dropped when the next step starts or
+    # the certificate runs, so the message below reads the last step's
+    # residual.
     basis_buf = None
     lam_prev = math.inf
-    refused = 0
+    settled = refused = 0
     for steps in range(start + 1, _MAX_STEPS + 1):
+        hq = hw = None
         if basis_buf is None:
-            basis_buf, hbasis_buf = np.empty((3 * m, n)), np.empty((3 * m, n))
-        z = b_inverse(q)
+            basis_buf = np.empty((3 * m, n))
+        z = b_inverse(q, out=basis_buf[:m])
         basis = _orthonormal_blocks((z, q, p), basis_buf)
-        del z, p  # the basis spans them: the product below peaks without them
-        hbasis = h_matvec(*bands, basis, out=hbasis_buf[: len(basis)])
+        del z, p  # the basis spans them
+        hbasis = np.empty_like(basis)
+        for k in range(len(basis)):
+            h_matvec(*bands, basis[k], out=hbasis[k])
         c = np.linalg.eigh(_gram(hbasis, hbasis))[1][:, :m]
+        hq = _combine(c, hbasis)
+        del hbasis
         q_new = _combine(c, basis)
         p = _combine(_gram(q_new, q).T, q)
         np.subtract(q_new, p, out=p)
         q = q_new
-        hq = _combine(c, hbasis)
         # The small matrix is accurate only to eps ||small||, which can
         # exceed the gap of a nearly multiple smallest eigenvalue and
         # order the Ritz vectors wrongly: take the one of least ||Hq||^2.
@@ -533,16 +548,24 @@ def _iterate(owned, tol):
         i = norms.index(min(norms))
         w, hw, lam = q[i], hq[i], norms[i]
         # The residual (two n-long products) only once lambda has settled.
-        if abs(lam - lam_prev) <= 0.25 * tol * lam and _residual(bands, w, hw, lam) <= target:
-            basis = hbasis = basis_buf = hbasis_buf = None
-            x = _power(b_inverse, w, 4)[0]
-            if _certified(pencil, lam, x, tol):
-                return _solution(pencil, lam, x, steps)
-            refused += 1
+        change = abs(lam - lam_prev)
+        if change <= 0.25 * tol * lam:
+            settled += 1
+            residual = _residual(bands, w, hw, lam)
+            if residual <= target:
+                basis = basis_buf = hq = hw = None
+                x = _power(b_inverse, w, 4)[0]
+                if _certified(pencil, lam, x, tol):
+                    return _solution(pencil, lam, x, steps)
+                refused += 1
         lam_prev = lam
+    if hw is not None:  # else the last step was refused, its residual taken
+        residual = _residual(bands, w, hw, lam)
     raise ConvergenceError(
-        f"did not certify lambda in {_MAX_STEPS} steps ({refused} settled steps failed the"
-        f" certificate; last residual {_residual(bands, w, hw, lam):.3e}, target {target:.3e})"
+        f"did not certify lambda in {_MAX_STEPS} steps ({settled} settled steps, {refused} of"
+        f" them failed the certificate; the last step's relative change of lambda"
+        f" {change / lam:.3e}, settle bound tol/4 {0.25 * tol:.3e}; last residual"
+        f" {residual:.3e}, target {target:.3e})"
     )
 
 

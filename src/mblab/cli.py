@@ -106,16 +106,11 @@ def _weight_param(text):
     return value
 
 
-def _float_list(text):
-    if not text.strip():
-        return []
-    return [_weight_param(part) for part in text.split(",")]
+def _comma_list(parse):
+    def comma_list(text):
+        return [parse(part) for part in text.split(",")] if text.strip() else []
 
-
-def _int_list(text):
-    if not text.strip():
-        return []
-    return [_positive_int(part) for part in text.split(",")]
+    return comma_list
 
 
 def _n_range(text):
@@ -151,9 +146,9 @@ def build_parser():
     constant.set_defaults(run=_cmd_constant)
 
     sweep = subs.add_parser("sweep", help="grid of constants as CSV/JSON")
-    sweep.add_argument("--alpha", type=_float_list, required=True, help="comma list")
-    sweep.add_argument("--beta", type=_float_list, required=True, help="comma list")
-    sweep.add_argument("--n", type=_int_list, default=[], help="comma list of degrees")
+    sweep.add_argument("--alpha", type=_comma_list(_weight_param), required=True, help="comma list")
+    sweep.add_argument("--beta", type=_comma_list(_weight_param), required=True, help="comma list")
+    sweep.add_argument("--n", type=_comma_list(_positive_int), default=[], help="comma list of degrees")
     sweep.add_argument("--n-range", type=_n_range, default=[], help="START:STOP:STEP")
     sweep.add_argument("--tol", type=float, default=1e-12)
     sweep.add_argument("--format", choices=_FORMATS, default="csv")
@@ -174,7 +169,7 @@ def build_parser():
 
     asym = subs.add_parser("asymptotics", help="convergence study over a degree list")
     _add_common(asym, needs_n=False)
-    asym.add_argument("--n-list", type=_int_list, required=True, help="ascending comma list")
+    asym.add_argument("--n-list", type=_comma_list(_positive_int), required=True, help="ascending comma list")
     asym.set_defaults(run=_cmd_asymptotics)
 
     verify = subs.add_parser("verify", help="run the cross-module checks")

@@ -129,10 +129,10 @@ def profile_compare(params, n, tol=1e-12):
     """Compare the extremal eigenvector's bundle component against the
     closed-form profile at l* = n^4 lambda_min.
 
-    The branch realizing nu* is used (component 1 for branch 1,
-    component 2 for branch 2, de-alternated by (-1)^k).  At alpha = beta
-    both branches are admissible; branch 1 is used by convention and the
-    result is flagged degenerate.
+    The branch of the smaller exponent, which realizes nu*, is used
+    (component 1 for branch 1, component 2 for branch 2, de-alternated by
+    (-1)^k).  At alpha = beta both branches are admissible; branch 1 is
+    used by convention and the result is flagged degenerate.
     """
     if n < 50:
         raise ValueError(f"profile comparison needs n >= 50, got {n}")
@@ -144,10 +144,7 @@ def profile_compare(params, n, tol=1e-12):
     x = sol.w * np.exp(-log_w_scale(params, n, "x"))
 
     degenerate = params.alpha == params.beta
-    if degenerate:
-        branch = 1
-    else:
-        branch = 1 if params.nu_alpha < params.nu_beta else 2
+    branch = 2 if params.beta < params.alpha else 1
 
     ks = np.arange(int(math.ceil(n / 4.0)), n - 1)
     sign = 1 - 2 * (ks % 2) if branch == 2 else 1

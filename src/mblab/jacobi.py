@@ -157,22 +157,18 @@ def recurrence_coefficients(params, m):
     if m < 1:
         raise ValueError(f"recurrence_coefficients requires m >= 1, got {m}")
     a, b = params.alpha, params.beta
-    s = a + b
-    ak = np.empty(m)
-    bk = np.empty(m)
-    ak[0] = (b - a) / (s + 2.0)
-    bk[0] = math.exp(
-        (s + 1.0) * math.log(2.0) + log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(s + 2.0)
-    )
+    s, lo = exponent_sum(params)
+    k = np.arange(m, dtype=float)
+    t = 2 * k + s
+    # Rows 0 and 1 of the general forms may be 0/0: they are written over.
+    with np.errstate(all="ignore"):
+        ak = (b - a) * (b + a) / ((t + lo) * ((t + 2) + lo))
+        den = (t + lo) ** 2 * ((t + 1) + lo) * ((t - 1) + lo)
+        bk = 4.0 * k * (k + a) * (k + b) * ((k + s) + lo) / den
+    ak[0] = (b - a) / ((s + 2) + lo)
+    bk[0] = math.exp(((s + 1) + lo) * math.log(2.0) + log_norm_sequence(params, 0)[0])
     if m > 1:
-        ak[1] = (b * b - a * a) / ((2 + s) * (4 + s))
-        bk[1] = 4.0 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s))
-    for k in range(2, m):
-        ak[k] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2))
-        bk[k] = (
-            4.0 * k * (k + a) * (k + b) * (k + s)
-            / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
-        )
+        bk[1] = 4.0 * (1 + a) * (1 + b) / (((s + 2) + lo) ** 2 * ((s + 3) + lo))
     return ak, bk
 
 

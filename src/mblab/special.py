@@ -206,8 +206,6 @@ def _smallest_zero(nu):
     root = 0.5 * (a + b)
     for _ in range(_ZERO_STEPS):
         g = float(_backward(nu, np.asarray(root), False))
-        if g == 0.0:
-            break
         if g > 0.0:
             a = root
         else:

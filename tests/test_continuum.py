@@ -129,6 +129,18 @@ def test_profile_compare_branch_selection():
         profile_compare(P00, 30)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,branch", [(-0.5, -0.5 + 2.0**-54, 1), (-0.5 + 2.0**-54, -0.5, 2)]
+)
+def test_profile_compare_follows_the_smaller_exponent_where_the_orders_round_equal(
+    alpha, beta, branch
+):
+    p = JacobiWeightParams(alpha, beta)
+    assert p.nu_alpha == p.nu_beta
+    c = profile_compare(p, 60)
+    assert c.branch == branch and not c.degenerate
+
+
 def test_profile_compare_converges():
     defects = {}
     for n in (100, 200):

@@ -127,6 +127,40 @@ def test_recurrence_matches_norm_ratio(alpha, beta):
         assert norm_ratio(p, k) == pytest.approx(d[k + 1] / d[k], rel=1e-12)
 
 
+def _recurrence_50_digits(alpha, beta, m):
+    """The closed forms of recurrence_coefficients at 50 digits, on the
+    exact binary values of alpha and beta."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        s = a + b
+        ak, bk = [(b - a) / (s + 2)], [2 ** (s + 1) * mpmath.beta(a + 1, b + 1)]
+        for k in range(1, m):
+            t = 2 * k + s
+            ak.append((b * b - a * a) / (t * (t + 2)))
+            bk.append(4 * k * (k + a) * (k + b) * (k + s) / (t**2 * (t + 1) * (t - 1)))
+        bk[1] = 4 * (1 + a) * (1 + b) / ((s + 2) ** 2 * (s + 3))
+        return [float(x) for x in ak], [float(x) for x in bk]
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [
+        (0.3, 0.3 + 1e-9),
+        (-0.9999999, -0.9999998),
+        (-0.99999999993, -0.99999999991),
+        (2.5, -0.5),
+        (12.0, 6.5),
+    ],
+)
+def test_recurrence_coefficients_match_50_digits(alpha, beta):
+    # alpha + beta enters every factor as (2k + s + c) + lo, so a_k keeps
+    # its digits where b^2 - a^2 and the rounded alpha + beta lose them.
+    ak, bk = recurrence_coefficients(JacobiWeightParams(alpha, beta), 40)
+    exact_a, exact_b = _recurrence_50_digits(alpha, beta, 40)
+    assert ak == pytest.approx(exact_a, rel=1e-14, abs=0.0)
+    assert bk == pytest.approx(exact_b, rel=1e-14, abs=0.0)
+
+
 def test_monic_eval_basics():
     assert monic_eval_table(P00, 0, 0.37).tolist() == [[1.0]]
     assert monic_eval_table(P00, 1, 0.0)[1, 0] == pytest.approx(0.0, abs=1e-15)
@@ -264,3 +298,23 @@ def test_quadrature_norms_match_d_up_to_global_factor(alpha, beta):
     quad = (table**2 * weights).sum(axis=1)
     ratio = quad / d
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_quadrature_moments_near_minus_one(m):
+    # The monomial moments of the weight, 2^(alpha+beta+1) sum_i C(j,i)
+    # 2^i (-1)^(j-i) B(beta+i+1, alpha+1), at 50 digits; the rule is exact
+    # for degree j < 2m.
+    alpha, beta = -0.9999999, -0.9999998
+    nodes, weights = gauss_jacobi_quadrature(JacobiWeightParams(alpha, beta), m)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        exact = [
+            float(2 ** (a + b + 1) * mpmath.fsum(
+                mpmath.binomial(j, i) * 2**i * (-1) ** (j - i) * mpmath.beta(b + i + 1, a + 1)
+                for i in range(j + 1)
+            ))
+            for j in range(min(20, 2 * m))
+        ]
+    sums = [float(np.sum(weights * nodes**j)) for j in range(len(exact))]
+    assert sums == pytest.approx(exact, rel=1e-13, abs=0.0)

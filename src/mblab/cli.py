@@ -229,7 +229,9 @@ def _cmd_sweep(args):
         # needs and every command would pay for at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+        # The pool starts all its workers at the first submit (fork start
+        # method): never more than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(args.parallel, len(tasks))) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(task) for task in tasks]

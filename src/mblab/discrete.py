@@ -33,6 +33,7 @@ __all__ = [
     "ParticularSolution",
     "log_scale_factors",
     "log_w_scale",
+    "unit_v",
     "particular_v",
     "particular_x_sequence",
     "y_bundle",
@@ -86,6 +87,21 @@ def log_w_scale(params, n, variable):
     elif variable != "v":
         raise ValueError(f"variable must be 'v' or 'x', got {variable!r}")
     return g
+
+
+def unit_v(params, n, w):
+    """The unit eigenvector v of (A, D) from the solver's symmetrized w:
+    v_k = w_k / sqrt(d_k) (`log_w_scale`), in log space so the ~2^k
+    dynamic range cannot overflow, with its largest-magnitude component
+    positive."""
+    with np.errstate(divide="ignore"):  # ln 0 = -inf, and exp(-inf) the 0 again
+        t = np.log(np.abs(w)) - log_w_scale(params, n, "v")
+    v = np.sign(w) * np.exp(t - np.max(t))
+    v /= math.sqrt(float(np.einsum("i,i->", v, v)))
+    imax = int(np.argmax(np.abs(v)))
+    if v[imax] < 0:
+        v = -v
+    return v
 
 
 def _x_values(params, j, n):

@@ -24,13 +24,12 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from ._exact import split, two_product, two_sum
-from .discrete import log_w_scale
+from .discrete import unit_v
 from .exceptions import ConvergenceError
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import NU_WINDOW, smallest_positive_zero
@@ -110,13 +109,14 @@ def _gram(x, y):
     return np.einsum("in,jn->ij", x, y)
 
 
-def _combine(c, x):
+def _combine(c, x, out=None):
     """Linear combinations of the rows of x: row k of the result is
-    sum_i c[i, k] x[i].  For one row of x an outer product gives the
-    values of the einsum's one-term sums at less cost."""
+    sum_i c[i, k] x[i], written into `out` when given (not x's memory).
+    For one row of x an outer product gives the values of the einsum's
+    one-term sums at less cost."""
     if len(c) == 1:
-        return np.multiply.outer(c[0], x[0])
-    return np.einsum("ik,in->kn", c, x)
+        return np.multiply.outer(c[0], x[0], out=out)
+    return np.einsum("ik,in->kn", c, x, out=out)
 
 
 # A scan restarts its running product P wherever |P| would leave these:
@@ -154,11 +154,14 @@ class _Scans:
     leave double range.  F^T runs the same scalings in reverse order
     around C^T, which sums each block from its end on the reversed view
     and carries its link back from the next block's first entry: one set
-    of rounded scalings makes B^-1 the inverse of one perturbed H^T H."""
+    of rounded scalings makes B^-1 the inverse of one perturbed H^T H.
+    Each factor is read once, in order: given as an iterator over a list
+    [d, e] that nothing else holds, its bands are freed before the next
+    factor's set-up."""
 
     def __init__(self, *factors):
         setups = [_scan_setup(d, e) for d, e in factors]
-        n, blocks = len(factors[0][0]), [b for _, _, b in setups]
+        n, blocks = len(setups[0][0]), [b for _, _, b in setups]
         scales = [setups[0][1], *(p * nxt[1] for (p, _, _), nxt in zip(setups, setups[1:])),
                   setups[-1][0]]
         mirrored = [[(n - stop, n - start, link) for (start, stop, _), (_, _, link)
@@ -267,9 +270,10 @@ def _count_below(pencil, tau):
     return neg - pencil.n
 
 
-# The Rayleigh bound runs over _EFT_ROWS rows at a time, so that its
-# temporaries stay small.
-_EFT_ROWS, _UNIT = 8192, 2.0**-53
+# The Rayleigh bound runs over an eighth of the rows at a time, at least
+# _EFT_ROWS, so that its temporaries stay a share of an n-vector without
+# the fixed cost of many chunks at small n.
+_EFT_ROWS, _UNIT = 1024, 2.0**-53
 # _positive_bracket widens its ends outward by this: at n = 1-8 they lay up
 # to 3.8 units above the inertia count's switch and 3.4 below the
 # eigenvalue.
@@ -289,8 +293,9 @@ def _rayleigh_bound(pencil, w):
     flat[:n] = w
     ww = math.fsum(np.einsum("ij,ij->i", blocks, blocks))
     size2 = 0.0  # ||(|H| |w|)||^2, roughly: its term is tiny
-    for start in range(0, n, _EFT_ROWS):
-        stop = min(start + _EFT_ROWS, n)
+    step = max(-(-n // 8), _EFT_ROWS)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         w_part = w[start : stop + 2]
         w_halves = split(w_part)  # one split for all three bands
         for shift, band in enumerate((pencil.h0, pencil.h1, pencil.h2)):
@@ -467,9 +472,9 @@ def _iterate(owned, tol):
     eigenvector at (10, 10, 30).
 
     The pencil comes in the one-item list `owned` and is taken out of it,
-    so that its factors K1, K2 are freed once B^-1 has its scans, unless
-    the caller holds the pencil as well: on Python 3.10 a caller holds a
-    call's arguments until the call returns.
+    so that its factors K1, K2 are freed as B^-1 sets up its scans, K1's
+    before K2's, unless the caller holds the pencil as well: on Python
+    3.10 a caller holds a call's arguments until the call returns.
     """
     pencil = owned.pop()
     n, params, h0, h1, h2 = pencil.n, pencil.params, pencil.h0, pencil.h1, pencil.h2
@@ -489,8 +494,9 @@ def _iterate(owned, tol):
             f" {max(np.abs(band).max(initial=0.0) for band in bands):.3g})"
         )
     target = tol * max(1.0, max_b)
-    b_inverse = _Scans((pencil.k1_0, pencil.k1_1), (pencil.k2_0, pencil.k2_1))
-    pencil = _HBands(n, h0, h1, h2)  # B^-1 has its own scans: H alone from here
+    factors = iter([pencil.k1_0, pencil.k1_1]), iter([pencil.k2_0, pencil.k2_1])
+    pencil = _HBands(n, h0, h1, h2)  # H alone from here: only `factors` holds K1, K2
+    b_inverse = _Scans(*factors)
 
     # Start from the indicators of the indices mod m with the sign pattern
     # of w: with S = I for alpha <= beta and S = diag((-1)^k) for alpha >
@@ -508,39 +514,45 @@ def _iterate(owned, tol):
     if m == 1:
         q, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
         q = q[None]
-    p = np.empty((0, n))
-    # Every n-long array of a step has one owner.  Z = B^-1 Q is written
-    # into the first rows of the basis buffer and normalised there.  The
-    # buffer lives from the first step to the first settled one, and again
-    # from a refused certificate to the next: the smoothing solves and the
-    # certificate run without it.  A buffer made at every step raised
+    p = 0.0  # no change yet: zero rows, which the basis drops
+    # Every n-long array of a step has one owner.  The buffer holds Z =
+    # B^-1 Q, Q and P in blocks of m rows, orthonormalised in place into
+    # the basis; beside it a copy of the old Q takes H Q once P is made.
+    # H basis lives until the small matrix and H Q are taken.  The new Q
+    # and P go into dead rows.  The buffer lives from the first step to the
+    # first settled one, and again from a refused certificate to the next
+    # (Q and P are copied out meanwhile): made at every step, it raised
     # solve_large_n's peak RSS by 0.16-0.79 MB (4 seeds) through the
-    # allocator's reuse of freed blocks.  H basis, made row by row at every
-    # step and dropped once the small matrix and H q are taken, does not:
-    # with it and Z in the buffer, the peak RSS fell 0.63-1.07 MB (medians
-    # of 4 sets of 10 pairs).  H q is dropped when the next step starts or
-    # the certificate runs, so the message below reads the last step's
-    # residual.
-    basis_buf = None
+    # allocator's reuse of freed blocks.  The message below reads the last
+    # step's residual.
+    buf = hw = None
     lam_prev = math.inf
     settled = refused = 0
     for steps in range(start + 1, _MAX_STEPS + 1):
-        hq = hw = None
-        if basis_buf is None:
-            basis_buf = np.empty((3 * m, n))
-        z = b_inverse(q, out=basis_buf[:m])
-        basis = _orthonormal_blocks((z, q, p), basis_buf)
-        del z, p  # the basis spans them
-        hbasis = np.empty_like(basis)
-        for k in range(len(basis)):
-            h_matvec(*bands, basis[k], out=hbasis[k])
+        if buf is None:  # q's own array holds the old Q, then H Q
+            buf, hq = np.empty((3 * m, n)), q
+            buf[m : 2 * m], buf[2 * m :] = q, p
+            q, p = buf[m : 2 * m], buf[2 * m :]
+        hq[...] = q
+        basis = _orthonormal_blocks((b_inverse(q, out=buf[:m]), q, p), buf)
+        # H basis row by row: the h1 and h2 products go into the next row,
+        # and the last row's into a dead row or an eighth of n at a time.
+        rows, hbasis = len(basis), np.empty_like(basis)
+        spare = buf[rows] if rows < 3 * m else np.empty(-(-n // 8))
+        for k in range(rows):
+            h_matvec(*bands, basis[k], out=hbasis[k], work=hbasis[k + 1] if k + 1 < rows else spare)
+        del spare
         c = np.linalg.eigh(_gram(hbasis, hbasis))[1][:, :m]
-        hq = _combine(c, hbasis)
-        del hbasis
-        q_new = _combine(c, basis)
-        p = _combine(_gram(q_new, q).T, q)
-        np.subtract(q_new, p, out=p)
-        q = q_new
+        # The new Q whole in dead rows, or where the basis fills the buffer
+        # a chunk of columns at a time: a chunk of the basis is dead once
+        # combined.
+        step = n if rows <= 2 * m else -(-n // (8 * m))
+        for col in range(0, n, step):
+            cols = slice(col, col + step)
+            q[:, cols] = _combine(c, basis[:, cols], out=buf[rows : rows + m] if step == n else None)
+        np.subtract(q, _combine(_gram(q, hq).T, hq, out=p), out=p)
+        _combine(c, hbasis, out=hq)
+        del basis, hbasis
         # The small matrix is accurate only to eps ||small||, which can
         # exceed the gap of a nearly multiple smallest eigenvalue and
         # order the Ritz vectors wrongly: take the one of least ||Hq||^2.
@@ -553,8 +565,9 @@ def _iterate(owned, tol):
             settled += 1
             residual = _residual(bands, w, hw, lam)
             if residual <= target:
-                basis = basis_buf = hq = hw = None
-                x = _power(b_inverse, w, 4)[0]
+                q, p = q.copy(), p.copy()
+                buf = hq = hw = w = None
+                x = _power(b_inverse, q[i], 4)[0]
                 if _certified(pencil, lam, x, tol):
                     return _solution(pencil, lam, x, steps)
                 refused += 1
@@ -574,21 +587,6 @@ def _check_tol(tol):
         raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
 
 
-def _eigvec_original(params, n, w):
-    """Map the symmetrized eigenvector w to the unit eigenvector of
-    (A, D) through v_k = w_k / sqrt(d_k) (`log_w_scale`), in log space so
-    the ~2^k dynamic range cannot overflow."""
-    with np.errstate(divide="ignore"):  # ln 0 = -inf, and exp(-inf) the 0 again
-        t = np.log(np.abs(w)) - log_w_scale(params, n, "v")
-    v = np.sign(w) * np.exp(t - np.max(t))
-    v /= math.sqrt(_dot(v, v))
-    # Deterministic orientation: largest-magnitude component positive.
-    imax = int(np.argmax(np.abs(v)))
-    if v[imax] < 0:
-        v = -v
-    return v
-
-
 def solve(params, n, tol=1e-12):
     """The Solution of the degree-n pencil of `params`.
 
@@ -605,18 +603,19 @@ def solve(params, n, tol=1e-12):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_tol(tol)
-    return _memoised_solve(params, n, tol)
+    key = params, n, tol
+    if key not in _MEMO:
+        # One entry, dropped before the next pencil is built: the entry
+        # points that read one problem run one after another, while
+        # consecutive problems of a sweep, a convergence study or a
+        # benchmark pass differ, so more entries would only keep n-vectors.
+        _MEMO.clear()
+        _MEMO[key] = _solve_core([scaled_pencil(params, n)], tol)
+    return _MEMO[key]
 
 
-# One entry: the entry points that read one problem run one after
-# another, while consecutive problems of a sweep, a convergence study or
-# a benchmark pass differ, so more entries would only keep n-vectors.
-@lru_cache(maxsize=1)
-def _memoised_solve(params, n, tol):
-    return _solve_core([scaled_pencil(params, n)], tol)
-
-
-solve.cache_clear = _memoised_solve.cache_clear
+_MEMO = {}
+solve.cache_clear = _MEMO.clear
 
 
 def smallest_eigenpair(pencil, tol=1e-12):
@@ -659,5 +658,5 @@ def extremal_polynomial(params, n, tol=1e-12):
     N u = C2 C1 v; v is the unit eigenvector.
     """
     sol = solve(params, n, tol)
-    v = _eigvec_original(params, n, sol.w)
+    v = unit_v(params, n, sol.w)
     return h_matvec(*g_bands(params, n), v), v, sol.lambda_min ** -0.5

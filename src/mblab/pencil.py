@@ -206,12 +206,21 @@ def symmetrized_bands(pencil):
     return pencil.diag / d, pencil.super1 / (sd[:-1] * sd[1:]), pencil.super2 / (sd[:-2] * sd[2:])
 
 
-def h_matvec(h0, h1, h2, x, out=None):
+def h_matvec(h0, h1, h2, x, out=None, work=None):
     """H x for every row x of a 1-D or 2-D array, H upper triangular with
-    bands h0, h1, h2; written into `out` when given."""
+    bands h0, h1, h2; written into `out` when given.  For a 1-D x, `work`
+    (1-D, any length) holds the h1 and h2 products, len(work) at a time,
+    in place of two n-long temporaries; each entry is the same."""
     out = np.multiply(h0, x, out=out)
-    out[..., :-1] += h1 * x[..., 1:]
-    out[..., :-2] += h2 * x[..., 2:]
+    if work is None:
+        out[..., :-1] += h1 * x[..., 1:]
+        out[..., :-2] += h2 * x[..., 2:]
+        return out
+    for shift, band in enumerate((h1, h2), 1):
+        for start in range(0, len(band), len(work)):
+            rows = slice(start, min(start + len(work), len(band)))
+            out[rows] += np.multiply(band[rows], x[rows.start + shift : rows.stop + shift],
+                                     out=work[: rows.stop - start])
     return out
 
 

@@ -82,8 +82,8 @@ def _start(nu, x):
 
 def _backward(nu, x, neumann):
     """J_nu(x) if `neumann`, else the ratio J_nu(x) / J_{nu+1}(x), at the
-    points x > 0, an array of any shape (0-d for one point, which runs on
-    numpy scalars).
+    points x > 0, an array of any shape or, for one point, a numpy float64
+    (the same operations on numpy scalars, without array wrapping).
 
     At mu = nu + 1 the ratios r_m = J_{mu+m} / J_{mu+m-1} obey
     r_m = x / (2(mu+m) - x r_{m+1}).  Each point runs them from r = 0 at
@@ -205,7 +205,7 @@ def _smallest_zero(nu):
     # the point it reaches good to rounding.
     root = 0.5 * (a + b)
     for _ in range(_ZERO_STEPS):
-        g = float(_backward(nu, np.asarray(root), False))
+        g = float(_backward(nu, np.float64(root), False))
         if g > 0.0:
             a = root
         else:
@@ -218,7 +218,7 @@ def _smallest_zero(nu):
         root = root - step if a < root - step < b else 0.5 * (a + b)
     else:
         raise ConvergenceError(f"zero refinement did not converge for nu={nu}")
-    if not abs(_backward(nu, np.asarray(root), False)) < 1e-12 * root:
+    if not abs(_backward(nu, np.float64(root), False)) < 1e-12 * root:
         raise ConvergenceError(f"zero refinement stalled for nu={nu}")
     return root
 

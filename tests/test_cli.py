@@ -130,6 +130,34 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_sweep_starts_no_more_workers_than_tasks(capsys, monkeypatch):
+    # The pool starts all its workers at the first submit: a 4-task grid
+    # under --parallel 64 asks for 4.
+    import concurrent.futures
+
+    seen = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    base = ["sweep", "--alpha", "0,1", "--beta", "0.5", "--n", "5,10", "--format", "json"]
+    _, serial, _ = run(capsys, base + ["--parallel", "1"])
+    _, pooled, _ = run(capsys, base + ["--parallel", "64"])
+    assert seen == [4]
+    assert pooled == serial
+
+
 def test_sweep_ratio_approaches_one(capsys):
     code, out, _ = run(
         capsys, ["sweep", "--alpha", "0", "--beta", "0", "--n", "50,100", "--parallel", "1"]

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -684,31 +685,62 @@ def _traced_peak_in_n_vectors(params, n):
 
 
 @pytest.mark.parametrize(
-    "params,vectors,bound",
+    "params,vectors,n,bound",
     [
         # The iteration on all of H holds H's bands, the three scalings of
-        # B^-1, the basis buffer, q, p and H q: the factors K1, K2 are freed
-        # once B^-1 is made, Z = B^-1 Q is written into the basis buffer,
-        # H basis lives only until the small matrix and H q are taken, and
-        # the buffer and H q are dropped while w is certified.  No frame is
-        # handed the pencil itself, so this holds on Python 3.10, where a
-        # caller keeps a call's arguments.  With one vector the peak (16.2)
-        # is the Rayleigh bound's 8192-row chunks, beside 10 held vectors;
-        # at n = 1e5 it is the residual of a settled step (14.0).  With two
-        # the peak (22.1) is H q taken while H basis (6 rows) is alive.
-        (P37, 1, 16.7),
-        (JacobiWeightParams(1.0, 1.2), 2, 22.6),
-        # The bracket at alpha = beta (11.1) runs one parity half at a
+        # B^-1, the basis buffer (Z, Q and P, three rows a vector) and a copy
+        # of the old Q: the factors K1, K2 are freed as B^-1 sets them up,
+        # H basis is made row by row without temporaries and lives only
+        # until the small matrix and H Q are taken, the new Q and P go into
+        # the buffer's dead rows and H Q into the old Q's array, and the
+        # buffer is dropped while w is certified.  No frame is handed the
+        # pencil itself, so this holds on Python 3.10, where a caller keeps a
+        # call's arguments.  With one vector the peak is H basis of a step
+        # whose basis keeps all three rows (13.2 at n = 2e4, 12.0 where a
+        # row is dropped); at n = 4000 it is the Rayleigh bound, whose
+        # chunks are an eighth of n but at least 1024 rows (14.3).  With two
+        # it is H basis of six rows (20.2; 20.65 at n = 4000, where 10 KB of
+        # warm-up leftovers are 0.3 n-vectors).
+        (P37, 1, 20000, 13.5),
+        (P37, 1, 4000, 14.6),
+        (JacobiWeightParams(1.0, 1.2), 2, 20000, 20.5),
+        (JacobiWeightParams(1.0, 1.2), 2, 4000, 21.0),
+        # The bracket at alpha = beta (11.0) runs one parity half at a
         # time: the first half's iterate and scans die with its call, and
         # the other half's before the residual on all of H, which sets the
         # peak, is taken.
-        (P00, None, 11.5),
+        (P00, None, 20000, 11.5),
     ],
 )
-def test_traced_peak_of_a_solve(params, vectors, bound):
+def test_traced_peak_of_a_solve(params, vectors, n, bound):
     if vectors is not None:
         assert _block_size(params) == vectors
-    assert _traced_peak_in_n_vectors(params, 20000) <= bound
+    assert _traced_peak_in_n_vectors(params, n) <= bound
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.95, 11.5), (-0.9, 2.0), (0.3, 1.7), (12.0, 6.5),
+                                        (7.0, -0.5), (4.0, 9.0)])
+def test_traced_peak_of_a_one_vector_solve_at_large_n(alpha, beta):
+    # The unequal weights of the benchmark's large-n requests: their steps
+    # at n = 4e4 keep at most two basis rows, so H basis, the buffer, the
+    # old Q, the bands and the scalings make 12 n-vectors.
+    params = JacobiWeightParams(alpha, beta)
+    assert _block_size(params) == 1
+    assert _traced_peak_in_n_vectors(params, 40000) <= 12.5
+
+
+def test_the_memo_drops_its_solution_before_the_next_pencil(monkeypatch):
+    w = weakref.ref(solve(P37, 300).w)
+    alive = []
+    build = eigensolver.scaled_pencil
+
+    def recording(params, n):
+        alive.append(w() is not None)
+        return build(params, n)
+
+    monkeypatch.setattr(eigensolver, "scaled_pencil", recording)
+    solve(P37, 400)
+    assert alive == [False]
 
 
 def test_degree_is_checked_before_the_memo(monkeypatch):

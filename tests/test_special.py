@@ -245,6 +245,17 @@ def test_bessel_array_matches_scalar_calls():
         assert got.tolist() == [[bessel_j(nu, x) for x in row] for row in xs]
 
 
+@pytest.mark.parametrize("neumann", [False, True])
+def test_backward_on_a_float64_matches_a_0d_array(neumann):
+    # The zero finder's Newton steps run on np.float64 points: the same
+    # operations on numpy scalars must give the 0-d array's bits.
+    for nu in (-0.999999, -0.95, -0.5, 0.0, 0.5, 5.5, 24.5, 49.5, 50.0):
+        for x in (1e-12, 0.03, 0.7, 2.404825557695773, 9.9, 37.0, 71.3, 119.0):
+            got = special._backward(nu, np.float64(x), neumann)
+            want = special._backward(nu, np.asarray(x), neumann)
+            assert float(got).hex() == float(want).hex(), (nu, x)
+
+
 def test_bessel_array_with_origin():
     assert bessel_j(0.0, np.array([0.0, 0.0])).tolist() == [1.0, 1.0]
     assert bessel_j(2.3, np.array([1.0, 0.0]))[1] == 0.0

@@ -42,22 +42,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x):
-    if isinstance(x, int):
+def _fmt(x, spec=".17g"):
+    if isinstance(x, (int, str)):
         return str(x)
-    return format(float(x), ".17g")
+    return format(float(x), spec)
 
 
-def _json_number(x):
-    # A failed sweep row carries NaN, which JSON cannot represent.
-    if isinstance(x, float) and math.isnan(x):
-        return "null"
-    return _fmt(x)
+def _json(x):
+    """A number, NaN as null (a failed sweep row carries it, and JSON has
+    no NaN), or an array of them."""
+    if isinstance(x, (int, float)):
+        return "null" if math.isnan(x) else _fmt(x)
+    return "[" + ", ".join(map(_json, x)) + "]"
 
 
-def _report_json(report_values):
-    parts = [f'"{k}": {_json_number(v)}' for k, v in zip(_REPORT_FIELDS, report_values)]
-    return "{" + ", ".join(parts) + "}"
+def _json_object(keys, values):
+    return "{" + ", ".join(f'"{k}": {_json(v)}' for k, v in zip(keys, values)) + "}"
+
+
+def _lines(rows, sep):
+    """One line per row, its cells through _fmt joined by sep."""
+    return "".join(sep.join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _emit(text, path):
@@ -69,20 +74,12 @@ def _emit(text, path):
 
 
 def _reports_text(rows, fmt):
-    if fmt == "csv":
-        lines = [",".join(_REPORT_FIELDS)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
+    """The report rows as CSV, a table or a JSON array (of any length)."""
     if fmt == "json":
-        if len(rows) == 1:
-            return _report_json(rows[0]) + "\n"
-        return "[\n" + ",\n".join("  " + _report_json(r) for r in rows) + "\n]\n"
-    header = "".join(f"{k:>14}" for k in _REPORT_FIELDS)
-    lines = [header]
-    for row in rows:
-        cells = [str(v) if isinstance(v, int) else format(float(v), ".6g") for v in row]
-        lines.append("".join(f"{c:>14}" for c in cells))
-    return "\n".join(lines) + "\n"
+        return "[\n" + ",\n".join("  " + _json_object(_REPORT_FIELDS, r) for r in rows) + "\n]\n"
+    if fmt == "csv":
+        return _lines([_REPORT_FIELDS, *rows], ",")
+    return _lines([[f"{_fmt(v, '.6g'):>14}" for v in row] for row in [_REPORT_FIELDS, *rows]], "")
 
 
 def _positive_int(text):
@@ -191,8 +188,10 @@ def _cmd_constant(args):
     params = JacobiWeightParams(args.alpha, args.beta)
     # Built before anything is written: it raises past the raw norms' range.
     pen = build_pencil(params, args.n) if args.dump_pencil else None
-    report = sharp_constant(params, args.n, args.tol)
-    text = _reports_text([dataclasses.astuple(report)], args.format)
+    row = dataclasses.astuple(sharp_constant(params, args.n, args.tol))
+    # One object, where sweep and asymptotics print an array.
+    text = (_json_object(_REPORT_FIELDS, row) + "\n" if args.format == "json"
+            else _reports_text([row], args.format))
     if pen is None:
         _emit(text, args.output)
         return 0
@@ -246,24 +245,13 @@ def _cmd_extremal(args):
     params = JacobiWeightParams(args.alpha, args.beta)
     u, v, m_n = extremal_polynomial(params, args.n, args.tol)
     if args.format == "json":
-        body = ", ".join(
-            [
-                f'"n": {args.n}',
-                f'"alpha": {_fmt(args.alpha)}',
-                f'"beta": {_fmt(args.beta)}',
-                f'"m_n": {_fmt(m_n)}',
-                '"u": [' + ", ".join(_fmt(x) for x in u) + "]",
-                '"v": [' + ", ".join(_fmt(x) for x in v) + "]",
-            ]
-        )
-        _emit("{" + body + "}\n", args.output)
+        text = _json_object(("n", "alpha", "beta", "m_n", "u", "v"),
+                            (args.n, args.alpha, args.beta, m_n, u, v)) + "\n"
     else:
         sep = "," if args.format == "csv" else " "
-        lines = [sep.join(("k", "u", "v"))]
-        for k in range(args.n):
-            lines.append(sep.join((str(k), _fmt(u[k]), _fmt(v[k]))))
-        lines.append(sep.join(("# m_n", _fmt(m_n), "")) if args.format == "csv" else f"m_n {_fmt(m_n)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        last = ("# m_n", m_n, "") if sep == "," else ("m_n", m_n)
+        text = _lines([("k", "u", "v"), *zip(range(args.n), u, v), last], sep)
+    _emit(text, args.output)
     return 0
 
 
@@ -275,10 +263,7 @@ def _cmd_profile(args):
         ("discrete", comparison.discrete),
         ("closedform", comparison.closed_form),
     ):
-        path = f"{prefix}.{suffix}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
-            for t, value in zip(comparison.t, series):
-                fh.write(f"{_fmt(t)} {_fmt(value)}\n")
+        _emit(_lines(zip(comparison.t, series), " "), f"{prefix}.{suffix}.tsv")
     print(
         f"branch={comparison.branch} degenerate={comparison.degenerate} "
         f"l_star={_fmt(comparison.l_star)} sup_defect={_fmt(comparison.sup_defect)} "

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
@@ -235,8 +234,8 @@ def _orthonormal_blocks(blocks, out):
     return out[:rows]
 
 
-def _count_below(pencil, tau):
-    """Number of singular values of H below tau.
+def _count_below(bands, tau):
+    """Number of singular values of H, with bands (h0, h1, h2), below tau.
 
     Streams the unpivoted LDL^T of the Golub-Kahan matrix
     [[0, H^T], [H, 0]] - tau I in the interleaved order x_0, y_0, x_1,
@@ -252,9 +251,8 @@ def _count_below(pencil, tau):
     dx = dy = dy2 = 1.0  # pivots before row 0; they meet only zero bands
     l = d_prev = 0.0
     minus_tau = -tau
-    h1 = chain((0.0,), memoryview(pencil.h1))
-    h2 = chain((0.0, 0.0), memoryview(pencil.h2))
-    for d, a, b in zip(memoryview(pencil.h0), h1, h2):
+    h0, h1, h2 = (memoryview(band) for band in bands)
+    for d, a, b in zip(h0, chain((0.0,), h1), chain((0.0, 0.0), h2)):
         t = b * l
         u = t / dx
         num = a + u * d_prev
@@ -267,7 +265,7 @@ def _count_below(pencil, tau):
         if dy < 0.0:
             neg += 1
         d_prev = d
-    return neg - pencil.n
+    return neg - len(h0)
 
 
 # The Rayleigh bound runs over an eighth of the rows at a time, at least
@@ -280,13 +278,13 @@ _EFT_ROWS, _UNIT = 1024, 2.0**-53
 _WIDEN = 8.0 * _UNIT
 
 
-def _rayleigh_bound(pencil, w):
+def _rayleigh_bound(bands, w):
     """An upper bound on ||H w||^2 / ||w||^2 >= lambda_min for the float
     bands and w.  (H w)_i by Dot2 (Ogita, Rump & Oishi, SISC 26, 2005) is
     within u |(H w)_i| + gamma_3^2 (|H| |w|)_i, gamma_3 < 3.01 u; squares are
     summed in blocks of b = ceil(sqrt(n)) in any order (gamma_b) and the
     block sums by fsum, so gamma_(2b+16) covers the rest."""
-    n = pencil.n
+    n = len(w)
     b = math.isqrt(n - 1) + 1
     blocks = np.zeros((-(-n // b), b))
     flat = blocks.reshape(-1)
@@ -298,7 +296,7 @@ def _rayleigh_bound(pencil, w):
         stop = min(start + step, n)
         w_part = w[start : stop + 2]
         w_halves = split(w_part)  # one split for all three bands
-        for shift, band in enumerate((pencil.h0, pencil.h1, pencil.h2)):
+        for shift, band in enumerate(bands):
             k = max(min(stop, n - shift) - start, 0)
             p, e = two_product(band[start : start + k], w_part[shift : shift + k],
                                [v[shift : shift + k] for v in w_halves])
@@ -332,15 +330,15 @@ def _block_size(params):
     return 1 if (high / low) ** 2 >= _SPLIT_RATIO else 2
 
 
-def _certified(pencil, lam, w, tol):
+def _certified(bands, lam, w, tol):
     """Whether lambda_min lies in [lambda (1 - tol), lambda (1 + tol)]: an
     inertia count finds no singular value of H below the lower root, and
     the Rayleigh bound of w, or where it fails a second count, one below
     the upper."""
-    if _count_below(pencil, math.sqrt(lam * (1.0 - tol))):
+    if _count_below(bands, math.sqrt(lam * (1.0 - tol))):
         return False
     upper = lam * (1.0 + tol)
-    return _rayleigh_bound(pencil, w) <= upper or _count_below(pencil, math.sqrt(upper)) >= 1
+    return _rayleigh_bound(bands, w) <= upper or _count_below(bands, math.sqrt(upper)) >= 1
 
 
 def _residual(bands, w, hw, lam):
@@ -352,14 +350,15 @@ def _residual(bands, w, hw, lam):
 def _solve_core(owned, tol):
     """The Solution of the pencil in the one-item list `owned`, w read-only:
     at h1 = 0 the bracket; elsewhere, or where it gives up, the iteration on
-    all of H, which takes the pencil out of the list."""
-    params, n = owned[0].params, owned[0].n
+    all of H, which takes the pencil out of the list: only the bands of H
+    are held here."""
+    params, bands = owned[0].params, (owned[0].h0, owned[0].h1, owned[0].h2)
     try:
-        found = _bracket(owned[0], tol) if not owned[0].h1.any() else None
+        found = _bracket(bands, tol) if not bands[1].any() else None
         return found or _iterate(owned, tol)
     except OverflowError as exc:
-        raise OverflowError(
-            f"{exc} at alpha = {params.alpha!r}, beta = {params.beta!r}, n = {n}") from None
+        raise OverflowError(f"{exc} at alpha = {params.alpha!r}, beta = {params.beta!r},"
+                            f" n = {len(bands[0])}") from None
 
 
 def _power(b_inverse, x, solves, settle=None):
@@ -380,11 +379,10 @@ def _power(b_inverse, x, solves, settle=None):
     return x, k
 
 
-def _solution(pencil, lam, w, steps):
+def _solution(bands, lam, w, steps):
     """The Solution of every path: w made read-only, its residual taken on
     all of H."""
     w.flags.writeable = False
-    bands = pencil.h0, pencil.h1, pencil.h2
     return Solution(lam, w, _residual(bands, w, h_matvec(*bands, w), lam), steps)
 
 
@@ -420,17 +418,19 @@ def _positive_bracket(d, e, tol, floor=None, steps=0):
     return low, min(max(rayleigh, low), high), np.multiply(z, lo, out=x), inverse, steps
 
 
-def _bracket(pencil, tol):
-    """The Solution at h1 = 0 from _positive_bracket on the parity halves,
-    each upper bidiagonal with h0 > 0 > h2; None where a half gives up.
+def _bracket(bands, tol):
+    """The Solution at h1 = 0 of H with bands (h0, h1, h2) from
+    _positive_bracket on the parity halves, each upper bidiagonal with
+    h0 > 0 > h2; None where a half gives up.
 
     The half that holds index n - 1 closes to tol, then the other (none at
     n = 1) steps until its lower end reaches that one's; an other half that
     holds a smaller value (no weight's pencil has one) runs into
     _MAX_STEPS, which both halves share.  w is the first half's last
     iterate, smoothed by two solves on that half."""
-    n, p = pencil.n, (pencil.n - 1) % 2
-    first = _positive_bracket(pencil.h0[p::2], pencil.h2[p::2], tol)
+    h0, _, h2 = bands
+    n, p = len(h0), (len(h0) - 1) % 2
+    first = _positive_bracket(h0[p::2], h2[p::2], tol)
     if first is None:
         return None
     floor, lam, x, inverse, steps = first
@@ -439,13 +439,9 @@ def _bracket(pencil, tol):
     del first, x, inverse  # the first half's vectors: the other half runs without them
     # The other half (none at n = 1) adds its steps, or None where it gives
     # up; nothing else of it is kept while the residual is taken.
-    steps = ((_positive_bracket(pencil.h0[1 - p :: 2], pencil.h2[1 - p :: 2], tol, floor, steps)
+    steps = ((_positive_bracket(h0[1 - p :: 2], h2[1 - p :: 2], tol, floor, steps)
               or (None,))[-1] if n > 1 else steps)
-    return None if steps is None else _solution(pencil, lam, w, steps)
-
-
-# H alone, as the iteration reads it once B^-1 has made its scans.
-_HBands = namedtuple("_HBands", "n h0 h1 h2")
+    return None if steps is None else _solution(bands, lam, w, steps)
 
 
 def _iterate(owned, tol):
@@ -479,6 +475,8 @@ def _iterate(owned, tol):
     pencil = owned.pop()
     n, params, h0, h1, h2 = pencil.n, pencil.params, pencil.h0, pencil.h1, pencil.h2
     bands, m = (h0, h1, h2), min(n, _block_size(params))
+    factors = iter([pencil.k1_0, pencil.k1_1]), iter([pencil.k2_0, pencil.k2_1])
+    del pencil  # H alone from here: only `factors` holds K1, K2
 
     # Finite bands can have squares past double range: that is the cause
     # to report, before any scan overflows on it.
@@ -494,8 +492,6 @@ def _iterate(owned, tol):
             f" {max(np.abs(band).max(initial=0.0) for band in bands):.3g})"
         )
     target = tol * max(1.0, max_b)
-    factors = iter([pencil.k1_0, pencil.k1_1]), iter([pencil.k2_0, pencil.k2_1])
-    pencil = _HBands(n, h0, h1, h2)  # H alone from here: only `factors` holds K1, K2
     b_inverse = _Scans(*factors)
 
     # Start from the indicators of the indices mod m with the sign pattern
@@ -568,8 +564,8 @@ def _iterate(owned, tol):
                 q, p = q.copy(), p.copy()
                 buf = hq = hw = w = None
                 x = _power(b_inverse, q[i], 4)[0]
-                if _certified(pencil, lam, x, tol):
-                    return _solution(pencil, lam, x, steps)
+                if _certified(bands, lam, x, tol):
+                    return _solution(bands, lam, x, steps)
                 refused += 1
         lam_prev = lam
     if hw is not None:  # else the last step was refused, its residual taken

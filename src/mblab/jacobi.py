@@ -178,15 +178,13 @@ def monic_eval_table(params, kmax, x):
     if kmax < 0:
         raise ValueError(f"monic_eval_table requires kmax >= 0, got {kmax}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((kmax + 1, xs.size))
-    table[0] = 1.0
-    if kmax == 0:
-        return table
-    ak, bk = recurrence_coefficients(params, kmax)
-    table[1] = xs - ak[0]
-    for j in range(1, kmax):
-        table[j + 1] = (xs - ak[j]) * table[j] - bk[j] * table[j - 1]
-    return table
+    # Row 0 is p_{-1} = 0, which starts the recurrence at p_0 = 1.
+    table = np.zeros((kmax + 2, xs.size))
+    table[1] = 1.0
+    ak, bk = recurrence_coefficients(params, kmax + 1)
+    for j in range(kmax):
+        table[j + 2] = (xs - ak[j]) * table[j + 1] - bk[j] * table[j]
+    return table[1:]
 
 
 def raising_coefficient(params, k):

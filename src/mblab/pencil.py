@@ -207,15 +207,12 @@ def symmetrized_bands(pencil):
 
 
 def h_matvec(h0, h1, h2, x, out=None, work=None):
-    """H x for every row x of a 1-D or 2-D array, H upper triangular with
-    bands h0, h1, h2; written into `out` when given.  For a 1-D x, `work`
-    (1-D, any length) holds the h1 and h2 products, len(work) at a time,
-    in place of two n-long temporaries; each entry is the same."""
+    """H x for a 1-D x, H upper triangular with bands h0, h1, h2; written
+    into `out` when given.  `work` (1-D, any length; n long when not
+    given) holds the h1 and h2 products, len(work) at a time; each entry
+    is the same for every length."""
     out = np.multiply(h0, x, out=out)
-    if work is None:
-        out[..., :-1] += h1 * x[..., 1:]
-        out[..., :-2] += h2 * x[..., 2:]
-        return out
+    work = np.empty(len(x)) if work is None else work
     for shift, band in enumerate((h1, h2), 1):
         for start in range(0, len(band), len(work)):
             rows = slice(start, min(start + len(work), len(band)))

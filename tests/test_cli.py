@@ -40,6 +40,31 @@ def test_constant_json(capsys):
     assert '"m_n": 3.8729833462074' in out
 
 
+@pytest.mark.parametrize(
+    "one,two",
+    [
+        (["sweep", "--alpha=0.3", "--beta=1.7", "--n", "100", "--parallel", "1"],
+         ["sweep", "--alpha=0.3", "--beta=1.7", "--n", "100,200", "--parallel", "1"]),
+        (["asymptotics", "--alpha=0", "--beta=2", "--n-list", "50"],
+         ["asymptotics", "--alpha=0", "--beta=2", "--n-list", "50,100"]),
+    ],
+    ids=["sweep", "asymptotics"],
+)
+def test_report_lists_are_json_arrays_of_any_length(capsys, one, two):
+    # sweep and asymptotics print an array, also of one row; constant
+    # prints one object
+    code, out, _ = run(capsys, one + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert isinstance(rows, list) and len(rows) == 1
+    code, out, _ = run(capsys, two + ["--format", "json"])
+    assert code == 0
+    assert rows[0] == json.loads(out)[0]
+    code, out, _ = run(capsys, ["constant", "--alpha=0.3", "--beta=1.7", "--n", "100", "--format", "json"])
+    assert code == 0
+    assert isinstance(json.loads(out), dict)
+
+
 def test_invalid_arguments_exit_one(capsys):
     assert run(capsys, ["constant", "--n", "0", "--alpha", "0", "--beta", "0"])[0] == 1
     assert run(capsys, ["constant", "--n", "2", "--alpha", "-1", "--beta", "0"])[0] == 1

@@ -100,10 +100,21 @@ def test_band_matvec_matches_dense(n):
         (ht_matvec(sp.h0, sp.h1, sp.h2, w), h.T @ w),
     ):
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * np.max(np.abs(want)))
-    block = rng.standard_normal((3, n))
-    assert h_matvec(sp.h0, sp.h1, sp.h2, block) == pytest.approx(
-        block @ h.T, rel=1e-13, abs=1e-13 * np.max(np.abs(block @ h.T))
-    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 4001])
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (0.3, 1.7)])
+def test_band_matvec_is_the_same_for_every_work_length(alpha, beta, n):
+    # The iteration on all of H hands h_matvec a work row of any length; a
+    # call without one takes an n-long scratch.  Each entry adds the same
+    # two products in the same order, so the bytes agree.
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    w = np.random.default_rng(n).standard_normal(n)
+    want = h_matvec(sp.h0, sp.h1, sp.h2, w).tobytes()
+    for length in (1, 2, 7, max(n - 1, 1), n):
+        out = np.empty(n)
+        got = h_matvec(sp.h0, sp.h1, sp.h2, w, out=out, work=np.empty(length))
+        assert got is out and got.tobytes() == want, length
 
 
 @pytest.mark.parametrize("alpha,beta,n", [(0.0, 0.0, 12), (1.0, 0.5, 9), (2.5, -0.5, 15)])

@@ -68,7 +68,7 @@ def test_smallest_eigenpair_is_certified_or_raises(alpha, beta, n):
     assert math.isfinite(result.lambda_min) and result.lambda_min > 0.0
     assert math.isfinite(result.residual)
     upper = math.sqrt(result.lambda_min * (1 + 1e-12))
-    assert eigensolver._count_below(sp, upper) >= 1
+    assert eigensolver._count_below((sp.h0, sp.h1, sp.h2), upper) >= 1
     assert abs(math.sqrt(float(np.sum(result.w * result.w))) - 1.0) <= 1e-12
     assert np.all(np.isfinite(result.w))
 

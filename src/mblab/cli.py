@@ -17,7 +17,7 @@ from .continuum import convergence_study, profile_compare
 from .eigensolver import SharpConstantReport, extremal_polynomial, sharp_constant
 from .exceptions import ConvergenceError
 from .jacobi import JacobiWeightParams
-from .pencil import build_pencil, dump_banded
+from .pencil import build_pencil
 from .verification import run_verification
 
 # A command lives for one run, and the objects its imports made (about
@@ -65,12 +65,32 @@ def _lines(rows, sep):
     return "".join(sep.join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _emit(text, path):
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs):
+    """Write a command's (text, path) pairs: a path of None is stdout, and
+    a text of None is skipped.  Every path is opened before any text is
+    written, and an OSError removes every regular file opened, so a
+    command leaves all of its files or none."""
+    outputs = [(text, path) for text, path in outputs if text is not None]
+    opened = {}
+    try:
+        for _, path in outputs:
+            if path:
+                opened[path] = open(path, "w", encoding="utf-8", newline="")
+        for text, path in outputs:
+            (opened[path] if path else sys.stdout).write(text)
+        # Closed here too, because the flush on closing may fail as well.
+        for fh in opened.values():
+            fh.close()
+    except OSError:
+        # Regular files only: a device or a link given as a path (/dev/full,
+        # /dev/stdout) is not the command's to remove.
+        for path in opened:
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+        raise
+    finally:
+        for fh in opened.values():
+            fh.close()
 
 
 def _reports_text(rows, fmt):
@@ -187,24 +207,12 @@ def build_parser():
 def _cmd_constant(args):
     params = JacobiWeightParams(args.alpha, args.beta)
     # Built before anything is written: it raises past the raw norms' range.
-    pen = build_pencil(params, args.n) if args.dump_pencil else None
+    dump = _lines(build_pencil(params, args.n), " ") if args.dump_pencil else None
     row = dataclasses.astuple(sharp_constant(params, args.n, args.tol))
     # One object, where sweep and asymptotics print an array.
     text = (_json_object(_REPORT_FIELDS, row) + "\n" if args.format == "json"
             else _reports_text([row], args.format))
-    if pen is None:
-        _emit(text, args.output)
-        return 0
-    # Opened before the report is written, and removed if the report
-    # cannot be: a path that cannot be opened leaves neither file behind.
-    with open(args.dump_pencil, "w", encoding="utf-8") as fh:
-        try:
-            _emit(text, args.output)
-        except OSError:
-            fh.close()
-            os.remove(args.dump_pencil)
-            raise
-        dump_banded(pen, fh)
+    _emit((dump, args.dump_pencil), (text, args.output))
     return 0
 
 
@@ -237,7 +245,7 @@ def _cmd_sweep(args):
     # A failed row keeps its n, alpha, beta and carries NaN elsewhere.
     nans = (float("nan"),) * (len(_REPORT_FIELDS) - 3)
     out_rows = [row or (n, a, b, *nans) for row, (a, b, n, _) in zip(rows, tasks)]
-    _emit(_reports_text(out_rows, args.format), args.output)
+    _emit((_reports_text(out_rows, args.format), args.output))
     return 2 if None in rows else 0
 
 
@@ -251,7 +259,7 @@ def _cmd_extremal(args):
         sep = "," if args.format == "csv" else " "
         last = ("# m_n", m_n, "") if sep == "," else ("m_n", m_n)
         text = _lines([("k", "u", "v"), *zip(range(args.n), u, v), last], sep)
-    _emit(text, args.output)
+    _emit((text, args.output))
     return 0
 
 
@@ -259,11 +267,8 @@ def _cmd_profile(args):
     params = JacobiWeightParams(args.alpha, args.beta)
     comparison = profile_compare(params, args.n, args.tol)
     prefix = args.output or f"profile_a{args.alpha:g}_b{args.beta:g}_n{args.n}"
-    for suffix, series in (
-        ("discrete", comparison.discrete),
-        ("closedform", comparison.closed_form),
-    ):
-        _emit(_lines(zip(comparison.t, series), " "), f"{prefix}.{suffix}.tsv")
+    _emit((_lines(zip(comparison.t, comparison.discrete), " "), f"{prefix}.discrete.tsv"),
+          (_lines(zip(comparison.t, comparison.closed_form), " "), f"{prefix}.closedform.tsv"))
     print(
         f"branch={comparison.branch} degenerate={comparison.degenerate} "
         f"l_star={_fmt(comparison.l_star)} sup_defect={_fmt(comparison.sup_defect)} "
@@ -277,7 +282,7 @@ def _cmd_asymptotics(args):
     if not args.n_list:
         raise ValueError("--n-list is empty")
     reports = convergence_study(params, args.n_list, args.tol)
-    _emit(_reports_text([dataclasses.astuple(r) for r in reports], args.format), args.output)
+    _emit((_reports_text([dataclasses.astuple(r) for r in reports], args.format), args.output))
     return 0
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import check_size
 from .jacobi import exponent_sum, log_norm_sequence
 from .pencil import h_matvec, ht_matvec
 from .special import log_gamma
@@ -111,8 +112,7 @@ def _x_values(params, j, n):
     rounding of large log-gammas out of x_k."""
     if j not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {j}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_size(n, 1, "n must be")
     e = params.alpha if j == 1 else params.beta
     steps = np.log1p(e / np.arange(1.0, n))
     with np.errstate(over="ignore"):

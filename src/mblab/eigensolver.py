@@ -21,7 +21,6 @@ it does not, a second count finds a singular value below that root.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._exact import split, two_product, two_sum
 from .discrete import unit_v
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, check_size
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import NU_WINDOW, smallest_positive_zero
 
@@ -593,11 +592,7 @@ def solve(params, n, tol=1e-12):
     with modified bands goes through smallest_eigenpair, which is never
     memoised.
     """
-    if isinstance(n, bool):
-        raise TypeError("n must be an integer, got a bool")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_size(n, 1, "n must be")
     _check_tol(tol)
     key = params, n, tol
     if key not in _MEMO:

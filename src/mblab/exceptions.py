@@ -1,4 +1,6 @@
-"""Package-wide exception types."""
+"""Package-wide exception types, and the one rule for size arguments."""
+
+import operator
 
 
 class ConvergenceError(RuntimeError):
@@ -9,3 +11,15 @@ class ConvergenceError(RuntimeError):
 class AccuracyWindowError(ValueError):
     """Arguments fall outside the window in which the implementation
     guarantees its stated accuracy."""
+
+
+def check_size(value, least, what):
+    """`value` as an int >= `least`: TypeError for a bool or any other
+    non-integer (2.5, np.float64(3.0)), ValueError below `least`.  `what`
+    leads both messages, as in "n must be" -> "n must be >= 1, got 0"."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} >= {least} as an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{what} >= {least}, got {value}")
+    return value

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._exact import two_sum
+from .exceptions import check_size
 from .special import log_gamma
 
 __all__ = [
@@ -34,26 +35,21 @@ _D_MAX = 1e290
 
 @dataclass(frozen=True)
 class JacobiWeightParams:
-    """Exponent pair (alpha, beta) of the weight, both > -1."""
+    """Exponent pair (alpha, beta) of the weight, both finite and > -1,
+    with Bessel orders (alpha - 1)/2 and (beta - 1)/2 > -1 in floating
+    point."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
+        # (x - 1)/2 > -1 implies x > -1, and also refuses the float just
+        # above -1, whose Bessel order of the large-n law rounds to -1.
         for name, x in (("alpha", self.alpha), ("beta", self.beta)):
-            if not math.isfinite(x):
-                raise ValueError(f"Jacobi weight needs a finite {name}, got {x!r}")
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValueError(
-                f"Jacobi weight needs alpha, beta > -1, got ({self.alpha}, {self.beta})"
-            )
-        # At the float just above -1 the Bessel order (x - 1)/2 of the
-        # large-n law rounds to -1, where it is undefined.
-        for name, x in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (x - 1.0) / 2.0 > -1.0:
+            if not (math.isfinite(x) and (x - 1.0) / 2.0 > -1.0):
                 raise ValueError(
-                    f"{name} = {x!r} is too close to -1: its Bessel order"
-                    f" ({name} - 1)/2 rounds to -1"
+                    f"Jacobi weight needs a finite {name} whose Bessel order"
+                    f" ({name} - 1)/2 exceeds -1, got {name} = {x!r}"
                 )
 
     @property
@@ -113,8 +109,7 @@ def norm_sequence(params, n):
     representable range; ratios stay near 1/4 so this happens around
     k ~ 460-480 (d_483 at alpha = beta = 0, d_459 at alpha = beta = 12).
     """
-    if n < 1:
-        raise ValueError(f"norm_sequence requires n >= 1, got {n}")
+    check_size(n, 1, "norm_sequence requires n")
     d0 = math.exp(log_norm_sequence(params, 0)[0])
     values = np.cumprod(np.r_[d0, norm_ratio(params, np.arange(n))])
     outside = np.flatnonzero(~((values > _D_MIN) & (values < _D_MAX)))
@@ -132,8 +127,7 @@ def log_norm_sequence(params, n):
     sum of ln(d_{k+1}/d_k) (no underflow).  The ratios tend to 1/4, so
     the sum runs over ln(4 d_{k+1}/d_k), which stay small, and k ln 4 is
     taken off afterwards."""
-    if n < 0:
-        raise ValueError(f"log_norm_sequence requires n >= 0, got {n}")
+    check_size(n, 0, "log_norm_sequence requires n")
     a, b = params.alpha, params.beta
     s, lo = exponent_sum(params)
     ln4 = math.log(4.0)
@@ -144,18 +138,9 @@ def log_norm_sequence(params, n):
     return out
 
 
-def recurrence_coefficients(params, m):
-    """Coefficients (a_k, b_k) of the monic three-term recurrence
-
-        p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x),
-
-    for k = 0..m-1.  By the usual convention b_0 holds the total weight
-    integral mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1).  The k = 0 and
-    k = 1 entries use the cancelled forms so that alpha + beta in
-    {-1, 0} stays finite.
-    """
-    if m < 1:
-        raise ValueError(f"recurrence_coefficients requires m >= 1, got {m}")
+def _recurrence(params, m):
+    """a_k, b_k for k = 0..m-1 with b_0 = 0, and ln mu_0: the recurrence
+    itself multiplies b_0 by p_{-1} = 0, so it runs where mu_0 overflows."""
     a, b = params.alpha, params.beta
     s, lo = exponent_sum(params)
     k = np.arange(m, dtype=float)
@@ -165,23 +150,43 @@ def recurrence_coefficients(params, m):
         ak = (b - a) * (b + a) / ((t + lo) * ((t + 2) + lo))
         den = (t + lo) ** 2 * ((t + 1) + lo) * ((t - 1) + lo)
         bk = 4.0 * k * (k + a) * (k + b) * ((k + s) + lo) / den
-    ak[0] = (b - a) / ((s + 2) + lo)
-    bk[0] = math.exp(((s + 1) + lo) * math.log(2.0) + log_norm_sequence(params, 0)[0])
+    ak[0], bk[0] = (b - a) / ((s + 2) + lo), 0.0
     if m > 1:
         bk[1] = 4.0 * (1 + a) * (1 + b) / (((s + 2) + lo) ** 2 * ((s + 3) + lo))
+    return ak, bk, ((s + 1) + lo) * math.log(2.0) + log_norm_sequence(params, 0)[0]
+
+
+def recurrence_coefficients(params, m):
+    """Coefficients (a_k, b_k) of the monic three-term recurrence
+
+        p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x),
+
+    for k = 0..m-1.  By the usual convention b_0 holds the total weight
+    integral mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1), which leaves
+    double range (an OverflowError) past alpha + beta of about 1020.  The
+    k = 0 and k = 1 entries use the cancelled forms so that
+    alpha + beta in {-1, 0} stays finite.
+    """
+    check_size(m, 1, "recurrence_coefficients requires m")
+    ak, bk, ln_mu0 = _recurrence(params, m)
+    # math.exp overflows exactly above ln of the largest double (NaN too).
+    if not ln_mu0 <= math.log(np.finfo(float).max):
+        raise OverflowError(
+            f"mu_0 leaves double range at alpha = {params.alpha!r}, beta = {params.beta!r}"
+        )
+    bk[0] = math.exp(ln_mu0)
     return ak, bk
 
 
 def monic_eval_table(params, kmax, x):
     """Values of all monic polynomials of degree 0..kmax at the points x;
     returns an array of shape (kmax + 1, len(x))."""
-    if kmax < 0:
-        raise ValueError(f"monic_eval_table requires kmax >= 0, got {kmax}")
+    check_size(kmax, 0, "monic_eval_table requires kmax")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     # Row 0 is p_{-1} = 0, which starts the recurrence at p_0 = 1.
     table = np.zeros((kmax + 2, xs.size))
     table[1] = 1.0
-    ak, bk = recurrence_coefficients(params, kmax + 1)
+    ak, bk, _ = _recurrence(params, kmax + 1)
     for j in range(kmax):
         table[j + 2] = (xs - ak[j]) * table[j + 1] - bk[j] * table[j]
     return table[1:]
@@ -203,8 +208,7 @@ def gauss_jacobi_quadrature(params, m):
     Exact for polynomials of degree <= 2m - 1; the weights sum to the
     weight's total integral.  Returns (nodes, weights), nodes ascending.
     """
-    if m < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {m}")
+    check_size(m, 1, "quadrature order must be")
     ak, bk = recurrence_coefficients(params, m)
     mu0 = bk[0]
     off = np.sqrt(bk[1:])

@@ -24,10 +24,12 @@ n ~ 460-480, are assembled only for the independent dense oracle of
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exceptions import check_size
 from .jacobi import (
     JacobiWeightParams,
     exponent_sum,
@@ -47,29 +49,11 @@ __all__ = [
     "h_matvec",
     "ht_matvec",
     "symmetrized_bands",
-    "dump_banded",
 ]
 
-
-@dataclass(frozen=True)
-class BandedPencil:
-    """The pair (A, D) in banded storage.
-
-    `diag`, `super1`, `super2` are the three stored bands of the
-    symmetric pentadiagonal A; `norms` holds d_0..d_n so that
-    D = diag(norms[:-1]) and D+ = diag(norms[1:]).
-    """
-
-    n: int
-    params: JacobiWeightParams
-    diag: np.ndarray
-    super1: np.ndarray
-    super2: np.ndarray
-    norms: np.ndarray
-
-    @property
-    def d(self):
-        return self.norms[: self.n]
+# The pair (A, D) in banded storage: the three stored bands of the
+# symmetric pentadiagonal A, then the diagonal d_0..d_{n-1} of D.
+BandedPencil = namedtuple("BandedPencil", "diag super1 super2 d")
 
 
 @dataclass(frozen=True)
@@ -132,10 +116,7 @@ def _gram_bands(f0, f1, f2, weights):
 def build_pencil(params, n):
     """Assemble A = G^T D+ G and D in banded storage (raw norm units)."""
     norms = norm_sequence(params, n)
-    diag, super1, super2 = _gram_bands(*g_bands(params, n), norms[1:])
-    return BandedPencil(
-        n=n, params=params, diag=diag, super1=super1, super2=super2, norms=norms
-    )
+    return BandedPencil(*_gram_bands(*g_bands(params, n), norms[1:]), norms[:-1])
 
 
 def scaled_pencil(params, n):
@@ -144,8 +125,7 @@ def scaled_pencil(params, n):
     for any n.  Raises OverflowError where an exponent is so large that
     the cube of 2k + alpha + beta leaves double range (from about 1e103):
     the norm ratios then come out 0 or NaN."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size(n, 1, "n must be")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sr = np.sqrt(norm_ratio(params, np.arange(n)))
         (g0, g1, g2), c2, raising = _closed_forms(params, n)
@@ -227,10 +207,3 @@ def ht_matvec(h0, h1, h2, y):
     out[1:] += h1 * y[:-1]
     out[2:] += h2 * y[:-2]
     return out
-
-
-def dump_banded(pencil, stream):
-    """Plain-text dump: one line per band of A, then the diagonal of D,
-    space-separated full-precision decimals."""
-    for band in (pencil.diag, pencil.super1, pencil.super2, pencil.d):
-        stream.write(" ".join(format(x, ".17g") for x in band) + "\n")

@@ -78,9 +78,9 @@ def b_bands(sp):
 def dense_a(pen):
     """Dense A from the stored raw bands of a BandedPencil."""
     a = np.diag(pen.diag)
-    for i in range(pen.n - 1):
+    for i in range(len(pen.d) - 1):
         a[i, i + 1] = a[i + 1, i] = pen.super1[i]
-    for i in range(pen.n - 2):
+    for i in range(len(pen.d) - 2):
         a[i, i + 2] = a[i + 2, i] = pen.super2[i]
     return a
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -274,6 +275,25 @@ def test_constant_output_file_and_dump(capsys, tmp_path):
         assert [len(band.split()) for band in bands] == [n, n - 1, max(n - 2, 0), n]
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, n, sha256",
+    [
+        (0.5, 1.5, 1, "9029bfe09bef0d3c7017de4fba318785f327c9d099503517b60bfa998c663192"),
+        (0.5, 1.5, 2, "c3af58a73076cddb08d07b7e02eefc9adc8e6c8acaad579a1412fda4bc93277a"),
+        (0.5, 1.5, 40, "5fce1eb86a792d76f02c7fe89f9e6988c3b0d855e881ffd94d0ad80bdd9aaf60"),
+        (12, 6.5, 450, "939336d441ccfffbb1bdf9a6b70e7e8c029aa0fb99df51d62735ec5446b6100f"),
+    ],
+)
+def test_dump_pencil_bytes(capsys, tmp_path, alpha, beta, n, sha256):
+    # the four bands as 17-digit decimals, pinned byte for byte
+    dump_path = tmp_path / "bands.txt"
+    argv = ["constant", "--n", str(n), f"--alpha={alpha}", f"--beta={beta}",
+            "--dump-pencil", str(dump_path)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(dump_path.read_bytes()).hexdigest() == sha256
+
+
 def test_dump_pencil_past_raw_range_writes_nothing(capsys, tmp_path):
     # the raw norms leave double range at d_481 for (0.3, 1.7); the pencil
     # is built before the report, so the failed command emits no row
@@ -319,6 +339,29 @@ def test_unopenable_path_leaves_neither_file(capsys, tmp_path, output, dump):
     assert code == 1
     assert out == "" and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_profile_leaves_no_file_when_its_second_path_fails(capsys, tmp_path):
+    # a directory where the closed-form file goes: the discrete one is not kept
+    (tmp_path / "p.closedform.tsv").mkdir()
+    argv = ["profile", "--n", "60", "--alpha=0.3", "--beta=1.7", "--output", str(tmp_path / "p")]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "p.closedform.tsv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_removes_regular_files_only(capsys, tmp_path):
+    # the report's write fails (no space on /dev/full): the dump goes, and
+    # the link named as --output, not being the command's file, stays
+    (tmp_path / "full").symlink_to("/dev/full")
+    argv = ["constant", "--n", "10", "--alpha=0.3", "--beta=0.5",
+            "--dump-pencil", str(tmp_path / "bands.txt"), "--output", str(tmp_path / "full")]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "full"]
 
 
 def test_extremal_csv(capsys):

@@ -12,8 +12,12 @@ from mblab import (
     monic_eval_table,
     norm_ratio,
     norm_sequence,
+    particular_v,
+    particular_x_sequence,
     raising_coefficient,
     recurrence_coefficients,
+    scaled_pencil,
+    solve,
 )
 from conftest import UNEQUAL_NEAR_MINUS_ONE
 
@@ -89,6 +93,62 @@ def test_sizes_below_range_name_the_argument(call, message):
     assert monic_eval_table(P00, 0, [0.0]).shape == (1, 1)
     assert recurrence_coefficients(P00, 1)[1][0] == 2.0
     assert log_norm_sequence(P00, 0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: norm_sequence(P00, n),
+        lambda n: log_norm_sequence(P00, n),
+        lambda n: recurrence_coefficients(P00, n),
+        lambda n: monic_eval_table(P00, n, [0.5]),
+        lambda n: gauss_jacobi_quadrature(P00, n),
+        lambda n: particular_v(P00, 1, n),
+        lambda n: particular_x_sequence(P00, 1, n),
+        lambda n: scaled_pencil(P00, n),
+        lambda n: solve(P00, n),
+    ],
+    ids=["norm_sequence", "log_norm_sequence", "recurrence_coefficients", "monic_eval_table",
+         "gauss_jacobi_quadrature", "particular_v", "particular_x_sequence", "scaled_pencil",
+         "solve"],
+)
+def test_sizes_refuse_a_bool_and_a_non_integer(call):
+    # 2.5 would round to a size and True count as 1; numpy integers are sizes
+    for bad in (2.5, True, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            call(bad)
+    call(np.int64(3))
+
+
+def _mp_monic(alpha, beta, kmax, x):
+    """p_0(x)..p_kmax(x) by the monic three-term recurrence at 50 digits,
+    a_k and b_k from their closed forms (b_0 meets p_{-1} = 0)."""
+    with mpmath.workdps(50):
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+        s = a + b
+        prev, cur, out = mpmath.mpf(0), mpmath.mpf(1), [1.0]
+        for k in range(kmax):
+            t = 2 * k + s
+            ak = (b - a) / (s + 2) if k == 0 else (b * b - a * a) / (t * (t + 2))
+            bk = 4 * k * (k + a) * (k + b) * (k + s) / (t**2 * (t + 1) * (t - 1)) if k else 0
+            prev, cur = cur, (x - ak) * cur - bk * prev
+            out.append(float(cur))
+    return np.array(out)
+
+
+def test_monic_table_needs_no_total_weight():
+    # mu_0 = 2^(alpha+beta+1) B(alpha+1, beta+1) is past double range at
+    # (1100, 0); the table never reads it, the functions that return it say so
+    p = JacobiWeightParams(1100.0, 0.0)
+    xs = [0.5, 1.0]  # right of every zero, so no value cancels
+    for kmax in (0, 1, 3, 12):
+        table = monic_eval_table(p, kmax, xs)
+        for i, x in enumerate(xs):
+            exact = _mp_monic(1100, 0, kmax, x)
+            assert np.all(abs(table[:, i] / exact - 1.0) <= 1e-14), (kmax, x)
+    for call in (recurrence_coefficients, gauss_jacobi_quadrature):
+        with pytest.raises(OverflowError, match="mu_0"):
+            call(p, 3)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import sys
 
 from .continuum import convergence_study, profile_compare
 from .eigensolver import SharpConstantReport, extremal_polynomial, sharp_constant
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, check_size, check_tol
 from .jacobi import JacobiWeightParams
 from .pencil import build_pencil
 from .verification import run_verification
@@ -102,27 +102,6 @@ def _reports_text(rows, fmt):
     return _lines([[f"{_fmt(v, '.6g'):>14}" for v in row] for row in [_REPORT_FIELDS, *rows]], "")
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
-
-
-def _weight_param(text):
-    value = _finite_float(text)
-    if not value > -1.0:
-        raise argparse.ArgumentTypeError(f"weight exponents must exceed -1, got {text}")
-    return value
-
-
 def _comma_list(parse):
     def comma_list(text):
         return [parse(part) for part in text.split(",")] if text.strip() else []
@@ -135,16 +114,16 @@ def _n_range(text):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:STOP:STEP")
     start, stop, step = (int(p) for p in parts)
-    if start < 1 or stop < start or step < 1:
+    if stop < start or step < 1:
         raise argparse.ArgumentTypeError(f"bad range {text}")
     return list(range(start, stop + 1, step))
 
 
 def _add_common(sub, needs_n=True, has_format=True):
-    sub.add_argument("--alpha", type=_weight_param, required=True)
-    sub.add_argument("--beta", type=_weight_param, required=True)
+    sub.add_argument("--alpha", type=float, required=True)
+    sub.add_argument("--beta", type=float, required=True)
     if needs_n:
-        sub.add_argument("--n", type=_positive_int, required=True)
+        sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--tol", type=float, default=1e-12)
     if has_format:
         sub.add_argument("--format", choices=_FORMATS, default="table")
@@ -163,14 +142,14 @@ def build_parser():
     constant.set_defaults(run=_cmd_constant)
 
     sweep = subs.add_parser("sweep", help="grid of constants as CSV/JSON")
-    sweep.add_argument("--alpha", type=_comma_list(_weight_param), required=True, help="comma list")
-    sweep.add_argument("--beta", type=_comma_list(_weight_param), required=True, help="comma list")
-    sweep.add_argument("--n", type=_comma_list(_positive_int), default=[], help="comma list of degrees")
+    sweep.add_argument("--alpha", type=_comma_list(float), required=True, help="comma list")
+    sweep.add_argument("--beta", type=_comma_list(float), required=True, help="comma list")
+    sweep.add_argument("--n", type=_comma_list(int), default=[], help="comma list of degrees")
     sweep.add_argument("--n-range", type=_n_range, default=[], help="START:STOP:STEP")
     sweep.add_argument("--tol", type=float, default=1e-12)
     sweep.add_argument("--format", choices=_FORMATS, default="csv")
     sweep.add_argument("--output", default=None)
-    sweep.add_argument("--parallel", type=_positive_int, default=os.cpu_count() or 1)
+    sweep.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     sweep.set_defaults(run=_cmd_sweep)
 
     extremal = subs.add_parser("extremal", help="coefficients of the extremal polynomial")
@@ -186,14 +165,14 @@ def build_parser():
 
     asym = subs.add_parser("asymptotics", help="convergence study over a degree list")
     _add_common(asym, needs_n=False)
-    asym.add_argument("--n-list", type=_comma_list(_positive_int), required=True, help="ascending comma list")
+    asym.add_argument("--n-list", type=_comma_list(int), required=True, help="ascending comma list")
     asym.set_defaults(run=_cmd_asymptotics)
 
     verify = subs.add_parser("verify", help="run the cross-module checks")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--perturb",
-        type=_finite_float,
+        type=float,
         default=0.0,
         help="scale the superdiagonal of H's factor K2 by (1+eps), which scales h2 by"
         " (1+eps) and moves h1; the residual checks should fail.  Write a negative"
@@ -218,9 +197,8 @@ def _cmd_constant(args):
 
 def _sweep_task(task):
     """The report row of one sweep task, or None if its solve failed."""
-    alpha, beta, n, tol = task
     try:
-        return dataclasses.astuple(sharp_constant(JacobiWeightParams(alpha, beta), n, tol))
+        return dataclasses.astuple(sharp_constant(*task))
     except (ConvergenceError, OverflowError):
         return None
 
@@ -230,21 +208,26 @@ def _cmd_sweep(args):
     for option, values in (("--alpha is", args.alpha), ("--beta is", args.beta), ("--n and --n-range are", ns)):
         if not values:
             raise ValueError(f"{option} empty")
-    tasks = [(a, b, n, args.tol) for a in sorted(set(args.alpha)) for b in sorted(set(args.beta)) for n in ns]
-    if args.parallel > 1 and len(tasks) > 1:
+    # Every input rule is applied before a task runs or a worker starts.
+    weights = [JacobiWeightParams(a, b) for a in sorted(set(args.alpha)) for b in sorted(set(args.beta))]
+    ns = [check_size(n, 1, "n must be") for n in ns]
+    parallel = check_size(args.parallel, 1, "--parallel must be")
+    check_tol(args.tol)
+    tasks = [(params, n, args.tol) for params in weights for n in ns]
+    if parallel > 1 and len(tasks) > 1:
         # Imported here: it loads multiprocessing, which no other command
         # needs and every command would pay for at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         # The pool starts all its workers at the first submit (fork start
         # method): never more than there are tasks.
-        with ProcessPoolExecutor(max_workers=min(args.parallel, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(task) for task in tasks]
     # A failed row keeps its n, alpha, beta and carries NaN elsewhere.
     nans = (float("nan"),) * (len(_REPORT_FIELDS) - 3)
-    out_rows = [row or (n, a, b, *nans) for row, (a, b, n, _) in zip(rows, tasks)]
+    out_rows = [row or (n, p.alpha, p.beta, *nans) for row, (p, n, _) in zip(rows, tasks)]
     _emit((_reports_text(out_rows, args.format), args.output))
     return 2 if None in rows else 0
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .discrete import log_w_scale, y_bundle
 from .eigensolver import sharp_constant, solve
+from .exceptions import check_size
 from .special import bessel_j, log_gamma, smallest_positive_zero
 
 __all__ = [
@@ -134,8 +135,7 @@ def profile_compare(params, n, tol=1e-12):
     (-1)^k).  At alpha = beta both branches are admissible; branch 1 is
     used by convention and the result is flagged degenerate.
     """
-    if n < 50:
-        raise ValueError(f"profile comparison needs n >= 50, got {n}")
+    check_size(n, 50, "profile comparison needs n")
     sol = solve(params, n, tol)
     l_star = sol.lambda_min * float(n) ** 4
 

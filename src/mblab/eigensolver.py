@@ -28,7 +28,7 @@ import numpy as np
 
 from ._exact import split, two_product, two_sum
 from .discrete import unit_v
-from .exceptions import ConvergenceError, check_size
+from .exceptions import ConvergenceError, check_size, check_tol
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import NU_WINDOW, smallest_positive_zero
 
@@ -41,7 +41,6 @@ __all__ = [
     "extremal_polynomial",
 ]
 
-_TOL_MIN, _TOL_MAX = 1e-14, 1e-6
 _MAX_STEPS = 200
 # A Rayleigh-Ritz direction whose part outside the earlier ones has a
 # relative squared norm below this is dropped from the basis.
@@ -386,11 +385,12 @@ def _solution(bands, lam, w, steps):
 
 
 @np.errstate(all="ignore")  # a lost positivity shows in the ends
-def _positive_bracket(d, e, tol, floor=None, steps=0):
+def _positive_bracket(d, e, tol, x, floor=None, steps=0):
     """(low, lambda, x, B^-1, steps) from power steps x <- lo z, z = B^-1 x,
-    from x = 1, where B = H^T H and H is upper bidiagonal with diagonal
-    d > 0 and superdiagonal e < 0; None past _MAX_STEPS steps, counted on
-    from `steps`, or if positivity is lost.
+    from the positive start x, whose buffer they reuse, where B = H^T H
+    and H is upper bidiagonal with diagonal d > 0 and superdiagonal e < 0;
+    None past _MAX_STEPS steps, counted on from `steps`, or if positivity
+    is lost.
 
     B^-1 is entrywise positive, so the ratios x_i / z_i of a positive x
     bracket its least eigenvalue (Collatz, Math. Z. 1942; Wielandt,
@@ -401,7 +401,7 @@ def _positive_bracket(d, e, tol, floor=None, steps=0):
     rounding a relative perturbation of one d or e by a unit that no
     cancellation amplifies: z is exact for bands a few units from d and e,
     as the inertia count's pivots are."""
-    inverse, x = _Scans((d, e)), np.ones(len(d))
+    inverse = _Scans((d, e))
     while True:
         z = inverse(x)
         ratios = np.divide(x, z, out=x)  # x's buffer: the ratios, then the next x
@@ -422,24 +422,32 @@ def _bracket(bands, tol):
     _positive_bracket on the parity halves, each upper bidiagonal with
     h0 > 0 > h2; None where a half gives up.
 
-    The half that holds index n - 1 closes to tol, then the other (none at
-    n = 1) steps until its lower end reaches that one's; an other half that
-    holds a smaller value (no weight's pencil has one) runs into
-    _MAX_STEPS, which both halves share.  w is the first half's last
-    iterate, smoothed by two solves on that half."""
+    The half that holds index n - 1 closes to tol from x = 1, then the
+    other (none at n = 1) steps from that half's closing iterate until its
+    lower end reaches that one's; an other half that holds a smaller value
+    (no weight's pencil has one) runs into _MAX_STEPS, which both halves
+    share.  w is the first half's last iterate, smoothed by two solves on
+    that half."""
     h0, _, h2 = bands
     n, p = len(h0), (len(h0) - 1) % 2
-    first = _positive_bracket(h0[p::2], h2[p::2], tol)
+    first = _positive_bracket(h0[p::2], h2[p::2], tol, np.ones_like(h0[p::2]))
     if first is None:
         return None
     floor, lam, x, inverse, steps = first
     w = np.zeros(n)
     w[p::2] = _power(inverse, x, 2)[0]
-    del first, x, inverse  # the first half's vectors: the other half runs without them
-    # The other half (none at n = 1) adds its steps, or None where it gives
-    # up; nothing else of it is kept while the residual is taken.
-    steps = ((_positive_bracket(h0[1 - p :: 2], h2[1 - p :: 2], tol, floor, steps)
-              or (None,))[-1] if n > 1 else steps)
+    del first, inverse  # the first half's scans: the other half runs without them
+    if n > 1:
+        # At even n the halves are equally long and the other starts from x
+        # itself; at odd n its entry i lies between x's i and i + 1 and
+        # starts from their sum, written over x.
+        if n % 2:
+            x[:-1] += x[1:]
+            x = x[:-1]
+        # It adds its steps, or None where it gives up.
+        steps = (_positive_bracket(h0[1 - p :: 2], h2[1 - p :: 2], tol, x, floor, steps)
+                 or (None,))[-1]
+    del x  # nothing of either half is kept while the residual is taken
     return None if steps is None else _solution(bands, lam, w, steps)
 
 
@@ -577,11 +585,6 @@ def _iterate(owned, tol):
     )
 
 
-def _check_tol(tol):
-    if not (_TOL_MIN <= tol <= _TOL_MAX):
-        raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
-
-
 def solve(params, n, tol=1e-12):
     """The Solution of the degree-n pencil of `params`.
 
@@ -593,7 +596,7 @@ def solve(params, n, tol=1e-12):
     memoised.
     """
     n = check_size(n, 1, "n must be")
-    _check_tol(tol)
+    check_tol(tol)
     key = params, n, tol
     if key not in _MEMO:
         # One entry, dropped before the next pencil is built: the entry
@@ -614,7 +617,7 @@ def smallest_eigenpair(pencil, tol=1e-12):
     Bands and factors must agree (pencil.check_factors; modify a pencil
     with pencil.perturb_factor).  `extremal_polynomial` maps w to the
     eigenvector of (A, D)."""
-    _check_tol(tol)
+    check_tol(tol)
     if not isinstance(pencil, ScaledPencil):
         raise TypeError(f"expected ScaledPencil, got {type(pencil)}")
     check_factors(pencil)

@@ -1,4 +1,5 @@
-"""Package-wide exception types, and the one rule for size arguments."""
+"""Package-wide exception types, and the one rule for each kind of size
+or tolerance argument."""
 
 import operator
 
@@ -23,3 +24,13 @@ def check_size(value, least, what):
     if value < least:
         raise ValueError(f"{what} >= {least}, got {value}")
     return value
+
+
+_TOL_MIN, _TOL_MAX = 1e-14, 1e-6
+
+
+def check_tol(tol):
+    """The solver's tolerance rule: ValueError unless tol lies in
+    [1e-14, 1e-6]."""
+    if not (_TOL_MIN <= tol <= _TOL_MAX):
+        raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")

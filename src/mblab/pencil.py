@@ -115,6 +115,7 @@ def _gram_bands(f0, f1, f2, weights):
 
 def build_pencil(params, n):
     """Assemble A = G^T D+ G and D in banded storage (raw norm units)."""
+    check_size(n, 1, "n must be")
     norms = norm_sequence(params, n)
     return BandedPencil(*_gram_bands(*g_bands(params, n), norms[1:]), norms[:-1])
 

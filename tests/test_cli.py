@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import mblab
+from mblab import JacobiWeightParams, eigensolver, profile_compare
 from mblab.cli import build_parser, main
+from mblab.exceptions import check_size, check_tol
 from mblab.verification import run_verification
 
 
@@ -67,16 +69,93 @@ def test_report_lists_are_json_arrays_of_any_length(capsys, one, two):
 
 
 def test_invalid_arguments_exit_one(capsys):
-    assert run(capsys, ["constant", "--n", "0", "--alpha", "0", "--beta", "0"])[0] == 1
-    assert run(capsys, ["constant", "--n", "2", "--alpha", "-1", "--beta", "0"])[0] == 1
-    assert run(capsys, ["sweep", "--alpha", "0,-1", "--beta", "0"])[0] == 1
+    # argparse refuses syntax only: an unknown command, a non-number and
+    # the form of a range; a value's rule is the library's (below)
     assert run(capsys, ["nope"])[0] == 1
-    for n_range, why in [("4:8", "expected START:STOP:STEP"), ("8:4:1", "bad range 8:4:1"),
-                         ("0:4:1", "bad range 0:4:1")]:
+    code, out, err = run(capsys, ["constant", "--n", "2.5", "--alpha", "0", "--beta", "0"])
+    assert (code, out) == (1, "") and err.endswith("error: argument --n: invalid int value: '2.5'\n")
+    for n_range, why in [("4:8", "expected START:STOP:STEP"), ("8:4:1", "bad range 8:4:1")]:
         code, out, err = run(capsys, ["sweep", "--alpha=0", "--beta=0", "--n-range", n_range])
         assert (code, out) == (1, "") and err.endswith(f"error: argument --n-range: {why}\n")
     code, out, err = run(capsys, ["asymptotics", "--alpha=0", "--beta=0", "--n-list", ""])
     assert (code, out, err) == (1, "", "error: --n-list is empty\n")
+
+
+def _message(call, *args):
+    """The message of the ValueError that call(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+# Each command's own arguments.  A case adds valid exponents, degrees and
+# an --output in the test's directory and replaces one value by a refused
+# one; with the dump and sweep's two workers, a rule applied late would
+# leave a file or start a pool.
+_REFUSING = {
+    "constant": ["constant"],
+    "constant-dump": ["constant", "--dump-pencil={tmp}/dump"],
+    "extremal": ["extremal"],
+    "profile": ["profile"],
+    "asymptotics": ["asymptotics"],
+    "sweep": ["sweep", "--parallel=2"],
+}
+_BAD_EXPONENTS = ["-1", "-0.9999999999999999", "nan", "inf", "1e999"]
+
+
+def _refusals():
+    """(command, option, value, message): every refused spelling of every
+    value each command takes, with the message of the library rule that
+    refuses it."""
+    for command in _REFUSING:
+        for option, weight in (("--alpha", lambda x: (x, 0.5)), ("--beta", lambda x: (0.3, x))):
+            for x in _BAD_EXPONENTS:
+                yield command, option, x, _message(JacobiWeightParams, *weight(float(x)))
+        degree = {"asymptotics": "--n-list"}.get(command, "--n")
+        for n in ("0", "-3"):
+            if command == "profile":
+                yield command, degree, n, _message(profile_compare, JacobiWeightParams(0.3, 0.5), int(n))
+            else:
+                yield command, degree, n, _message(check_size, int(n), 1, "n must be")
+        yield command, "--tol", "1", _message(check_tol, 1.0)
+    yield "sweep", "--n-range", "0:4:1", _message(check_size, 0, 1, "n must be")
+    # a later --parallel overrides sweep's 2
+    yield "sweep", "--parallel", "0", _message(check_size, 0, 1, "--parallel must be")
+    for eps in ("nan", "inf", "-inf", "1e999"):
+        yield "verify", "--perturb", eps, _message(run_verification, 0, float(eps))
+
+
+_REFUSALS = list(_refusals())
+
+
+@pytest.mark.parametrize("command,option,value,message", _REFUSALS,
+                         ids=[f"{c}{o}={v}" for c, o, v, _ in _REFUSALS])
+def test_every_refused_value_exits_one_with_the_library_message(
+    capsys, monkeypatch, tmp_path, command, option, value, message
+):
+    # Each rule is applied before a solve, a worker or a file: nothing is
+    # written but one "error:" line, the message of the rule, and no usage
+    import concurrent.futures
+
+    def never(*args, **kwargs):
+        raise AssertionError("started past a refused value")
+
+    monkeypatch.setattr(eigensolver, "_solve_core", never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+    if command == "verify":
+        argv = ["verify"]
+    else:
+        values = {"--alpha": "0.3", "--beta": "0.5", "--output": "{tmp}/out"}
+        values["--n-list" if command == "asymptotics" else "--n"] = "60"
+        if command == "sweep":  # the bad value among good ones: every item is checked
+            values.update({"--alpha": "0.3,1.3", "--beta": "0.5,1.5", "--n": "60,70"})
+        argv = _REFUSING[command] + [f"{key}={val}" for key, val in values.items() if key != option]
+    if option in ("--alpha", "--beta", "--n") and command == "sweep":
+        value = f"{values[option]},{value}"
+    argv = [arg.format(tmp=tmp_path) for arg in argv + [f"{option}={value}"]]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -476,13 +555,6 @@ def test_verify_negative_perturbation(capsys):
     code, out, err = run(capsys, ["verify", "--perturb", "-1e-3"])
     assert (code, out) == (1, "")
     assert "--perturb: expected one argument" in err
-
-
-@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
-def test_verify_non_finite_perturbation_exits_one(capsys, eps):
-    code, out, err = run(capsys, ["verify", f"--perturb={eps}"])
-    assert (code, out) == (1, "")
-    assert err.endswith(f"error: argument --perturb: expected a finite number, got {eps}\n")
 
 
 @pytest.mark.parametrize("value", ["garbage", "1e-6"])

@@ -409,13 +409,14 @@ def test_lambda_matches_50_digit_reference():
 
 def test_reference_solves_take_their_step_count():
     # Any change to the arithmetic of the iteration or of the bracket moves
-    # this total: 1017 steps over the 85 cases at the last change to it.
+    # this total: 953 steps over the 85 cases at the last change to it, the
+    # warm start of the bracket's other half (1017 from a start of ones).
     cases = json.loads(REFERENCE.read_text())["lambda"]
     steps = 0
     for key in cases:
         alpha, beta, n = key.split(",")
         steps += solve(JacobiWeightParams(float(alpha), float(beta)), int(n)).iterations
-    assert (len(cases), steps) == (85, 1017)
+    assert (len(cases), steps) == (85, 953)
 
 
 @pytest.mark.parametrize("alpha,beta,n,lam", UNEQUAL_NEAR_MINUS_ONE)
@@ -988,6 +989,9 @@ def _record_paths(monkeypatch):
         (300.0, 300.0, 1000, ["open bracket", "iterate"]),
         (0.3, 1.7, 400, ["iterate"]),
         (100.0, 100.0, 200, ["bracket"]),
+        # from a start of ones the other half ran out of the 200 steps here
+        (101.0, 101.0, 100000, ["bracket"]),
+        (120.0, 120.0, 4000, ["bracket"]),
         # the iteration on the parity half settled 194 times here on
         # lambdas the lower count refused
         (-0.999999950836762, -0.999999950836762, 7939, ["bracket"]),
@@ -1000,6 +1004,26 @@ def test_the_path_each_pencil_takes(monkeypatch, alpha, beta, n, path):
     assert calls == path
     # a closed bracket certifies lambda without an inertia count
     assert (shifts == []) == (path == ["bracket"])
+
+
+@pytest.mark.parametrize("n", [1000, 10001])
+@pytest.mark.parametrize("alpha", [-0.95, 0.0, 12.0, 49.5])
+def test_the_other_half_starts_from_the_first_halfs_iterate(monkeypatch, alpha, n):
+    # From a start of ones the other half took 3-29 steps to pass the first
+    # half's lower end; from that half's closing iterate (at odd n the sums
+    # of its neighbours) it takes one or two
+    steps = []
+    kernel = eigensolver._positive_bracket
+
+    def recording(d, e, tol, x, floor=None, before=0):
+        found = kernel(d, e, tol, x, floor, before)
+        steps.append(found[-1] - before)
+        return found
+
+    monkeypatch.setattr(eigensolver, "_positive_bracket", recording)
+    sp = scaled_pencil(JacobiWeightParams(alpha, alpha), n)
+    assert eigensolver._bracket((sp.h0, sp.h1, sp.h2), 1e-12) is not None
+    assert len(steps) == 2 and steps[1] <= 2
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-14])
@@ -1086,7 +1110,7 @@ def test_the_positive_bracket_meets_turans_closed_form(m):
     # An exact oracle at every size: the bracket is exact for bands a few
     # units from the given ones, and these bands are exact in floats
     start = time.perf_counter()
-    low, lam, _, _, _ = eigensolver._positive_bracket(np.ones(m), -np.ones(m - 1), 1e-12)
+    low, lam, _, _, _ = eigensolver._positive_bracket(np.ones(m), -np.ones(m - 1), 1e-12, np.ones(m))
     assert time.perf_counter() - start < 2.0
     assert abs(lam / _turan(m) - 1.0) <= 1e-13
     assert low <= _turan(m)
@@ -1129,7 +1153,7 @@ def test_the_positive_bracket_on_the_laguerre_bidiagonal(a, n):
     # sqrt((j + a + 1) / (j + 1)) and -1 above it, has lambda = 1 / M^2
     j = np.arange(n)
     d = np.sqrt((j + a + 1.0) / (j + 1.0))
-    low, lam, _, _, _ = eigensolver._positive_bracket(d, -np.ones(n - 1), 1e-12)
+    low, lam, _, _, _ = eigensolver._positive_bracket(d, -np.ones(n - 1), 1e-12, np.ones(n))
     want = _laguerre_lambda(a, n)
     assert abs(lam / want - 1.0) <= 1e-14
     assert low <= want

@@ -136,6 +136,8 @@ def profile_compare(params, n, tol=1e-12):
     used by convention and the result is flagged degenerate.
     """
     check_size(n, 50, "profile comparison needs n")
+    # The zero first: outside its window it raises before a solve is spent.
+    smallest_positive_zero(params.nu_star)
     sol = solve(params, n, tol)
     l_star = sol.lambda_min * float(n) ** 4
 

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 _MAX_STEPS = 200
+# The power start of one vector stops here and leaves the rest to the
+# Rayleigh-Ritz steps: a weight's own pencil settled within 40 steps on
+# 4000 seeded one-vector solves; a modified pencil with nearly equal least
+# eigenvalues may never settle.
+_POWER_STEPS = 64
 # A Rayleigh-Ritz direction whose part outside the earlier ones has a
 # relative squared norm below this is dropped from the basis.
 _DROP = 1e-14
@@ -348,12 +353,18 @@ def _residual(bands, w, hw, lam):
 def _solve_core(owned, tol):
     """The Solution of the pencil in the one-item list `owned`, w read-only:
     at h1 = 0 the bracket; elsewhere, or where it gives up, the iteration on
-    all of H, which takes the pencil out of the list: only the bands of H
-    are held here."""
-    params, bands = owned[0].params, (owned[0].h0, owned[0].h1, owned[0].h2)
+    all of H with the block size of the pencil's weight.  The one solver
+    function that reads the pencil: it takes it out of the list and keeps
+    the bands of H and iterators over the factors K1, K2, which the scans
+    of all of H free as they set up, K1's before K2's (on Python 3.10 a
+    caller holds a call's arguments until the call returns)."""
+    pencil = owned.pop()
+    params, bands = pencil.params, (pencil.h0, pencil.h1, pencil.h2)
+    factors = iter([pencil.k1_0, pencil.k1_1]), iter([pencil.k2_0, pencil.k2_1])
+    del pencil
     try:
         found = _bracket(bands, tol) if not bands[1].any() else None
-        return found or _iterate(owned, tol)
+        return found or _iterate(bands, factors, _block_size(params), tol)
     except OverflowError as exc:
         raise OverflowError(f"{exc} at alpha = {params.alpha!r}, beta = {params.beta!r},"
                             f" n = {len(bands[0])}") from None
@@ -451,9 +462,10 @@ def _bracket(bands, tol):
     return None if steps is None else _solution(bands, lam, w, steps)
 
 
-def _iterate(owned, tol):
-    """Locally optimal block inverse iteration on B = H^T H, with the
-    vectors of _block_size; one vector starts with power steps.
+def _iterate(bands, factors, m, tol):
+    """Locally optimal block inverse iteration on B = H^T H, H with bands
+    (h0, h1, h2) = K2 K1, carrying m vectors (n at most); one vector starts
+    with power steps.
 
     Each step makes Z = B^-1 Q by four scans over all vectors at once,
     (K2 K1)^-1 (K2 K1)^-T Q.  Then a Rayleigh-Ritz over span[Z, Q, P], P
@@ -474,16 +486,10 @@ def _iterate(owned, tol):
     without the target w lies 34 times further from the 80-digit
     eigenvector at (10, 10, 30).
 
-    The pencil comes in the one-item list `owned` and is taken out of it,
-    so that its factors K1, K2 are freed as B^-1 sets up its scans, K1's
-    before K2's, unless the caller holds the pencil as well: on Python
-    3.10 a caller holds a call's arguments until the call returns.
-    """
-    pencil = owned.pop()
-    n, params, h0, h1, h2 = pencil.n, pencil.params, pencil.h0, pencil.h1, pencil.h2
-    bands, m = (h0, h1, h2), min(n, _block_size(params))
-    factors = iter([pencil.k1_0, pencil.k1_1]), iter([pencil.k2_0, pencil.k2_1])
-    del pencil  # H alone from here: only `factors` holds K1, K2
+    `factors` holds an iterator over [diagonal, superdiagonal] of K1 and
+    one of K2, each freed as its scans set up (_Scans)."""
+    h0, h1, h2 = bands
+    n, m = len(h0), min(len(h0), m)
 
     # Finite bands can have squares past double range: that is the cause
     # to report, before any scan overflows on it.
@@ -502,21 +508,22 @@ def _iterate(owned, tol):
     b_inverse = _Scans(*factors)
 
     # Start from the indicators of the indices mod m with the sign pattern
-    # of w: with S = I for alpha <= beta and S = diag((-1)^k) for alpha >
-    # beta (sign h1 = sign(alpha - beta), h0 > 0 > h2), S H S is an upper
-    # triangular M-matrix, so S B^-1 S > 0.  For m = 2 the odd row flips.
+    # of w: with S = I for h1[0] <= 0 and S = diag((-1)^k) for h1[0] > 0,
+    # S H S is an upper triangular M-matrix where h1 keeps that sign
+    # (sign h1 = sign(alpha - beta) and h0 > 0 > h2 on a weight's own
+    # pencil), so S B^-1 S > 0.  For m = 2 the odd row flips.
     q = np.zeros((m, n))
     for row in range(m):
         q[row, row::m] = 1.0 / math.sqrt(len(range(row, n, m)))
-    if params.alpha > params.beta:
+    if n > 1 and h1[0] > 0.0:
         q[:, 1::2] *= -1.0
-    # One vector first takes power steps until ||B^-1 q|| settles to 1e-8:
-    # from this start the first Rayleigh-Ritz steps do no more, at 4-5
-    # times the cost.  They count as steps, leaving the loop at least one.
+    # One vector first takes up to _POWER_STEPS power steps, until
+    # ||B^-1 q|| settles to 1e-8: from this start the first Rayleigh-Ritz
+    # steps do no more, at 4-5 times the cost.  They count as steps,
+    # leaving the loop at least one.
     start = 0
     if m == 1:
-        q, start = _power(b_inverse, q[0], _MAX_STEPS - 1, settle=1e-8)
-        q = q[None]
+        q[0], start = _power(b_inverse, q[0], min(_POWER_STEPS, _MAX_STEPS - 1), settle=1e-8)
     p = 0.0  # no change yet: zero rows, which the basis drops
     # Every n-long array of a step has one owner.  The buffer holds Z =
     # B^-1 Q, Q and P in blocks of m rows, orthonormalised in place into

@@ -16,7 +16,6 @@ failed checks, a solve that raises as the failing check's detail.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import discrete, eigensolver, pencil
 from .continuum import ProfileBranch, ode_residual
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, check_size
 from .jacobi import (
     JacobiWeightParams,
     monic_eval_table,
@@ -193,12 +192,9 @@ def run_verification(seed=0, perturb=0.0):
     drawn from the standard library's generator so that numpy.random
     never loads.  `perturb`, the negative-control hook, must be finite.
     Both are checked before any check runs."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = check_size(seed, 0, "seed must be")
     if not math.isfinite(perturb):
         raise ValueError(f"perturb must be finite, got {perturb}")
-    rng = random.Random(int(seed))
+    rng = random.Random(seed)
     outcomes = ((name, *check(rng, perturb)) for name, check in _CHECKS.items())
     return [CheckResult(name, bool(passed), detail) for name, passed, detail in outcomes]

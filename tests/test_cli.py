@@ -522,7 +522,7 @@ def test_verify_negative_seed_exits_one(capsys):
     # refuses it, as numpy's generator did.
     code, out, err = run(capsys, ["verify", "--seed", "-1"])
     assert (code, out) == (1, "")
-    assert err == "error: seed must be non-negative, got -1\n"
+    assert err == "error: seed must be >= 0, got -1\n"
     with pytest.raises(ValueError):
         run_verification(seed=-1)
 
@@ -591,7 +591,7 @@ def _run_module(argv, cwd):
     "argv,code,out,err",
     [
         (["constant", "--alpha=0", "--beta=0", "--n", "2"], 0, "3.87298", ""),
-        (["verify", "--seed=-1"], 1, "", "error: seed must be non-negative, got -1\n"),
+        (["verify", "--seed=-1"], 1, "", "error: seed must be >= 0, got -1\n"),
         (["verify", "--perturb=1e-3"], 3, "verification FAILED\n", ""),
     ],
     ids=["constant", "verify-negative-seed", "verify-perturbed"],

@@ -44,6 +44,14 @@ P00 = JacobiWeightParams(0.0, 0.0)
 P11 = JacobiWeightParams(1.0, 1.0)
 
 
+def _all_of_h(sp, tol=1e-12):
+    """The iteration on all of H for the ScaledPencil sp, with the block
+    size of its weight: what _solve_core runs where the bracket is not
+    taken or gives up."""
+    factors = iter([sp.k1_0, sp.k1_1]), iter([sp.k2_0, sp.k2_1])
+    return eigensolver._iterate((sp.h0, sp.h1, sp.h2), factors, _block_size(sp.params), tol)
+
+
 def test_smallest_eigenvalue_closed_forms():
     assert smallest_eigenpair(scaled_pencil(P00, 1)).lambda_min == pytest.approx(
         1.0 / 3.0, rel=1e-12
@@ -486,7 +494,7 @@ def test_step_count_at_clustered_spectra(alpha, beta, max_steps):
     # inverse iteration took 22 and 45 steps here, the three-term step 9
     # and 14.  The iteration on all of H, which runs where the bracket
     # gives up; both brackets close here.
-    result = eigensolver._iterate([scaled_pencil(JacobiWeightParams(alpha, beta), 4000)], 1e-12)
+    result = _all_of_h(scaled_pencil(JacobiWeightParams(alpha, beta), 4000))
     assert result.iterations <= max_steps
 
 
@@ -500,7 +508,7 @@ def test_iteration_on_all_of_h_at_the_edge(n):
     assert _block_size(p) == 2
     sp = scaled_pencil(p, n)
     want = eigensolver._bracket((sp.h0, sp.h1, sp.h2), 1e-12).lambda_min
-    got = eigensolver._iterate([sp], 1e-12).lambda_min
+    got = _all_of_h(sp).lambda_min
     assert abs(got / want - 1.0) <= 1e-12
 
 
@@ -557,6 +565,10 @@ def test_zero_outside_window_raises_before_a_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     with pytest.raises(AccuracyWindowError, match="zero finder supports nu <= 50.0, got 74.5"):
         sharp_constant(JacobiWeightParams(150.0, 160.0), 20000)
+    # The profile's Bessel orders lie past the window too: bessel_j refused
+    # them only after a 47 ms solve.
+    with pytest.raises(AccuracyWindowError, match="zero finder supports nu <= 50.0, got 74.5"):
+        profile_compare(JacobiWeightParams(150.0, 150.0), 4000)
     assert calls == []
 
 
@@ -840,7 +852,7 @@ def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n,
     # lam is what the two inertia passes certified before the bound
     sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
     shifts = _count_passes(monkeypatch)
-    got = eigensolver._iterate([sp], tol)
+    got = _all_of_h(sp, tol)
     assert _rayleigh_bound((sp.h0, sp.h1, sp.h2), got.w) > got.lambda_min * (1 + tol)
     assert len(shifts) == 2
     assert got.lambda_min == pytest.approx(lam, rel=tol)
@@ -850,7 +862,7 @@ def test_upper_bound_falls_back_to_an_inertia_count(monkeypatch, alpha, beta, n,
 def test_rayleigh_bound_replaces_the_upper_count(monkeypatch, alpha, beta):
     shifts = _count_passes(monkeypatch)
     for n in (1, 2, 8, 199, 200, 1000):
-        got = eigensolver._iterate([scaled_pencil(JacobiWeightParams(alpha, beta), n)], 1e-12)
+        got = _all_of_h(scaled_pencil(JacobiWeightParams(alpha, beta), n))
         # one rule at every n: the bound holds, so only the lower count runs
         assert shifts == [math.sqrt(got.lambda_min * (1 - 1e-12))]
         shifts.clear()
@@ -907,7 +919,7 @@ def test_block_size_rule(alpha, beta, m, lam, monkeypatch):
     monkeypatch.setattr(eigensolver, "_orthonormal_blocks", record)
     for n in (1, 4, 8, 199, 200, 2000):
         rows.clear()
-        eigensolver._iterate([scaled_pencil(p, n)], 1e-12)
+        _all_of_h(scaled_pencil(p, n))
         assert set(rows) == {min(n, m)}, n
     assert _block_size(p) == m
     if lam is not None:
@@ -955,6 +967,33 @@ def test_one_vector_follows_the_perron_sign_pattern(alpha, beta):
     assert signs in ({1.0}, {-1.0})
 
 
+@pytest.mark.parametrize("n", [2, 200, 4000])
+@pytest.mark.parametrize("alpha,beta", [(0.3, 1.7), (12.0, 6.5), (7.0, -0.5)])
+def test_the_iteration_reads_the_bands_not_the_weight(alpha, beta, n):
+    # The start's sign pattern comes from h1 and the block size from the
+    # zeros of both orders, so swapping the labels of the weight changes
+    # no bit; a start signed by alpha > beta flipped here.
+    sp = scaled_pencil(JacobiWeightParams(alpha, beta), n)
+    swapped = dataclasses.replace(sp, params=JacobiWeightParams(beta, alpha))
+    got, want = smallest_eigenpair(swapped), smallest_eigenpair(sp)
+    assert _bits(got.lambda_min, got.w, got.residual) == _bits(want.lambda_min, want.w, want.residual)
+    assert got.iterations == want.iterations
+
+
+def test_the_power_start_is_capped():
+    # K1's diagonal scaled by 1 + 1e-3 puts the two least eigenvalues
+    # 1.0104 apart (dense SVD), and ||B^-1 q|| does not settle: the power
+    # start ran 199 steps and left one Rayleigh-Ritz step, which did not
+    # certify.  Capped, the Rayleigh-Ritz steps certify lambda 7.7e-15 from
+    # the dense value 2.1131980069204394e-12.
+    sp = perturb_factor(scaled_pencil(P37, 2000), "k1_0", 1e-3)
+    got = smallest_eigenpair(sp)
+    assert got.iterations > eigensolver._POWER_STEPS
+    bands = sp.h0, sp.h1, sp.h2
+    assert eigensolver._count_below(bands, math.sqrt(got.lambda_min * (1 - 1e-12))) == 0
+    assert eigensolver._count_below(bands, math.sqrt(got.lambda_min * (1 + 1e-12))) >= 1
+
+
 def _record_paths(monkeypatch):
     """Record, from here on, "bracket" or "open bracket" for every _bracket
     call that closes or gives up, and "iterate" for every _iterate call."""
@@ -966,9 +1005,9 @@ def _record_paths(monkeypatch):
         calls.append("bracket" if found else "open bracket")
         return found
 
-    def recording(owned, tol):
+    def recording(*args):
         calls.append("iterate")
-        return iterate(owned, tol)
+        return iterate(*args)
 
     monkeypatch.setattr(eigensolver, "_bracket", bracketing)
     monkeypatch.setattr(eigensolver, "_iterate", recording)
@@ -1051,7 +1090,7 @@ def test_a_bracket_that_does_not_close_falls_back_to_all_of_h(monkeypatch):
     monkeypatch.setattr(eigensolver, "_MAX_STEPS", 20)
     calls = _record_paths(monkeypatch)
     sp = scaled_pencil(JacobiWeightParams(12.0, 12.0), 1000)
-    got, want = smallest_eigenpair(sp), eigensolver._iterate([sp], 1e-12)
+    got, want = smallest_eigenpair(sp), _all_of_h(sp)
     assert calls == ["open bracket", "iterate", "iterate"]
     assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
 
@@ -1062,7 +1101,7 @@ def test_lost_positivity_falls_back_to_all_of_h(monkeypatch):
     # without a warning (RuntimeWarnings are errors here) and all of H runs.
     sp = scaled_pencil(JacobiWeightParams(1000.0, 1000.0), 2000)
     calls = _record_paths(monkeypatch)
-    got, want = smallest_eigenpair(sp), eigensolver._iterate([sp], 1e-12)
+    got, want = smallest_eigenpair(sp), _all_of_h(sp)
     assert calls == ["open bracket", "iterate", "iterate"]
     assert _bits(got.lambda_min, got.w) == _bits(want.lambda_min, want.w)
 

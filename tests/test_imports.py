@@ -1,6 +1,7 @@
 """Structural guards on the package: module boundaries and import cost."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import types
 from pathlib import Path
 
 import mblab
+from mblab import ScaledPencil
 
 PACKAGE_DIR = Path(mblab.__file__).parent
 
@@ -81,6 +83,65 @@ def test_guard_flags_private_imports(tmp_path):
     assert _private_cross_imports(sample) == [
         (2, "from pencil import _g"),
         (3, "eigensolver._solve"),
+    ]
+
+
+# What a weight is read by: its exponents, its Bessel orders, the weight
+# itself and every field of a ScaledPencil (params among them).
+_WEIGHT_ATTRIBUTES = {"alpha", "beta"} | {field.name for field in dataclasses.fields(ScaledPencil)}
+
+
+def _weight_reads(path, allowed):
+    """(function, line, name) for every read of `params`, of an attribute
+    alpha, beta or nu_* or of a ScaledPencil field, in a private function or
+    class of `path` not named in `allowed`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or not _is_private(top.name):
+            continue
+        if top.name in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "params":
+                found.append((top.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in _WEIGHT_ATTRIBUTES or node.attr.startswith("nu_")
+            ):
+                found.append((top.name, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_two_solver_functions_read_the_weight():
+    # The solver works on the bands of H and its factors: _solve_core takes
+    # them out of the pencil, and _block_size reads the weight's Bessel
+    # orders for the iteration's block size.
+    assert _weight_reads(PACKAGE_DIR / "eigensolver.py", {"_solve_core", "_block_size"}) == []
+
+
+def test_guard_flags_weight_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def _a(params):\n"
+        "    return params\n"
+        "def _b(pencil, bands):\n"
+        "    h0, h1, h2 = bands\n"
+        "    return pencil.k1_0, pencil.params.nu_star, h0\n"
+        "class _C:\n"
+        "    def solve(self, p):\n"
+        "        return p.beta\n"
+        "def public(p):\n"
+        "    return p.alpha\n"
+        "def _allowed(p):\n"
+        "    return p.alpha\n",
+        encoding="utf-8",
+    )
+    assert _weight_reads(sample, {"_allowed"}) == [
+        ("_C", 8, "beta"),
+        ("_a", 2, "params"),
+        ("_b", 5, "k1_0"),
+        ("_b", 5, "nu_star"),
+        ("_b", 5, "params"),
     ]
 
 

@@ -7,6 +7,7 @@ import contextlib
 import csv
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -204,3 +205,52 @@ def test_cli_sweep_rows_equal_constant_rows(alpha, beta, ns):
         code, out = _cli(["constant", *weight, "--n", str(n), "--format", "csv"])
         assert code == 0
         assert out.splitlines() == [header, row]
+
+
+def _reflection_defect(alpha, beta, n):
+    """|lambda(alpha, beta) / lambda(beta, alpha) - 1| at degree n.  Q(x)
+    -> Q(-x) maps either problem onto the other, so the exact values are
+    equal; the two solves start from different sign patterns, and near -1
+    one may carry rounding the other does not."""
+    lam = [smallest_eigenpair(scaled_pencil(JacobiWeightParams(a, b), n)).lambda_min
+           for a, b in ((alpha, beta), (beta, alpha))]
+    return abs(lam[0] / lam[1] - 1.0)
+
+
+def test_reflection_on_regular_weights():
+    # 30 seeded weights with exponents in (-0.95, 20), n log-uniform in
+    # [2, 1e5), and n = 1e5 itself: agreement within 2 tol
+    rng = random.Random(16)
+    weights = [(0.3, 1.7, 100_000)] + [
+        (rng.uniform(-0.95, 20.0), rng.uniform(-0.95, 20.0), int(10 ** rng.uniform(0.3, 5.0)))
+        for _ in range(30)
+    ]
+    assert [(w, d) for w in weights if (d := _reflection_defect(*w)) > 2e-12] == []
+
+
+def test_reflection_on_edge_weights():
+    # Drawn as the edge samples, alpha != beta: one exponent within 0.1 of
+    # -1, the other beside it or in (-0.5, 5), n log-uniform in [10, 2e4).
+    # The first 10 that certify in both orientations agree within 2 tol; a
+    # weight that fails one orientation is the scans' rounding near -1.
+    rng = random.Random(16)
+    far, kept, draws = [], 0, 0
+    while kept < 10:
+        alpha = -1.0 + 10 ** rng.uniform(-15.5, -1.0)
+        if rng.randrange(2):
+            beta = alpha + rng.uniform(-1.0, 1.0) * 1e-3 * (alpha + 1.0)
+        else:
+            beta = rng.uniform(-0.5, 5.0)
+        n = int(10 ** rng.uniform(1.0, 4.3))
+        if alpha == beta:
+            continue
+        draws += 1
+        try:
+            defect = _reflection_defect(alpha, beta, n)
+        except ConvergenceError:
+            continue
+        kept += 1
+        if defect > 2e-12:
+            far.append((alpha, beta, n, defect))
+    assert far == []
+    assert draws <= 15

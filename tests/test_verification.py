@@ -43,9 +43,9 @@ def test_residual_checks_fail_under_perturbation(check, perturb):
 @pytest.mark.parametrize(
     "kwargs,error,message",
     [
-        ({"seed": 1.5}, TypeError, "seed must be an integer, got 1.5"),
-        ({"seed": True}, TypeError, "seed must be an integer, got True"),
-        ({"seed": -1}, ValueError, "seed must be non-negative, got -1"),
+        ({"seed": 1.5}, TypeError, "seed must be >= 0 as an integer, got 1.5"),
+        ({"seed": True}, TypeError, "seed must be >= 0 as an integer, got True"),
+        ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
         ({"perturb": math.nan}, ValueError, "perturb must be finite, got nan"),
         ({"perturb": -math.inf}, ValueError, "perturb must be finite, got -inf"),
     ],

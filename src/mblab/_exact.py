@@ -31,12 +31,12 @@ def split(a):
     return hi, a - hi
 
 
-def two_product(a, b, b_halves=None):
+def two_product(a, b, b_halves):
     """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's
     TwoProduct), barring overflow and underflow of the partial products.
-    `b_halves` is split(b) where the caller already has it, e.g. for one
-    vector multiplied by several bands."""
+    `b_halves` is split(b), which a caller multiplying one vector by
+    several bands takes once."""
     a1, a2 = split(a)
-    b1, b2 = split(b) if b_halves is None else b_halves
+    b1, b2 = b_halves
     p = a * b
     return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)

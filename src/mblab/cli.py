@@ -15,9 +15,10 @@ import sys
 
 from .continuum import convergence_study, profile_compare
 from .eigensolver import SharpConstantReport, extremal_polynomial, sharp_constant
-from .exceptions import ConvergenceError, check_size, check_tol
+from .exceptions import DEFAULT_TOL, ConvergenceError, check_size, check_tol
 from .jacobi import JacobiWeightParams
 from .pencil import build_pencil
+from .special import smallest_positive_zero
 from .verification import run_verification
 
 # A command lives for one run, and the objects its imports made (about
@@ -124,7 +125,7 @@ def _add_common(sub, needs_n=True, has_format=True):
     sub.add_argument("--beta", type=float, required=True)
     if needs_n:
         sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--tol", type=float, default=1e-12)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     if has_format:
         sub.add_argument("--format", choices=_FORMATS, default="table")
     sub.add_argument("--output", default=None)
@@ -146,7 +147,7 @@ def build_parser():
     sweep.add_argument("--beta", type=_comma_list(float), required=True, help="comma list")
     sweep.add_argument("--n", type=_comma_list(int), default=[], help="comma list of degrees")
     sweep.add_argument("--n-range", type=_n_range, default=[], help="START:STOP:STEP")
-    sweep.add_argument("--tol", type=float, default=1e-12)
+    sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sweep.add_argument("--format", choices=_FORMATS, default="csv")
     sweep.add_argument("--output", default=None)
     sweep.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
@@ -213,6 +214,8 @@ def _cmd_sweep(args):
     ns = [check_size(n, 1, "n must be") for n in ns]
     parallel = check_size(args.parallel, 1, "--parallel must be")
     check_tol(args.tol)
+    for params in weights:  # the zero finder's window, as sharp_constant applies it
+        smallest_positive_zero(params.nu_star)
     tasks = [(params, n, args.tol) for params in weights for n in ns]
     if parallel > 1 and len(tasks) > 1:
         # Imported here: it loads multiprocessing, which no other command

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrete import log_w_scale, y_bundle
 from .eigensolver import sharp_constant, solve
-from .exceptions import check_size
+from .exceptions import DEFAULT_TOL, check_size
 from .special import bessel_j, log_gamma, smallest_positive_zero
 
 __all__ = [
@@ -126,7 +126,7 @@ def _sup_normalize(seq):
     return seq / peak
 
 
-def profile_compare(params, n, tol=1e-12):
+def profile_compare(params, n, tol=DEFAULT_TOL):
     """Compare the extremal eigenvector's bundle component against the
     closed-form profile at l* = n^4 lambda_min.
 
@@ -169,10 +169,11 @@ def profile_compare(params, n, tol=1e-12):
     )
 
 
-def convergence_study(params, n_list, tol=1e-12):
+def convergence_study(params, n_list, tol=DEFAULT_TOL):
     """Sharp-constant reports for an ascending list of degrees; the ratio
     column records M_n * 2 j_nu* / n^2."""
-    n_list = list(n_list)
+    # Every degree is checked before the first solve is spent.
+    n_list = [check_size(n, 1, "n must be") for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
     return [sharp_constant(params, n, tol) for n in n_list]

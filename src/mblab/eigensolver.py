@@ -28,7 +28,7 @@ import numpy as np
 
 from ._exact import split, two_product, two_sum
 from .discrete import unit_v
-from .exceptions import ConvergenceError, check_size, check_tol
+from .exceptions import DEFAULT_TOL, ConvergenceError, check_size, check_tol
 from .pencil import ScaledPencil, check_factors, g_bands, h_matvec, ht_matvec, scaled_pencil
 from .special import NU_WINDOW, smallest_positive_zero
 
@@ -592,7 +592,7 @@ def _iterate(bands, factors, m, tol):
     )
 
 
-def solve(params, n, tol=1e-12):
+def solve(params, n, tol=DEFAULT_TOL):
     """The Solution of the degree-n pencil of `params`.
 
     The last result is memoised (one entry, keyed on (params, n, tol)),
@@ -619,7 +619,7 @@ _MEMO = {}
 solve.cache_clear = _MEMO.clear
 
 
-def smallest_eigenpair(pencil, tol=1e-12):
+def smallest_eigenpair(pencil, tol=DEFAULT_TOL):
     """The Solution of the ScaledPencil factor H as given; never memoised.
     Bands and factors must agree (pencil.check_factors; modify a pencil
     with pencil.perturb_factor).  `extremal_polynomial` maps w to the
@@ -631,7 +631,7 @@ def smallest_eigenpair(pencil, tol=1e-12):
     return _solve_core([pencil], tol)
 
 
-def sharp_constant(params, n, tol=1e-12):
+def sharp_constant(params, n, tol=DEFAULT_TOL):
     """Sharp derivative-to-function norm ratio M_n over polynomials of
     degree <= n, with the large-n prediction n^2 / (2 j) attached."""
     # The zero first: outside its window it raises before a solve is spent.
@@ -651,7 +651,7 @@ def sharp_constant(params, n, tol=1e-12):
     )
 
 
-def extremal_polynomial(params, n, tol=1e-12):
+def extremal_polynomial(params, n, tol=DEFAULT_TOL):
     """Coefficient vectors of the extremal polynomial.
 
     Returns (u, v, m_n): v holds the coefficients of Q' in the monic

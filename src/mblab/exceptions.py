@@ -27,6 +27,8 @@ def check_size(value, least, what):
 
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-6
+# The relative tolerance of every solve that is given none.
+DEFAULT_TOL = 1e-12
 
 
 def check_tol(tol):

@@ -214,6 +214,17 @@ def test_sweep_empty_grid(capsys):
         assert (code, out, err) == (1, "", f"error: {option} empty\n")
 
 
+def test_sweep_refuses_an_order_past_the_zero_window_before_a_solve(capsys, monkeypatch):
+    # The window applies to every weight before the first task: the rows of
+    # (0, 200) are not solved ahead of the refusal at (200, 200)
+    calls, core = [], eigensolver._solve_core
+    monkeypatch.setattr(eigensolver, "_solve_core", lambda owned, tol: calls.append(1) or core(owned, tol))
+    argv = ["sweep", "--alpha=0,200", "--beta=200", "--n", "100,200", "--parallel", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: zero finder supports nu <= 50.0, got 99.5\n")
+    assert calls == []
+
+
 def test_sweep_deterministic_and_ordered(capsys, tmp_path):
     argv = [
         "sweep", "--alpha", "1,0", "--beta", "0", "--n", "8,4",

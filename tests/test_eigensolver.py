@@ -767,6 +767,9 @@ def test_degree_is_checked_before_the_memo(monkeypatch):
             sharp_constant(P37, bad)
     assert _bits(*extremal_polynomial(P37, np.int64(1))) == _bits(*one)
     assert sharp_constant(P37, np.int32(1)).m_n == one[2]
+    # A study checks every degree before its first solve
+    with pytest.raises(TypeError, match=r"n must be >= 1 as an integer, got 200\.5"):
+        convergence_study(P37, [100, 200.5])
     assert len(calls) == 1
 
 

@@ -70,16 +70,11 @@ def test_two_product_is_exact_where_no_partial_product_underflows():
         # |a b| 2^-54 and needs its 53 bits above 2^-1074
         if abs(a * b) < 2.0**-960:
             continue
-        p, e = two_product(a, b)
+        p, e = two_product(a, b, split(b))
         assert p == a * b
         assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
         checked += 1
     assert checked >= 0.8 * len(PRODUCT_PAIRS)
-
-
-def test_two_product_takes_the_halves_of_b():
-    for a, b in PRODUCT_PAIRS:
-        assert two_product(a, b, split(b)) == two_product(a, b)
 
 
 def _bits(*values):
@@ -88,7 +83,8 @@ def _bits(*values):
 
 def test_float_and_array_calls_give_the_same_bits():
     for a, b in SUM_PAIRS[::5] + PRODUCT_PAIRS[::5]:
-        for f, args in ((two_sum, (a, b)), (split, (a,)), (two_product, (a, b))):
+        product = lambda a, b: two_product(a, b, split(b))  # noqa: E731
+        for f, args in ((two_sum, (a, b)), (split, (a,)), (product, (a, b))):
             scalar = f(*args)
             array = f(*(np.array([v]) for v in args))
             assert all(isinstance(v, float) for v in scalar)

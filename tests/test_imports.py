@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import mblab
 from mblab import ScaledPencil
+from mblab.cli import build_parser
+from mblab.exceptions import DEFAULT_TOL
 
 PACKAGE_DIR = Path(mblab.__file__).parent
 
@@ -164,6 +167,49 @@ def test_public_names():
         "run_verification", "scaled_pencil", "sharp_constant", "smallest_eigenpair",
         "smallest_positive_zero", "solve", "y_bundle",
     ]
+
+
+def _literal_defaults(path, value):
+    """(line, name) for every parameter default, and every `default=`
+    keyword of a call, that spells the number `value` in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            named = args.posonlyargs + args.args
+            pairs = list(zip(named[len(named) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            found += [(d.lineno, a.arg) for a, d in pairs
+                      if isinstance(d, ast.Constant) and d.value == value]
+        elif isinstance(node, ast.Call):
+            found += [(k.value.lineno, "default=") for k in node.keywords if k.arg == "default"
+                      and isinstance(k.value, ast.Constant) and k.value.value == value]
+    return found
+
+
+def test_one_default_tolerance():
+    # The six entry points that take a tolerance and every --tol option
+    # default to the one constant beside check_tol's range
+    for f in (mblab.solve, mblab.smallest_eigenpair, mblab.sharp_constant,
+              mblab.extremal_polynomial, mblab.profile_compare, mblab.convergence_study):
+        assert inspect.signature(f).parameters["tol"].default is DEFAULT_TOL, f.__name__
+    weight = ["--alpha=0", "--beta=0"]
+    for argv in (["constant", "--n=1"], ["extremal", "--n=1"], ["profile", "--n=1"],
+                 ["asymptotics", "--n-list=1"], ["sweep"]):
+        assert build_parser().parse_args(argv + weight).tol is DEFAULT_TOL, argv[0]
+    spelled = {path.name: hits for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if (hits := _literal_defaults(path, DEFAULT_TOL))}
+    assert spelled == {}
+
+
+def test_guard_flags_literal_defaults(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(x, tol=1e-12, *, eps=1e-12, other=2.0):\n"
+        "    return parser.add_argument('--tol', default=1e-12)\n"
+    )
+    assert _literal_defaults(sample, 1e-12) == [(1, "tol"), (1, "eps"), (2, "default=")]
 
 
 def _fresh(code):

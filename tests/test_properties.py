@@ -29,6 +29,7 @@ from mblab import (
 )
 from mblab import eigensolver
 from mblab.cli import main
+from mblab.exceptions import DEFAULT_TOL
 
 # Exponents anywhere in (-1, 50], and often just above -1, where the
 # weight is barely integrable and alpha + beta -> -2 when both are there.
@@ -254,3 +255,59 @@ def test_reflection_on_edge_weights():
             far.append((alpha, beta, n, defect))
     assert far == []
     assert draws <= 15
+
+
+def _rises(alpha, beta, ns):
+    """(n, lambda(n), lambda(n + 1)) for each n in `ns` where the certified
+    lambda_min at degree n + 1 does not lie below the one at n with their
+    tol-wide intervals apart.  B_n is the leading block of B_{n+1}, so the
+    exact value falls, by about 4/n relative per degree."""
+    params, out = JacobiWeightParams(alpha, beta), []
+    for n in ns:
+        low, high = (solve(params, k).lambda_min for k in (n + 1, n))
+        if not low * (1.0 + DEFAULT_TOL) < high * (1.0 - DEFAULT_TOL):
+            out.append((n, high, low))
+    return out
+
+
+def _ladder(rng, size):
+    """`size` seeded degrees log-uniform in [2, 1e5), and 1e5 - 1 at the top."""
+    return sorted({int(10 ** rng.uniform(0.3, 5.0)) for _ in range(size)} | {99_999})
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,vectors",
+    # The bracket, whose first parity half changes with n; one and two
+    # vectors on all of H
+    [(0.0, 0.0, None), (12.0, 12.0, None), (0.3, 1.7, 1), (1.0, 1.2, 2)],
+)
+def test_lambda_falls_with_the_degree(alpha, beta, vectors):
+    if vectors:
+        assert eigensolver._block_size(JacobiWeightParams(alpha, beta)) == vectors
+    ladder = _ladder(random.Random(f"nesting:{alpha},{beta}"), 6)
+    assert _rises(alpha, beta, ladder) == []
+
+
+def test_lambda_falls_with_the_degree_at_the_edge():
+    # Edge weights drawn as the edge samples (ROADMAP), the first 8 whose
+    # two degrees certify
+    rng = random.Random(52)
+    rises, kept = [], 0
+    while kept < 8:
+        alpha = -1.0 + 10 ** rng.uniform(-15.5, -1.0)
+        kind = rng.randrange(3)
+        if kind == 0:
+            beta = alpha
+        elif kind == 1:
+            beta = alpha + rng.uniform(-1.0, 1.0) * 1e-3 * (alpha + 1.0)
+        else:
+            beta = rng.uniform(-0.5, 5.0)
+        if rng.random() < 0.5:
+            alpha, beta = beta, alpha
+        n = int(10 ** rng.uniform(1.0, 4.3))
+        try:
+            rises += [(alpha, beta, *rise) for rise in _rises(alpha, beta, [n])]
+        except ConvergenceError:
+            continue
+        kept += 1
+    assert rises == []
